@@ -34,28 +34,44 @@ def _last_blocking_beep(s: PhaseSet, p: float, b: float, t_period: float):
     return max(blocking) if blocking else None
 
 
-def first_clear_phase(s: PhaseSet, b: float, t_period: float):
-    """Pure form of the forward scan over a fixed set of heard phases.
+def _first_fit(s: PhaseSet, b: float, t_period: float):
+    """Forward scan for the first phase whose buffer window is clear.
 
-    Returns (phase, extra_listening) where extra_listening is how much
-    additional listening the scan would have consumed.  The real protocol
-    interleaves the scan with listening; this helper is the same greedy
-    recurrence evaluated against a frozen set, useful for tests.
+    The candidate starts at 0 and moves to b past the last beep blocking
+    it until nothing blocks.  Each move yields ``Listen(extension)`` and
+    receives the phases heard meanwhile, which join ``s``.  Returns the
+    settled phase, the final heard set and the total extension.
     """
     p = 0.0
     total = 0.0
     while True:
         last = _last_blocking_beep(s, p, b, t_period)
-        if last is None:
-            return p, total
-        candidate = b + last
-        if candidate <= p:
-            # fixed point: the only blocker sits exactly b behind (float dust)
-            return p, total
-        prev, p = p, candidate
+        # done when nothing blocks, or at the fixed point where the only
+        # blocker sits exactly b behind the candidate (float dust)
+        if last is None or b + last <= p:
+            return p, s, total
+        prev, p = p, b + last
         if p >= t_period:
             raise ProtocolViolation("first-fit scan failed to settle within one period")
+        extra = yield Listen(p - prev)
         total += p - prev
+        s = s.union(extra)
+
+
+def first_clear_phase(s: PhaseSet, b: float, t_period: float):
+    """The first-fit scan over a frozen set of heard phases.
+
+    Returns (phase, extra_listening) where extra_listening is how much
+    additional listening the scan would have consumed.
+    """
+    scan = _first_fit(s, b, t_period)
+    try:
+        scan.send(None)
+        while True:
+            scan.send(())
+    except StopIteration as done:
+        p, _, total = done.value
+        return p, total
 
 
 class BeepFirst:
@@ -90,20 +106,7 @@ class BeepFirst:
 
         heard = yield Listen(t_period)
         s = PhaseSet.from_iterable(heard, t_period)
-        p = 0.0
-        while True:
-            last = _last_blocking_beep(s, p, self.b, t_period)
-            if last is None:
-                break
-            candidate = self.b + last
-            if candidate <= p:
-                break  # blocker sits exactly b behind the candidate (float dust)
-            prev, p = p, candidate
-            if p >= t_period:
-                raise ProtocolViolation("search outlived one period")
-            extra = yield Listen(p - prev)
-            self.search_listening += p - prev
-            s = s.union(extra)
+        p, s, self.search_listening = yield from _first_fit(s, self.b, t_period)
         self.p = p
         if self.adaptive:
             # Clearance radius measured instead of the degree-based formula.

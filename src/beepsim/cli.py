@@ -34,11 +34,15 @@ from .config import SimConfig
 from .errors import ConfigError, InternalInconsistencyError, ProtocolViolation
 from .lowerbound import expected_retention_floor, twin_coupling_experiment
 from .runner import run_beepfirst_trial, run_jitterjump_trial
-from .topology import Topology, load_edge_list, load_events, parse_graph_spec
+from .topology import GENERATORS, Topology, load_edge_list, load_events, parse_graph_spec
 from .trace import write_csv
 
-_GENERATORS = ("gnp", "random-regular", "random_regular", "star", "clique",
-               "cycle-of-blocks", "cycle_of_blocks")
+
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -52,7 +56,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kappa", type=float, default=64.0)
     parser.add_argument("--epsilon", type=float, default=0.1)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--trials", type=int, default=1)
+    parser.add_argument("--trials", type=_at_least_one, default=1)
     parser.add_argument("--max-periods", type=int, default=None)
     parser.add_argument("--wakeup", default="simultaneous")
     parser.add_argument("--out", default=None, help="CSV output path")
@@ -91,8 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lb = osub.add_parser("lowerbound", help="twin-coupling symmetry experiment")
     p_lb.add_argument("--k", type=int, required=True, help="number of 4-node blocks")
-    p_lb.add_argument("--slots", type=int, required=True)
-    p_lb.add_argument("--trials", type=int, required=True)
+    p_lb.add_argument("--slots", type=_at_least_one, required=True)
+    p_lb.add_argument("--trials", type=_at_least_one, required=True)
     p_lb.add_argument("--seed", type=int, default=1)
 
     return parser
@@ -107,25 +111,21 @@ def _sizes(args) -> list[int]:
         raise ConfigError(f"bad --n value {args.n!r}") from exc
 
 
-def _graph_spec_for(args, n: int) -> str:
-    name = args.graph
-    if name in ("gnp",):
-        if args.p is None:
-            raise ConfigError("gnp needs --p")
-        return f"gnp:{n}:{args.p}"
-    if name in ("random-regular", "random_regular"):
-        if args.delta is None:
-            raise ConfigError("random-regular needs --delta")
-        return f"random-regular:{n}:{args.delta}"
-    return f"{name}:{n}"
-
-
 def _build_topology(args, n: int | None, seed_key) -> Topology:
     spec = args.graph
-    if spec in _GENERATORS:
+    gen = GENERATORS.get(spec)
+    if gen is not None:
+        # a bare generator name: --n fills the first spec field, the
+        # flag named after each further field fills that field
         if n is None:
             raise ConfigError(f"generator {spec!r} needs --n")
-        spec = _graph_spec_for(args, n)
+        values = [n]
+        for name, _ in gen.fields[1:]:
+            value = getattr(args, name)
+            if value is None:
+                raise ConfigError(f"{spec.replace('_', '-')} needs --{name}")
+            values.append(value)
+        spec = ":".join([spec, *map(str, values)])
     if ":" in spec:
         return parse_graph_spec(spec, rngmod.stream(args.seed, *seed_key, "topology"))
     if not os.path.exists(spec):
@@ -309,7 +309,7 @@ def _finish(args, summary: dict, failures: list[str]) -> int:
             else:
                 print(f"{label}: {len(size_entry['trials'])} trial(s) complete")
         if "log_fit_constant" in summary:
-            print(f"fit: max-convergence ~= {summary['log_fit_constant']:.2f} * ln(n) "
+            print(f"fit: median-convergence ~= {summary['log_fit_constant']:.2f} * ln(n) "
                   f"(slope {summary['log_fit_slope']:.2f})")
         for f in failures:
             print(f"FAIL {f}")

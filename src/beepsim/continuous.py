@@ -50,7 +50,6 @@ class Rebase:
 class _Node:
     __slots__ = (
         "gen",
-        "wake",
         "origin",
         "listening",
         "win_start",
@@ -63,7 +62,6 @@ class _Node:
 
     def __init__(self, gen, wake: float):
         self.gen = gen
-        self.wake = wake
         self.origin = wake
         self.listening = False
         self.win_start = 0.0
@@ -82,7 +80,7 @@ class ContinuousEngine:
         topology: Topology,
         t_period: float,
         protocol_factory: Callable[[int], object],
-        wake_times: dict[int, float],
+        wakeup: dict[int, float],
     ):
         if t_period <= 0:
             raise ConfigError("period length must be positive")
@@ -96,7 +94,7 @@ class ContinuousEngine:
         self._seq = 0
         self._beep_counts: dict[float, int] = {}
         for v in self.topology.nodes:
-            wake = float(wake_times.get(v, 0.0))
+            wake = float(wakeup.get(v, 0.0))
             if wake < 0:
                 raise ConfigError("wake times must be nonnegative")
             proto = protocol_factory(v)
@@ -177,9 +175,6 @@ class ContinuousEngine:
     def theta(self, v: int) -> float:
         """Clock offset of the node's period origin in the global frame."""
         return self._nodes[v].origin % self.t_period
-
-    def wake_time(self, v: int) -> float:
-        return self._nodes[v].wake
 
     def heard_log(self, v: int) -> tuple[float, ...]:
         return tuple(self._nodes[v].heard_log)

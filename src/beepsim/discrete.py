@@ -11,9 +11,9 @@ heard during the period that just ended and receives the beep offsets for
 the period that starts; an offset of exactly Q lands in slot 0 of the
 following local period (a jittered beep wrapping past the boundary).
 
-Dynamic topology events are applied at global period boundaries.  All
-bookkeeping is resolved in a fixed order so identical configurations
-produce bit-identical runs.
+Dynamic topology events are applied at global period boundaries, those
+of one period in the order given.  All bookkeeping is resolved in a fixed
+order so identical configurations produce bit-identical runs.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class DiscreteEngine:
         self._scheduled: dict[int, set[int]] = {}
         self._boundaries: dict[int, list[int]] = {}
         self._beeps: dict[int, list[int]] = {}
-        self._events = sorted(events, key=lambda e: (e.at_period, e.kind, e.nodes))
+        self._events = sorted(events, key=lambda e: e.at_period)  # stable: file order
         self._event_idx = 0
         for v in self.topology.nodes:
             self._admit(v, wake_slots.get(v, 0))
@@ -92,14 +92,17 @@ class DiscreteEngine:
         self._boundaries.setdefault(wake, []).append(v)
 
     def _retire(self, v: int) -> None:
+        # drop the node's queued beeps and boundary, so a node re-added
+        # under the same id does not inherit them
         self.alive.discard(v)
         self._heard.pop(v, None)
-        self._scheduled.pop(v, None)
+        for t in self._scheduled.pop(v):
+            self._beeps[t] = [u for u in self._beeps[t] if u != v]
+        wake = self.wake_slot[v]
+        pending = wake if wake >= self.slot else self.slot + (wake - self.slot) % self.q
+        self._boundaries[pending].remove(v)
 
     # -- queries ---------------------------------------------------------
-
-    def is_awake(self, v: int) -> bool:
-        return v in self.alive and self.slot > self.wake_slot[v]
 
     def local_phase(self, v: int, global_slot: int | None = None) -> int:
         """Phase of ``v`` at a global slot; the period origin is its wake slot."""
@@ -196,6 +199,3 @@ class DiscreteEngine:
     def run_slots(self, count: int) -> None:
         for _ in range(count):
             self.step_slot()
-
-    def run_periods(self, count: int) -> None:
-        self.run_slots(count * self.q)

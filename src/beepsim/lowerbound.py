@@ -56,12 +56,10 @@ def twin_coupling_experiment(
     slots: int,
     trials: int,
     seed: int,
-    protocol: str = "jitterjump",
     shared_randomness: bool = False,
-    cfg: SimConfig | None = None,
     strict: bool = False,
 ) -> TwinCouplingStats:
-    """Run the protocol on the block-cycle graph and track twin symmetry.
+    """Run jitter-and-jump on the block-cycle graph and track twin symmetry.
 
     With ``shared_randomness`` the two nodes of every twin pair draw from
     identically seeded streams, making divergence impossible for any
@@ -71,10 +69,7 @@ def twin_coupling_experiment(
     the same beep/listen action, and how long at least one pair stays
     identical.
     """
-    if protocol != "jitterjump":
-        raise ConfigError(f"unsupported protocol {protocol!r}")
-    if cfg is None:
-        cfg = SimConfig(master_seed=seed)
+    cfg = SimConfig()
     topo = build_lowerbound_graph(k)
     pairs = twin_pairs(k)
     twin_index = {}
@@ -82,7 +77,6 @@ def twin_coupling_experiment(
         twin_index[b] = idx
         twin_index[c] = idx
     q = cfg.resolve_q(topo.delta)
-    window = cfg.window_length(topo.n)
 
     divergences = 0
     same_state = 0
@@ -96,7 +90,7 @@ def twin_coupling_experiment(
                 key = (seed, trial, "twin", twin_index[v], "protocol")
             else:
                 key = (seed, trial, v, "protocol")
-            return JitterAndJump(q, cfg.eta, rngmod.stream(*key), window=window)
+            return JitterAndJump(q, cfg.eta, rngmod.stream(*key))
 
         engine = DiscreteEngine(topo, q, factory, {v: 0 for v in topo.nodes})
         alive_pairs = set(range(len(pairs)))

@@ -13,11 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
-def normalize(value, tau):
-    """Reduce a phase-like value into [0, tau)."""
-    return value % tau
-
-
 def wrap_distance(a, b, tau):
     """Shortest circular distance between two phases."""
     d = (a - b) % tau

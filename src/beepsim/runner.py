@@ -23,13 +23,11 @@ from .beepfirst import BeepFirst
 from .config import SimConfig
 from .continuous import ContinuousEngine
 from .discrete import DiscreteEngine
-from .errors import ConfigError, ProtocolViolation
+from .errors import ProtocolViolation
 from .jitterjump import JitterAndJump
 from .phases import wrap_distance
 from .topology import DynamicEvent, Topology, build_wakeup
 from .trace import TraceRow
-
-BAD_LABELS = ("bad-colored", "bad-uncolored")
 
 
 def _label_for(engine: DiscreteEngine, v: int) -> str:
@@ -130,9 +128,7 @@ class JitterJumpResult:
     window_observations: int
     resets: int
     rows: list[TraceRow] = field(default_factory=list)
-    good_history: list[int] = field(default_factory=list)
     all_good_periods: list[int] = field(default_factory=list)
-    reset_periods: dict[int, list[int]] = field(default_factory=dict)
 
     @property
     def converged(self) -> bool:
@@ -188,10 +184,7 @@ def run_jitterjump_trial(
     converged_period = None
     snapshot = None
     labels_at_convergence = None
-    good_history: list[int] = []
     all_good_periods: list[int] = []
-    reset_periods: dict[int, list[int]] = {}
-    prev_resets: dict[int, int] = {}
 
     engine.run_slots(1)  # wake processing at slot 0
     periods_run = 0
@@ -201,16 +194,9 @@ def run_jitterjump_trial(
         current = discrete_snapshot(engine)
         labels = classify_good_bad(current, engine.topology)
         good = {v for v, lab in labels.items() if lab == GOOD}
-        good_history.append(len(good))
         lost = (prev_good & engine.alive) - good
         monotonic_violations += len(lost)
         prev_good = good
-        if cfg.dynamic:
-            for v in engine.alive:
-                resets = engine.protocols[v].resets
-                if resets > prev_resets.get(v, 0):
-                    reset_periods.setdefault(v, []).append(k)
-                prev_resets[v] = resets
         if state_hook is not None:
             state_hook(engine, k, labels)
         if good == engine.alive and engine.alive:
@@ -246,9 +232,7 @@ def run_jitterjump_trial(
         window_observations=checks.window_observations,
         resets=total_resets,
         rows=checks.rows,
-        good_history=good_history,
         all_good_periods=all_good_periods,
-        reset_periods=reset_periods,
     )
 
 
@@ -278,16 +262,6 @@ def collision_escape_trial(cfg: SimConfig, seed_key: tuple, phase: int | None = 
 # -- continuous-model trials -------------------------------------------------
 
 
-def build_wakeup_continuous(spec, nodes, t_period, rng) -> dict[int, float]:
-    if spec == "simultaneous":
-        return {v: 0.0 for v in nodes}
-    if spec == "random":
-        return {v: float(rng.uniform(0.0, t_period)) for v in nodes}
-    if isinstance(spec, dict):
-        return {v: float(spec[v]) for v in nodes}
-    raise ConfigError(f"unknown continuous wakeup spec {spec!r}")
-
-
 @dataclass
 class BeepFirstResult:
     """One continuous-protocol trial."""
@@ -301,10 +275,8 @@ class BeepFirstResult:
     snapshot: ColoringSnapshot
     wake: dict[int, float]
     max_stable_delay: float
+    protocols: dict[int, BeepFirst]
     rows: list[TraceRow] = field(default_factory=list)
-
-    def protocol_state(self, v):
-        return self._protocols[v]
 
 
 def run_beepfirst_trial(
@@ -316,8 +288,8 @@ def run_beepfirst_trial(
 ) -> BeepFirstResult:
     t_period = cfg.T
     master = cfg.master_seed
-    wake = build_wakeup_continuous(
-        cfg.wakeup, topology.nodes, t_period, rngmod.stream(master, *seed_key, "wakeup")
+    wake = build_wakeup(
+        cfg.wakeup, topology.nodes, float(t_period), rngmod.stream(master, *seed_key, "wakeup")
     )
 
     def factory(v: int) -> BeepFirst:
@@ -380,7 +352,7 @@ def run_beepfirst_trial(
                     )
                 )
 
-    result = BeepFirstResult(
+    return BeepFirstResult(
         topology=topology,
         t_period=t_period,
         all_stable=all_stable,
@@ -390,7 +362,6 @@ def run_beepfirst_trial(
         snapshot=snapshot,
         wake=wake,
         max_stable_delay=max_delay,
+        protocols=dict(engine.protocols),
         rows=rows,
     )
-    result._protocols = dict(engine.protocols)
-    return result

@@ -9,7 +9,8 @@ File formats (documented in the README):
 
 * edge list   -- one ``u v`` pair per line, 0-based ids; blank lines and
   ``#`` comments ignored.
-* wakeup      -- one ``node slot`` pair per line.
+* wakeup      -- one ``node time`` pair per line: a slot, or a time in
+  units of T in the continuous model.
 * events      -- one event per line: ``<period> add_edge u v``,
   ``<period> remove_edge u v``, ``<period> remove_node v``,
   ``<period> add_node v n1 n2 ...``.
@@ -17,8 +18,9 @@ File formats (documented in the README):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+import numbers
+from dataclasses import dataclass
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -129,12 +131,15 @@ def gnp(n: int, p: float, rng: np.random.Generator) -> Topology:
     return Topology.from_edges(n, edges)
 
 
-def random_regular(n: int, d: int, rng: np.random.Generator, max_attempts: int = 5000) -> Topology:
+_PAIRING_ATTEMPTS = 5000
+
+
+def random_regular(n: int, d: int, rng: np.random.Generator) -> Topology:
     """Uniform random d-regular simple graph via the pairing model."""
     if n * d % 2 != 0 or d >= n or d < 0:
         raise ConfigError(f"no {d}-regular graph on {n} nodes exists")
     stubs = np.repeat(np.arange(n), d)
-    for _ in range(max_attempts):
+    for _ in range(_PAIRING_ATTEMPTS):
         perm = rng.permutation(stubs)
         pairs = perm.reshape(-1, 2)
         seen: set[tuple[int, int]] = set()
@@ -151,7 +156,7 @@ def random_regular(n: int, d: int, rng: np.random.Generator, max_attempts: int =
             seen.add(key)
         if ok:
             return Topology.from_edges(n, sorted(seen))
-    raise ConfigError(f"could not sample a simple {d}-regular graph in {max_attempts} attempts")
+    raise ConfigError(f"could not sample a simple {d}-regular graph in {_PAIRING_ATTEMPTS} attempts")
 
 
 def star(n: int) -> Topology:
@@ -189,24 +194,39 @@ def twin_pairs(k: int) -> tuple[tuple[int, int], ...]:
     return tuple((4 * i + 1, 4 * i + 2) for i in range(k))
 
 
+class GraphGenerator(NamedTuple):
+    """A graph generator: its builder and the typed fields of its spec.
+
+    A ``sampled`` builder takes the random stream as its last argument.
+    """
+
+    build: Callable[..., Topology]
+    fields: tuple[tuple[str, type], ...]
+    sampled: bool = False
+
+
+GENERATORS = {
+    "gnp": GraphGenerator(gnp, (("n", int), ("p", float)), sampled=True),
+    "random-regular": GraphGenerator(random_regular, (("n", int), ("delta", int)), sampled=True),
+    "star": GraphGenerator(star, (("n", int),)),
+    "clique": GraphGenerator(clique, (("n", int),)),
+    "cycle-of-blocks": GraphGenerator(cycle_of_blocks, (("k", int),)),
+}
+GENERATORS["random_regular"] = GENERATORS["random-regular"]
+GENERATORS["cycle_of_blocks"] = GENERATORS["cycle-of-blocks"]
+
+
 def parse_graph_spec(spec: str, rng: np.random.Generator) -> Topology:
     """Build a topology from a generator spec like ``gnp:64:0.1``."""
-    parts = spec.split(":")
-    name, args = parts[0], parts[1:]
+    name, *args = spec.split(":")
+    gen = GENERATORS.get(name)
+    if gen is None:
+        raise ConfigError(f"unknown graph generator {name!r}")
     try:
-        if name == "gnp":
-            return gnp(int(args[0]), float(args[1]), rng)
-        if name in ("random-regular", "random_regular"):
-            return random_regular(int(args[0]), int(args[1]), rng)
-        if name == "star":
-            return star(int(args[0]))
-        if name == "clique":
-            return clique(int(args[0]))
-        if name in ("cycle-of-blocks", "cycle_of_blocks"):
-            return cycle_of_blocks(int(args[0]))
+        values = [kind(args[i]) for i, (_, kind) in enumerate(gen.fields)]
+        return gen.build(*values, rng) if gen.sampled else gen.build(*values)
     except (IndexError, ValueError) as exc:
         raise ConfigError(f"bad graph spec {spec!r}: {exc}") from exc
-    raise ConfigError(f"unknown graph generator {name!r}")
 
 
 # -- file formats -----------------------------------------------------------
@@ -305,28 +325,35 @@ def parse_wakeup(text: str) -> dict[int, int]:
     return out
 
 
-def build_wakeup(spec: str, nodes: Sequence[int], q: int, rng: np.random.Generator) -> dict[int, int]:
-    """Wake slot per node from a schedule spec.
+def build_wakeup(spec: str, nodes: Sequence[int], period, rng: np.random.Generator) -> dict:
+    """Wake time per node from a schedule spec, for either model.
 
-    ``simultaneous`` wakes everyone at slot 0, ``random`` draws uniform wake
-    slots in [0, Q), ``stagger:<k>`` wakes node i at slot i*k, and
-    ``file:<path>`` loads an explicit schedule.
+    ``period`` is Q, an integer slot count, in the discrete model and T in
+    the continuous one; wake times are slots or real times to match.
+    ``simultaneous`` wakes everyone at 0, ``random`` draws uniform wake
+    times in [0, period), ``stagger:<k>`` wakes the i-th node in id order
+    at i*k, and ``file:<path>`` loads an explicit schedule.
     """
-    if spec == "simultaneous":
-        return {v: 0 for v in nodes}
+    discrete = isinstance(period, numbers.Integral)
     if spec == "random":
-        return {v: int(rng.integers(0, q)) for v in nodes}
-    if spec.startswith("stagger:"):
+        if discrete:
+            return {v: int(rng.integers(0, period)) for v in nodes}
+        return {v: float(rng.uniform(0.0, period)) for v in nodes}
+    if spec == "simultaneous":
+        wake = {v: 0 for v in nodes}
+    elif spec.startswith("stagger:"):
         try:
             k = int(spec.split(":", 1)[1])
         except ValueError as exc:
             raise ConfigError(f"bad wakeup spec {spec!r}") from exc
-        return {v: i * k for i, v in enumerate(sorted(nodes))}
-    if spec.startswith("file:"):
+        wake = {v: i * k for i, v in enumerate(sorted(nodes))}
+    elif spec.startswith("file:"):
         with open(spec.split(":", 1)[1], "r", encoding="utf-8") as fh:
             table = parse_wakeup(fh.read())
         missing = [v for v in nodes if v not in table]
         if missing:
             raise ConfigError(f"wakeup file lacks nodes {missing[:5]}")
-        return {v: table[v] for v in nodes}
-    raise ConfigError(f"unknown wakeup spec {spec!r}")
+        wake = {v: table[v] for v in nodes}
+    else:
+        raise ConfigError(f"unknown wakeup spec {spec!r}")
+    return wake if discrete else {v: float(t) for v, t in wake.items()}

@@ -68,7 +68,7 @@ def test_first_clear_phase_wrapping_beep_near_period_end():
 def test_isolated_node_settles_at_zero():
     topo = Topology.from_edges(1, [])
     result = run_beepfirst_trial(topo, bf_config(master_seed=3), seed_key=("iso",))
-    proto = result.protocol_state(0)
+    proto = result.protocols[0]
     assert proto.stable
     assert proto.p == 0.0
     assert result.snapshot.states[0].interval == pytest.approx(0.45)
@@ -78,13 +78,13 @@ def test_two_node_clique_second_settles_behind_first():
     topo = Topology.from_edges(2, [(0, 1)])
     result = run_beepfirst_trial(topo, bf_config(master_seed=11), seed_key=("pair",))
     assert result.all_stable
-    p0 = result.protocol_state(0)
-    p1 = result.protocol_state(1)
+    p0 = result.protocols[0]
+    p1 = result.protocols[1]
     states = result.snapshot.by_node()
     first, second = (0, 1) if p0.stable_since < p1.stable_since else (1, 0)
     # the later node settles exactly its own buffer after the earlier phase
     gap = (states[second].global_phase - states[first].global_phase) % 1.0
-    second_proto = result.protocol_state(second)
+    second_proto = result.protocols[second]
     assert gap == pytest.approx(second_proto.b)
 
 
@@ -141,7 +141,7 @@ def test_search_shorter_than_one_period():
     result = run_beepfirst_trial(topo, cfg, seed_key=("short",))
     assert result.search_overruns == 0
     for v in topo.nodes:
-        assert result.protocol_state(v).search_listening < 1.0
+        assert result.protocols[v].search_listening < 1.0
 
 
 def test_adaptive_interval_reflects_clearance():

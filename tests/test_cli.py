@@ -139,3 +139,47 @@ def test_oracle_lowerbound(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "divergences: 0" in out
+
+
+def test_sweep_text_summary_labels_the_median_fit(capsys):
+    code = run_cli([
+        "static", "--graph", "random-regular", "--n", "12,16", "--delta", "4",
+        "--seed", "7", "--trials", "2",
+    ])
+    out = capsys.readouterr().out
+    assert code == 0
+    fit_lines = [line for line in out.splitlines() if line.startswith("fit:")]
+    assert len(fit_lines) == 1
+    assert fit_lines[0].startswith("fit: median-convergence ~= ")
+
+
+@pytest.mark.parametrize("args", [
+    ["static", "--graph", "clique:4", "--trials", "0"],
+    ["static", "--protocol", "beepfirst", "--graph", "clique:4", "--trials", "-1"],
+    ["dynamic", "--graph", "clique:4", "--trials", "0"],
+    ["oracle", "lowerbound", "--k", "4", "--slots", "40", "--trials", "0"],
+    ["oracle", "lowerbound", "--k", "4", "--slots", "0", "--trials", "5"],
+])
+def test_counts_below_one_exit_2(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "must be at least 1" in captured.err
+    assert "all validators passed" not in captured.out
+
+
+def test_beepfirst_stagger_wakeup(capsys):
+    code = run_cli(["static", "--protocol", "beepfirst", "--graph", "gnp:16:0.2",
+                    "--wakeup", "stagger:1", "--seed", "5", "--trials", "2"])
+    assert code == 0
+    assert "all validators passed" in capsys.readouterr().out
+
+
+def test_beepfirst_file_wakeup(tmp_path, capsys):
+    schedule = tmp_path / "wake.txt"
+    schedule.write_text("".join(f"{v} {v % 3}\n" for v in range(8)))
+    code = run_cli(["static", "--protocol", "beepfirst", "--graph", "clique:8",
+                    "--wakeup", f"file:{schedule}", "--seed", "5", "--json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["failures"] == []

@@ -4,7 +4,7 @@ import pytest
 
 from beepsim.discrete import DiscreteEngine
 from beepsim.errors import ConfigError, ProtocolViolation
-from beepsim.topology import DynamicEvent, Topology, star
+from beepsim.topology import DynamicEvent, Topology, parse_events, star
 
 
 class ScriptedProtocol:
@@ -172,3 +172,27 @@ def test_event_referencing_unknown_node_fails():
     engine, _ = make_engine(topo, events=events)
     with pytest.raises(ConfigError):
         engine.run_slots(16)
+
+
+def test_events_in_one_period_apply_in_file_order():
+    topo = Topology.from_edges(2, [(0, 1)])
+    events = parse_events("5 add_node 70 0\n5 add_edge 70 1\n")
+    engine, _ = make_engine(topo, events=events)
+    engine.run_slots(8 * 6 + 1)
+    assert engine.topology.neighbors(70) == {0, 1}
+    assert engine.wake_slot[70] == 40
+
+
+def test_node_removed_and_readded_in_one_period_starts_afresh():
+    topo = star(3)
+    events = parse_events("2 remove_node 1\n2 add_node 1 0\n")
+    # offset Q: the first node 1 queues a beep for slot 16, the event slot
+    engine, protos = make_engine(topo, offsets={1: (8,)}, events=events)
+    engine.run_slots(8 * 5 + 1)
+    assert engine.wake_slot[1] == 16
+    assert engine.topology.neighbors(1) == {0}
+    # the re-added node neither fires the old node's beep nor runs twice
+    hub = protos[0].heard_periods
+    assert hub[2] == ()
+    assert hub[4] == (0,)
+    assert len(protos[1].heard_periods) == 3

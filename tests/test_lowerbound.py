@@ -53,11 +53,6 @@ def test_retention_queries_validated():
     assert 0.0 <= stats.retention_at(9) <= 1.0
 
 
-def test_unknown_protocol_rejected():
-    with pytest.raises(ConfigError):
-        twin_coupling_experiment(4, slots=10, trials=2, seed=1, protocol="flooding")
-
-
 def test_divergence_happens_eventually_without_sharing():
     # with independent streams the first redraw separates most pairs
     k = 4

@@ -145,3 +145,11 @@ def test_wakeup_parsing_and_builders():
     assert stag == {0: 0, 1: 4, 2: 8}
     with pytest.raises(ConfigError):
         build_wakeup("never", nodes, 16, rng.stream(1))
+
+
+def test_wakeup_builder_serves_the_continuous_model():
+    nodes = (0, 1, 2)
+    rand = build_wakeup("random", nodes, 1.0, rng.stream(1))
+    assert all(isinstance(t, float) and 0.0 <= t < 1.0 for t in rand.values())
+    assert build_wakeup("stagger:2", nodes, 1.0, rng.stream(1)) == {0: 0.0, 1: 2.0, 2: 4.0}
+    assert build_wakeup("simultaneous", nodes, 1.0, rng.stream(1)) == {0: 0.0, 1: 0.0, 2: 0.0}
