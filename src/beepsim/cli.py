@@ -126,6 +126,8 @@ def _build_topology(args, n: int | None, seed_key) -> Topology:
                 raise ConfigError(f"{spec.replace('_', '-')} needs --{name}")
             values.append(value)
         spec = ":".join([spec, *map(str, values)])
+    elif n is not None:
+        raise ConfigError(f"--n applies only to a bare generator name, not to --graph {spec!r}")
     if ":" in spec:
         return parse_graph_spec(spec, rngmod.stream(args.seed, *seed_key, "topology"))
     if not os.path.exists(spec):

@@ -1,9 +1,12 @@
 """Slot-synchronous network engine.
 
-Global time advances one slot at a time.  Within a slot every awake node
-either beeps or listens; a listening node hears something exactly when at
-least one graph neighbor beeps in that slot, and cannot tell one beep from
-many.  A beeping node gets no feedback, not even about its own beep.
+Global time advances in slots, but only slots where something can happen
+are stepped: a slot with no local period boundary, no queued beep and no
+pending topology event is silent, and the engine moves past it without
+work.  Within a slot every awake node either beeps or listens; a listening
+node hears something exactly when at least one graph neighbor beeps in
+that slot, and cannot tell one beep from many.  A beeping node gets no
+feedback, not even about its own beep.
 
 Nodes run local periods of Q slots anchored at their wake slot.  At each
 local period boundary the engine hands the protocol the set of phases
@@ -197,5 +200,15 @@ class DiscreteEngine:
         return SlotOutcome(s, beepers, frozenset(heard_now))
 
     def run_slots(self, count: int) -> None:
-        for _ in range(count):
-            self.step_slot()
+        """Advance ``count`` slots, calling :meth:`step_slot` on each one that
+        is not silent (a silent slot would yield an empty outcome)."""
+        s, end = self.slot, self.slot + count
+        q, boundaries, beeps, events = self.q, self._boundaries, self._beeps, self._events
+        while s < end:
+            if s in boundaries or s in beeps or (
+                s % q == 0 and self._event_idx < len(events)
+            ):
+                self.slot = s
+                self.step_slot()
+            s += 1
+        self.slot = s

@@ -61,13 +61,17 @@ def free_slots(heard, b: int, q: int, own_phase: int | None = None) -> list[int]
     width = 2 * b + 4
     if width >= q:
         return []
-    blocked = bytearray(q)
-    for x in markers:
-        base = (x - b - 1) % q
-        for t in range(width):
-            i = base + t
-            blocked[i - q if i >= q else i] = 1
-    return [p for p in range(q) if not blocked[p]]
+    # each marker blocks the run [start, start+width) on the circle; all
+    # runs share one width, so in order of start they also end in order,
+    # and of the runs that wrap past Q the last blocks the longest [0, tail)
+    starts = sorted((x - b - 1) % q for x in markers)
+    free: list[int] = []
+    reach = max(starts[-1] + width - q, 0)
+    for start in starts:
+        free.extend(range(reach, start))
+        reach = start + width
+    free.extend(range(reach, q))
+    return free
 
 
 @dataclass(frozen=True)

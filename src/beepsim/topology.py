@@ -222,10 +222,13 @@ def parse_graph_spec(spec: str, rng: np.random.Generator) -> Topology:
     gen = GENERATORS.get(name)
     if gen is None:
         raise ConfigError(f"unknown graph generator {name!r}")
+    if len(args) != len(gen.fields):
+        expected = ":".join([name, *(field for field, _ in gen.fields)])
+        raise ConfigError(f"bad graph spec {spec!r}: expected {expected}")
     try:
-        values = [kind(args[i]) for i, (_, kind) in enumerate(gen.fields)]
+        values = [kind(arg) for arg, (_, kind) in zip(args, gen.fields)]
         return gen.build(*values, rng) if gen.sampled else gen.build(*values)
-    except (IndexError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad graph spec {spec!r}: {exc}") from exc
 
 

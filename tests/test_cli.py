@@ -183,3 +183,23 @@ def test_beepfirst_file_wakeup(tmp_path, capsys):
                     "--wakeup", f"file:{schedule}", "--seed", "5", "--json"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["failures"] == []
+
+
+@pytest.mark.parametrize("graph", ["clique:6:junk", "gnp:16:0.2:3", "random-regular:16"])
+def test_graph_spec_with_wrong_field_count_exits_2(graph, capsys):
+    code = run_cli(["static", "--graph", graph])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"bad graph spec {graph!r}" in captured.err
+    assert "all validators passed" not in captured.out
+
+
+def test_n_with_full_spec_or_edge_file_exits_2(tmp_path, capsys):
+    graph = tmp_path / "g.edges"
+    graph.write_text("0 1\n1 2\n2 0\n")
+    for spec in ("clique:6", str(graph)):
+        code = run_cli(["static", "--graph", spec, "--n", "12,16"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "--n applies only to a bare generator name" in captured.err
+        assert "n=12" not in captured.out

@@ -1,6 +1,7 @@
 """Slot-synchronous engine: delivery rules, clocks, churn, determinism."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beepsim.discrete import DiscreteEngine
 from beepsim.errors import ConfigError, ProtocolViolation
@@ -196,3 +197,116 @@ def test_node_removed_and_readded_in_one_period_starts_afresh():
     assert hub[2] == ()
     assert hub[4] == (0,)
     assert len(protos[1].heard_periods) == 3
+
+
+# -- differential check: run_slots skips silent slots, step_slot steps all --
+
+
+class HistoryProtocol:
+    """Plans offsets in [0, Q] from everything heard so far, so any
+    difference in delivery shows up in later plans and fingerprints."""
+
+    def __init__(self, key, q):
+        self.key = key
+        self.q = q
+        self.heard_periods = []
+
+    def on_period_end(self, heard):
+        self.heard_periods.append(heard)
+        mix = self.key * 7 + 3 * len(self.heard_periods) + sum(heard) + len(heard)
+        first = mix % (self.q + 1)
+        if mix % 3 == 0:
+            return (first,)
+        return (first, (first + 1 + self.key) % (self.q + 1))
+
+    def fingerprint(self):
+        return tuple(self.heard_periods)
+
+
+class BoundaryLog:
+    def __init__(self):
+        self.rows = []
+
+    def on_period_boundary(self, engine, v, slot):
+        self.rows.append((slot, v, engine.protocols[v].fingerprint()))
+
+
+def valid_events(topo, candidates):
+    """Keep the candidate events that apply cleanly, in period then list order."""
+    shadow = topo.copy()
+    kept = []
+    for ev in sorted(candidates, key=lambda e: e.at_period):
+        trial = shadow.copy()  # a failing add_node leaves its node half added
+        try:
+            if ev.kind == "add_node":
+                trial.add_node(ev.nodes[0], ev.nodes[1:])
+            elif ev.kind == "remove_node":
+                trial.remove_node(ev.nodes[0])
+            elif ev.kind == "add_edge":
+                trial.add_edge(*ev.nodes)
+            else:
+                trial.remove_edge(*ev.nodes)
+        except ConfigError:
+            continue
+        shadow = trial
+        kept.append(ev)
+    return tuple(kept)
+
+
+@st.composite
+def engine_cases(draw):
+    n = draw(st.integers(min_value=2, max_value=7))
+    q = draw(st.integers(min_value=3, max_value=16))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    # late wake slots included: up to three periods in
+    wake = {v: draw(st.integers(min_value=0, max_value=3 * q)) for v in range(n)}
+    node = st.integers(min_value=0, max_value=n + 1)
+    candidates = draw(st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=6),
+            st.sampled_from(("add_node", "remove_node", "add_edge", "remove_edge")),
+            node, node, st.lists(node, max_size=2),
+        ),
+        max_size=8,
+    ))
+    events = []
+    for period, kind, a, b, rest in candidates:
+        nodes = {"add_node": (a, *rest), "remove_node": (a,)}.get(kind, (a, b))
+        events.append(DynamicEvent(period, kind, nodes))
+    chunks = draw(st.lists(st.integers(min_value=0, max_value=3 * q), min_size=1, max_size=8))
+    return Topology.from_edges(n, edges), q, wake, events, chunks
+
+
+@settings(max_examples=200, deadline=None)
+@given(engine_cases())
+def test_run_slots_matches_stepping_every_slot(case):
+    topo, q, wake, candidates, chunks = case
+    events = valid_events(topo, candidates)
+
+    def build():
+        log = BoundaryLog()
+        engine = DiscreteEngine(topo, q, lambda v: HistoryProtocol(v, q), wake,
+                                events=events, observer=log)
+        return engine, log
+
+    skipping, skip_log = build()
+    stepping, step_log = build()
+    for k in chunks:
+        skipping.run_slots(k)
+        for _ in range(k):
+            out = stepping.step_slot()
+            # listener rule: v hears iff an awake neighbour beeps and v does not
+            assert not out.beeped & out.heard
+            assert out.beeped <= stepping.alive
+            expected = {
+                v for v in stepping.alive
+                if out.slot >= stepping.wake_slot[v] and v not in out.beeped
+                and stepping.topology.neighbors(v) & out.beeped
+            }
+            assert out.heard == expected
+        assert skipping.slot == stepping.slot
+        assert skipping.alive == stepping.alive
+        for v in stepping.alive:
+            assert skipping.fingerprint(v) == stepping.fingerprint(v)
+        assert skip_log.rows == step_log.rows

@@ -59,19 +59,32 @@ def test_free_slots_includes_own_phase_marker():
     assert with_own == free_slots((10,), 2, 32)
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    st.integers(min_value=12, max_value=48).flatmap(
-        lambda q: st.tuples(
-            st.just(q),
-            st.sets(st.integers(min_value=0, max_value=q - 1), max_size=6),
-            # keep the guard window narrower than the period, as every valid
-            # configuration does (b <= eta*Q/2 <= Q/32)
-            st.integers(min_value=1, max_value=(q - 5) // 2),
-            st.one_of(st.none(), st.integers(min_value=0, max_value=q - 1)),
-        )
-    )
-)
+@st.composite
+def free_slot_cases(draw):
+    # small periods with few markers, and periods up to the Q = 8192 of a
+    # 128-degree star with up to 300 markers, so blocked runs merge and wrap
+    q, most = draw(st.one_of(
+        st.tuples(st.integers(min_value=12, max_value=48), st.just(6)),
+        st.tuples(st.integers(min_value=49, max_value=8192), st.just(300)),
+    ))
+    count = draw(st.integers(min_value=0, max_value=min(most, q)))
+    heard = draw(st.lists(st.integers(min_value=0, max_value=q - 1),
+                          min_size=count, max_size=count))
+    # keep the guard window narrower than the period, as every valid
+    # configuration does (b <= eta*Q/2 <= Q/32); half the draws keep the
+    # runs' total width near Q/2, so merged runs still leave gaps
+    widest = (q - 5) // 2
+    b = draw(st.one_of(
+        st.integers(min_value=1, max_value=max(1, min(widest, q // (4 * max(count, 1))))),
+        st.integers(min_value=1, max_value=widest),
+    ))
+    # the node's own phase is reduced mod Q, so values past Q are allowed
+    own = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=3 * q)))
+    return q, sorted(set(heard)), b, own
+
+
+@settings(max_examples=100, deadline=None)
+@given(free_slot_cases())
 def test_free_slots_matches_reference(case):
     q, heard, b, own = case
     assert free_slots(tuple(heard), b, q, own_phase=own) == reference_free_slots(
