@@ -16,7 +16,6 @@ from .ballsbins import (
     bb_enumerate,
     bb_exact,
     bb_montecarlo,
-    convergence_period_bound,
 )
 from .beepfirst import BeepFirst
 from .config import SimConfig
@@ -25,11 +24,10 @@ from .discrete import DiscreteEngine, SlotOutcome
 from .errors import ConfigError, InternalInconsistencyError, ProtocolViolation
 from .jitterjump import JitterAndJump, free_slots
 from .lowerbound import TwinCouplingStats, build_lowerbound_graph, twin_coupling_experiment
-from .phases import PhaseSet, from_global, in_range, to_global, wrap_distance
+from .phases import PhaseSet, in_range, wrap_distance
 from .runner import (
     BeepFirstResult,
     JitterJumpResult,
-    collision_escape_trial,
     run_beepfirst_trial,
     run_jitterjump_trial,
 )

@@ -126,15 +126,3 @@ def amplification_rounds(c: float, p: float, q: float, n: float) -> float:
     if c < 1 or q < 0 or n < 2:
         raise ConfigError("need c >= 1, q >= 0, n >= 2")
     return (c * (q + 1) / p) * math.log(n)
-
-
-def escape_probability(eta: float) -> float:
-    """Lower bound on the chance an uncolored conflicted node settles in a period."""
-    if not 0.0 < eta < 1.0 / 3.0:
-        raise ConfigError("eta must lie in (0, 1/3)")
-    return 0.5 * math.exp(-16.0 * eta / (1.0 - 3.0 * eta))
-
-
-def convergence_period_bound(eta: float, n: float, c: float = 2.0, q: float = 1.0) -> float:
-    """Concrete high-probability bound on periods until everyone settles."""
-    return amplification_rounds(c, escape_probability(eta), q, n)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .continuous import Beep, Listen, Rebase
 from .errors import ProtocolViolation
-from .phases import PhaseSet, lift_onto, wrap_distance
+from .phases import PhaseSet, lift_onto
 
 
 def _last_blocking_beep(s: PhaseSet, p: float, b: float, t_period: float):
@@ -40,7 +40,7 @@ def _first_fit(s: PhaseSet, b: float, t_period: float):
     The candidate starts at 0 and moves to b past the last beep blocking
     it until nothing blocks.  Each move yields ``Listen(extension)`` and
     receives the phases heard meanwhile, which join ``s``.  Returns the
-    settled phase, the final heard set and the total extension.
+    settled phase and the total extension.
     """
     p = 0.0
     total = 0.0
@@ -49,7 +49,7 @@ def _first_fit(s: PhaseSet, b: float, t_period: float):
         # done when nothing blocks, or at the fixed point where the only
         # blocker sits exactly b behind the candidate (float dust)
         if last is None or b + last <= p:
-            return p, s, total
+            return p, total
         prev, p = p, b + last
         if p >= t_period:
             raise ProtocolViolation("first-fit scan failed to settle within one period")
@@ -58,33 +58,15 @@ def _first_fit(s: PhaseSet, b: float, t_period: float):
         s = s.union(extra)
 
 
-def first_clear_phase(s: PhaseSet, b: float, t_period: float):
-    """The first-fit scan over a frozen set of heard phases.
-
-    Returns (phase, extra_listening) where extra_listening is how much
-    additional listening the scan would have consumed.
-    """
-    scan = _first_fit(s, b, t_period)
-    try:
-        scan.send(None)
-        while True:
-            scan.send(())
-    except StopIteration as done:
-        p, _, total = done.value
-        return p, total
-
-
 class BeepFirst:
     """Node-local protocol state; driven as a generator by the engine."""
 
-    def __init__(self, t_period: float, epsilon: float, degree: int, max_degree: int,
-                 rng, adaptive_interval: bool = False):
+    def __init__(self, t_period: float, epsilon: float, degree: int, max_degree: int, rng):
         self.t = float(t_period)
         self.epsilon = float(epsilon)
         self.d = int(degree)
         self.d_max = int(max_degree)
         self.rng = rng
-        self.adaptive = adaptive_interval
         self.eps_v: float | None = None
         self.b: float | None = None
         self.interval: float | None = None
@@ -106,16 +88,8 @@ class BeepFirst:
 
         heard = yield Listen(t_period)
         s = PhaseSet.from_iterable(heard, t_period)
-        p, s, self.search_listening = yield from _first_fit(s, self.b, t_period)
+        p, self.search_listening = yield from _first_fit(s, self.b, t_period)
         self.p = p
-        if self.adaptive:
-            # Clearance radius measured instead of the degree-based formula.
-            if s.is_empty:
-                self.interval = t_period / 2.0
-            else:
-                self.interval = min(
-                    min(wrap_distance(p, x, t_period) for x in s), t_period / 2.0
-                )
 
         beeped_at = yield Beep()
         self.stable_since = beeped_at

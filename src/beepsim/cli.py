@@ -135,6 +135,11 @@ def _build_topology(args, n: int | None, seed_key) -> Topology:
     return load_edge_list(spec)
 
 
+def _size_label(n: int | None) -> str:
+    """How output names a size: ``n=N``, or ``graph`` for a full spec or a file."""
+    return f"n={n}" if n is not None else "graph"
+
+
 def _out_path(base: str, trial: int, trials: int) -> str:
     if trials == 1:
         return base
@@ -173,10 +178,9 @@ def _run_jitterjump_campaign(args, events=(), dynamic=False, r=None) -> int:
             result = run_jitterjump_trial(
                 topo, cfg, seed_key=("trial", trial_counter), events=tuple(events),
                 collect_rows=args.out is not None,
-                stop_on_convergence=not (events or dynamic),
             )
-            trial_entry = _validate_jitterjump(result, cfg, failures, f"n={n} trial={t}",
-                                               events=events)
+            trial_entry = _validate_jitterjump(result, cfg, failures,
+                                               f"{_size_label(n)} trial={t}", events=events)
             if args.out:
                 write_csv(_out_path(args.out, trial_counter, args.trials * len(sizes)),
                           result.rows)
@@ -268,7 +272,7 @@ def _run_beepfirst_campaign(args) -> int:
             topo = _build_topology(args, n, ("trial", trial_counter))
             result = run_beepfirst_trial(topo, cfg, seed_key=("trial", trial_counter),
                                          collect_rows=args.out is not None)
-            tag = f"n={n} trial={t}"
+            tag = f"{_size_label(n)} trial={t}"
             if not result.all_stable:
                 failures.append(f"{tag}: not all nodes reached a stable phase")
             if result.late_nodes:
@@ -285,7 +289,7 @@ def _run_beepfirst_campaign(args) -> int:
                 failures.append(f"{tag}: neighbor phase inside a symmetric interval")
             size_entry["trials"].append({
                 "all_stable": result.all_stable,
-                "max_stable_delay_periods": result.max_stable_delay / cfg.T,
+                "max_stable_delay_periods": result.max_stable_delay / result.t_period,
                 "tie_collisions": result.tie_collisions,
             })
             if args.out:
@@ -302,9 +306,8 @@ def _finish(args, summary: dict, failures: list[str]) -> int:
         print(json.dumps(summary, sort_keys=True, default=str))
     else:
         for size_entry in summary["sizes"]:
-            n = size_entry.get("n")
             med = size_entry.get("median_convergence_period")
-            label = f"n={n}" if n is not None else "graph"
+            label = _size_label(size_entry["n"])
             if med is not None:
                 print(f"{label}: median convergence {med} periods, "
                       f"max {size_entry.get('max_convergence_period')}")

@@ -16,19 +16,18 @@ DEFAULT_EPSILON = 0.1
 class SimConfig:
     """Parameters of one simulation run.
 
-    ``Q`` (slots per period, discrete model) is usually derived from the
-    topology as ``kappa * delta``; leave it ``None`` to have
-    :meth:`resolve_q` compute it.  ``eta`` is the buffer fraction of the
+    The discrete model's period of Q slots is derived from the topology as
+    ``kappa * delta`` by :meth:`resolve_q`; the continuous model's period
+    is T = 1.  ``eta`` is the buffer fraction of the
     slot-claiming protocol and must stay at or below 1/16; ``kappa`` must
     be at least ``4 / eta`` so the free-slot guarantee holds.  ``epsilon``
     randomizes buffer lengths in the continuous protocol.  ``r`` is the
     moving-window length of the dynamic degree estimator; when ``None``
-    it defaults to ``ceil(log2 n)``.
+    it defaults to ``ceil(log2 n)``.  ``max_periods`` caps a discrete
+    trial; when ``None`` it defaults to ``max(64, ceil(50 ln n))``.
     """
 
     model: str = "discrete"
-    Q: int | None = None
-    T: float = 1.0
     kappa: float = DEFAULT_KAPPA
     eta: float = DEFAULT_ETA
     epsilon: float = DEFAULT_EPSILON
@@ -37,7 +36,6 @@ class SimConfig:
     wakeup: str = "simultaneous"
     max_periods: int | None = None
     dynamic: bool = False
-    adaptive_interval: bool = False
 
     def __post_init__(self) -> None:
         if self.model not in ("discrete", "continuous"):
@@ -49,13 +47,9 @@ class SimConfig:
                 raise ConfigError(
                     f"kappa={self.kappa} too small; need kappa >= 4/eta = {4.0 / self.eta}"
                 )
-            if self.Q is not None and self.Q < 1:
-                raise ConfigError("Q must be a positive integer")
         else:
             if not 0.0 < self.epsilon < 1.0:
                 raise ConfigError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-            if self.T <= 0:
-                raise ConfigError("T must be positive")
         if self.r is not None and self.r < 1:
             raise ConfigError("r must be a positive integer")
         if self.max_periods is not None and self.max_periods < 1:
@@ -66,13 +60,6 @@ class SimConfig:
     def resolve_q(self, delta: int) -> int:
         """Slots per period for a topology with maximum degree ``delta``."""
         d = max(int(delta), 1)
-        if self.Q is not None:
-            if self.Q / d < 4.0 / self.eta:
-                raise ConfigError(
-                    f"Q={self.Q} with delta={d} gives effective kappa "
-                    f"{self.Q / d:.2f} < 4/eta = {4.0 / self.eta}"
-                )
-            return self.Q
         q = self.kappa * d
         q_int = int(round(q))
         if abs(q - q_int) > 1e-9:

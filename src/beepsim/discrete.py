@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .errors import ConfigError, InternalInconsistencyError, ProtocolViolation
+from .errors import ConfigError, InternalInconsistencyError
 from .topology import DynamicEvent, Topology
 
 
@@ -35,13 +35,6 @@ class SlotOutcome:
     slot: int
     beeped: frozenset[int]
     heard: frozenset[int]
-
-    def state_of(self, node: int) -> str:
-        if node in self.beeped:
-            return "beeped"
-        if node in self.heard:
-            return "heard_beep"
-        return "silence"
 
 
 class DiscreteEngine:
@@ -106,15 +99,6 @@ class DiscreteEngine:
         self._boundaries[pending].remove(v)
 
     # -- queries ---------------------------------------------------------
-
-    def local_phase(self, v: int, global_slot: int | None = None) -> int:
-        """Phase of ``v`` at a global slot; the period origin is its wake slot."""
-        s = self.slot if global_slot is None else global_slot
-        if v not in self.alive:
-            raise ProtocolViolation(f"node {v} is not part of the network")
-        if s < self.wake_slot[v]:
-            raise ProtocolViolation(f"node {v} is asleep at slot {s}")
-        return (s - self.wake_slot[v]) % self.q
 
     def pending_phases(self, v: int) -> tuple[int, ...]:
         """Phases heard so far in the current local period of ``v``."""

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from . import rng as rngmod
 from .config import SimConfig
 from .discrete import DiscreteEngine
-from .errors import ConfigError, ProtocolViolation
+from .errors import ConfigError
 from .jitterjump import JitterAndJump
-from .topology import Topology, cycle_of_blocks, twin_pairs
+from .topology import cycle_of_blocks, twin_pairs
 
 build_lowerbound_graph = cycle_of_blocks
 
@@ -57,14 +57,13 @@ def twin_coupling_experiment(
     trials: int,
     seed: int,
     shared_randomness: bool = False,
-    strict: bool = False,
 ) -> TwinCouplingStats:
     """Run jitter-and-jump on the block-cycle graph and track twin symmetry.
 
     With ``shared_randomness`` the two nodes of every twin pair draw from
     identically seeded streams, making divergence impossible for any
-    protocol that ignores node identity; a divergence is reported (or
-    raised, with ``strict``) as evidence of identity leakage.  With
+    protocol that ignores node identity; a divergence is reported as
+    evidence of identity leakage.  With
     independent streams the run measures how often same-state twins take
     the same beep/listen action, and how long at least one pair stays
     identical.
@@ -104,11 +103,6 @@ def twin_coupling_experiment(
                 retained[s] += 1
             if shared_randomness and len(identical) < len(alive_pairs):
                 divergences += len(alive_pairs) - len(identical)
-                if strict:
-                    raise ProtocolViolation(
-                        "twins with shared randomness diverged: the protocol "
-                        "behaves as if it can read node identity"
-                    )
                 alive_pairs = identical
             outcome = engine.step_slot()
             for idx in identical:

@@ -35,16 +35,6 @@ def in_range(phase, a, b, tau) -> bool:
     return p >= x or p <= y
 
 
-def to_global(phase, theta, tau):
-    """Map a local phase to the shared reference frame."""
-    return (phase + theta) % tau
-
-
-def from_global(global_phase, theta, tau):
-    """Map a global phase into the frame of a node with clock offset theta."""
-    return (global_phase - theta) % tau
-
-
 def lift_onto(anchor, phase, tau):
     """Unroll ``phase`` onto the real line so it lands in [anchor, anchor+tau).
 

@@ -23,11 +23,14 @@ from .beepfirst import BeepFirst
 from .config import SimConfig
 from .continuous import ContinuousEngine
 from .discrete import DiscreteEngine
-from .errors import ProtocolViolation
+from .errors import ConfigError, ProtocolViolation
 from .jitterjump import JitterAndJump
 from .phases import wrap_distance
 from .topology import DynamicEvent, Topology, build_wakeup
 from .trace import TraceRow
+
+CONTINUOUS_PERIOD = 1.0  # T: the continuous model's period length
+BEEPFIRST_HORIZON_PERIODS = 4  # a beep-first trial runs this long past the last wake
 
 
 def _label_for(engine: DiscreteEngine, v: int) -> str:
@@ -71,18 +74,24 @@ class _BoundaryChecks:
         self.beep_bound_violations = 0
         self.window_observations = 0
         self.rows: list[TraceRow] = []
+        self._degree_at_boundary: dict[int, int] = {}
 
     def on_period_boundary(self, engine: DiscreteEngine, v: int, slot: int) -> None:
         proto = engine.protocols[v]
         report = proto.last_report
+        degree = engine.topology.degree(v)
+        if self.dynamic:
+            # events land on global period boundaries, so during the local
+            # period that just ended the degree was this one or the previous
+            previous = self._degree_at_boundary.get(v, degree)
+            self._degree_at_boundary[v] = degree
         if report is None:
             return
-        degree = engine.topology.degree(v)
         if self.dynamic:
             # two beeps per node per period: the static floor constant does
             # not apply, only the per-period beep bound
             self.window_observations += 1
-            if report.beeps_heard > 4 * degree:
+            if report.beeps_heard > 4 * max(previous, degree):
                 self.beep_bound_violations += 1
         elif report.period >= 1:
             if not 1 <= proto.d_tilde <= max(2 * degree, 1):
@@ -117,7 +126,6 @@ class JitterJumpResult:
     converged_period: int | None
     periods_run: int
     snapshot: ColoringSnapshot | None
-    labels: dict[int, str] | None
     final_snapshot: ColoringSnapshot | None
     final_labels: dict[int, str] | None
     wake: dict[int, int]
@@ -147,18 +155,23 @@ def run_jitterjump_trial(
     cfg: SimConfig,
     seed_key: tuple = (),
     events: tuple[DynamicEvent, ...] = (),
-    max_periods: int | None = None,
     collect_rows: bool = False,
-    stop_on_convergence: bool = True,
     state_hook=None,
 ) -> JitterJumpResult:
-    """Run the slot-claiming protocol on one topology until convergence.
+    """Run the slot-claiming protocol on one topology.
 
+    A static run stops at convergence; a dynamic run (``cfg.dynamic``)
+    runs all ``max_periods`` periods so that it sees every event.
     ``state_hook(engine, period, labels)`` is called after every global
     period boundary, for tests that want to watch intermediate state.
     """
     q = cfg.resolve_q(topology.delta)
     n = topology.n
+    max_periods = cfg.max_periods or max(64, math.ceil(50.0 * math.log(max(n, 2))))
+    for ev in events:
+        if ev.at_period > max_periods:
+            raise ConfigError(f"event at period {ev.at_period} comes after the last "
+                              f"period {max_periods}")
     master = cfg.master_seed
     wake = build_wakeup(
         cfg.wakeup, topology.nodes, q, rngmod.stream(master, *seed_key, "wakeup")
@@ -176,14 +189,11 @@ def run_jitterjump_trial(
 
     checks = _BoundaryChecks(cfg.eta, q, cfg.dynamic, collect_rows)
     engine = DiscreteEngine(topology, q, factory, wake, events=events, observer=checks)
-    if max_periods is None:
-        max_periods = cfg.max_periods or max(64, math.ceil(50.0 * math.log(max(n, 2))))
 
     monotonic_violations = 0
     prev_good: set[int] = set()
     converged_period = None
     snapshot = None
-    labels_at_convergence = None
     all_good_periods: list[int] = []
 
     engine.run_slots(1)  # wake processing at slot 0
@@ -204,15 +214,13 @@ def run_jitterjump_trial(
             if converged_period is None:
                 converged_period = k
                 snapshot = current
-                labels_at_convergence = labels
-            if stop_on_convergence:
+            if not cfg.dynamic:
                 break
 
     final_snapshot = discrete_snapshot(engine)
     final_labels = classify_good_bad(final_snapshot, engine.topology)
     if snapshot is None:
         snapshot = final_snapshot
-        labels_at_convergence = final_labels
 
     total_resets = sum(engine.protocols[v].resets for v in engine.alive)
     return JitterJumpResult(
@@ -221,7 +229,6 @@ def run_jitterjump_trial(
         converged_period=converged_period,
         periods_run=periods_run,
         snapshot=snapshot,
-        labels=labels_at_convergence,
         final_snapshot=final_snapshot,
         final_labels=final_labels,
         wake=dict(engine.wake_slot),
@@ -234,29 +241,6 @@ def run_jitterjump_trial(
         rows=checks.rows,
         all_good_periods=all_good_periods,
     )
-
-
-def collision_escape_trial(cfg: SimConfig, seed_key: tuple, phase: int | None = None) -> bool:
-    """Engineer two adjacent colored nodes onto the same slot; report whether
-    both give the slot up at the end of the next period."""
-    topo = Topology.from_edges(2, [(0, 1)])
-    q = cfg.resolve_q(topo.delta)
-    master = cfg.master_seed
-
-    def factory(v: int) -> JitterAndJump:
-        return JitterAndJump(q, cfg.eta, rngmod.stream(master, *seed_key, v, "protocol"))
-
-    engine = DiscreteEngine(topo, q, factory, {0: 0, 1: 0})
-    engine.run_slots(1)
-    slot = q // 2 if phase is None else phase
-    for v in (0, 1):
-        proto = engine.protocols[v]
-        proto.colored = True
-        proto.p = slot
-    # Boundary at Q keeps the injected phases (colored nodes do not redraw),
-    # the collision period runs, and the boundary at 2Q applies the verdict.
-    engine.run_slots(2 * q)
-    return all(not engine.protocols[v].colored for v in (0, 1))
 
 
 # -- continuous-model trials -------------------------------------------------
@@ -283,13 +267,12 @@ def run_beepfirst_trial(
     topology: Topology,
     cfg: SimConfig,
     seed_key: tuple = (),
-    horizon_periods: float = 4.0,
     collect_rows: bool = False,
 ) -> BeepFirstResult:
-    t_period = cfg.T
+    t_period = CONTINUOUS_PERIOD
     master = cfg.master_seed
     wake = build_wakeup(
-        cfg.wakeup, topology.nodes, float(t_period), rngmod.stream(master, *seed_key, "wakeup")
+        cfg.wakeup, topology.nodes, t_period, rngmod.stream(master, *seed_key, "wakeup")
     )
 
     def factory(v: int) -> BeepFirst:
@@ -299,13 +282,12 @@ def run_beepfirst_trial(
             topology.degree(v),
             topology.max_neighborhood_degree(v),
             rngmod.stream(master, *seed_key, v, "protocol"),
-            adaptive_interval=cfg.adaptive_interval,
         )
 
     engine = ContinuousEngine(topology, t_period, factory, wake)
     overruns = 0
     try:
-        engine.run_until(max(wake.values(), default=0.0) + horizon_periods * t_period)
+        engine.run_until(max(wake.values(), default=0.0) + BEEPFIRST_HORIZON_PERIODS * t_period)
     except ProtocolViolation:
         overruns = 1
 
@@ -334,7 +316,7 @@ def run_beepfirst_trial(
             proto = engine.protocols[v]
             node_origin = engine._nodes[v].origin
             heard = engine.heard_log(v)
-            for k in range(int(horizon_periods)):
+            for k in range(BEEPFIRST_HORIZON_PERIODS):
                 start = node_origin + k * t_period
                 end = start + t_period
                 n_heard = sum(1 for t in heard if start <= t < end)

@@ -260,10 +260,6 @@ def parse_edge_list(text: str) -> Topology:
     return Topology.from_edges(max_id + 1, edges)
 
 
-def format_edge_list(topology: Topology) -> str:
-    return "".join(f"{u} {v}\n" for u, v in topology.edges())
-
-
 def load_edge_list(path) -> Topology:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_edge_list(fh.read())

@@ -14,6 +14,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from helpers import collision_escape_trial
 
 from beepsim import rng
 from beepsim.analysis import (
@@ -28,11 +29,7 @@ from beepsim.ballsbins import bb_enumerate, bb_exact, bb_montecarlo
 from beepsim.cli import main as cli_main
 from beepsim.config import SimConfig
 from beepsim.lowerbound import twin_coupling_experiment
-from beepsim.runner import (
-    collision_escape_trial,
-    run_beepfirst_trial,
-    run_jitterjump_trial,
-)
+from beepsim.runner import run_beepfirst_trial, run_jitterjump_trial
 from beepsim.topology import DynamicEvent, clique, gnp, random_regular, star
 
 SEED = 20260810
@@ -61,18 +58,11 @@ def sweep():
     """200 trials per size on random 4-regular graphs, simultaneous wakeup."""
     results = {}
     for n in SWEEP_SIZES:
-        cfg = SimConfig(master_seed=SEED)
+        cfg = SimConfig(master_seed=SEED, max_periods=math.ceil(50.0 * math.log(n)))
         trials = []
         for t in range(SWEEP_TRIALS):
             topo = random_regular(n, 4, rng.stream(SEED, "sweep", n, t, "topology"))
-            trials.append(
-                run_jitterjump_trial(
-                    topo,
-                    cfg,
-                    seed_key=("sweep", n, t),
-                    max_periods=math.ceil(50.0 * math.log(n)),
-                )
-            )
+            trials.append(run_jitterjump_trial(topo, cfg, seed_key=("sweep", n, t)))
         results[n] = trials
     return results
 
@@ -318,13 +308,11 @@ def test_11_lower_bound_mechanism():
 def test_12a_dynamic_no_spurious_resets():
     n = 32
     r = math.ceil(math.log2(n))
-    cfg = SimConfig(master_seed=SEED, dynamic=True, r=r)
+    cfg = SimConfig(master_seed=SEED, dynamic=True, r=r, max_periods=40)
     windows = resets = beep_bound = 0
     for t in range(25):
         topo = random_regular(n, 4, rng.stream(SEED, "dyn", t, "topology"))
-        res = run_jitterjump_trial(
-            topo, cfg, seed_key=("dyn", t), max_periods=40, stop_on_convergence=False
-        )
+        res = run_jitterjump_trial(topo, cfg, seed_key=("dyn", t))
         windows += res.window_observations
         resets += res.resets
         beep_bound += res.beep_bound_violations
@@ -351,7 +339,7 @@ def test_12b_dynamic_star_churn_recovery():
     n = 65
     churn_period = 30
     r = math.ceil(math.log2(n))
-    cfg = SimConfig(master_seed=SEED, dynamic=True, r=r)
+    cfg = SimConfig(master_seed=SEED, dynamic=True, r=r, max_periods=churn_period + 3 * r)
     events = tuple(DynamicEvent(churn_period, "remove_node", (v,)) for v in range(1, 61))
     hub_estimate: dict[int, int] = {}
 
@@ -363,8 +351,6 @@ def test_12b_dynamic_star_churn_recovery():
         cfg,
         seed_key=("star", 0),
         events=events,
-        max_periods=churn_period + 3 * r,
-        stop_on_convergence=False,
         state_hook=hook,
     )
     pre_churn = hub_estimate[churn_period]

@@ -12,8 +12,6 @@ from beepsim.ballsbins import (
     bb_enumerate,
     bb_exact,
     bb_montecarlo,
-    convergence_period_bound,
-    escape_probability,
     stirling2_row,
 )
 from beepsim.errors import ConfigError
@@ -118,12 +116,3 @@ def test_amplification_examples():
         amplification_rounds(1, 0.0, 1, 16)
     with pytest.raises(ConfigError):
         amplification_rounds(1, 1.5, 1, 16)
-
-
-def test_convergence_bound_plugs_in_eta():
-    eta = 1.0 / 16.0
-    p = escape_probability(eta)
-    assert p == pytest.approx(0.5 * math.exp(-16 * eta / (1 - 3 * eta)))
-    bound = convergence_period_bound(eta, 64)
-    assert bound == pytest.approx((2 * 2 / p) * math.log(64))
-    assert bound > 0

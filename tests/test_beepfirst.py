@@ -1,11 +1,10 @@
 """Continuous first-fit protocol: initialization, search, stability."""
 
-import math
-
 import pytest
+from helpers import first_clear_phase
 
 from beepsim import rng
-from beepsim.beepfirst import BeepFirst, first_clear_phase
+from beepsim.beepfirst import BeepFirst
 from beepsim.config import SimConfig
 from beepsim.phases import PhaseSet, wrap_distance
 from beepsim.runner import run_beepfirst_trial
@@ -144,24 +143,6 @@ def test_search_shorter_than_one_period():
         assert result.protocols[v].search_listening < 1.0
 
 
-def test_adaptive_interval_reflects_clearance():
-    # measuring the clearance instead of applying the degree formula can only
-    # enlarge the interval, because the search keeps a buffer of at least the
-    # formula length around the chosen phase
-    cfg = bf_config(master_seed=31, epsilon=0.1, adaptive_interval=True)
-    topo = clique(4)
-    result = run_beepfirst_trial(topo, cfg, seed_key=("adaptive",))
-    assert result.all_stable
-    for state in result.snapshot.states:
-        dmax = topo.max_neighborhood_degree(state.node)
-        formula = (1 - 0.1) * 1.0 / (2 * (dmax + 1))
-        assert state.interval >= formula
-        assert state.interval <= 0.5
-    # isolated node keeps the half-period cap
-    lone = run_beepfirst_trial(Topology.from_edges(1, []), cfg, seed_key=("lone",))
-    assert lone.snapshot.states[0].interval == pytest.approx(0.5)
-
-
 def test_shared_streams_produce_identical_phases_and_a_tie():
     # two non-adjacent nodes with one common neighbor and identical streams
     # behave identically forever; the engine flags the coincident beeps
@@ -184,7 +165,7 @@ def test_shared_streams_produce_identical_phases_and_a_tie():
 def test_staggered_wakeup_still_settles_within_three_periods():
     topo = gnp(16, 0.2, rng.stream(41, "g"))
     cfg = bf_config(master_seed=41, wakeup="random")
-    result = run_beepfirst_trial(topo, cfg, seed_key=("stagger",), horizon_periods=6.0)
+    result = run_beepfirst_trial(topo, cfg, seed_key=("stagger",))
     assert result.all_stable
     assert result.late_nodes == 0
     assert result.max_stable_delay < 3.0

@@ -108,6 +108,32 @@ def test_dynamic_malformed_events_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_dynamic_event_after_the_last_period_exits_2(tmp_path, capsys):
+    events = tmp_path / "events.txt"
+    events.write_text("100 add_edge 0 1\n")
+    code = run_cli(["dynamic", "--graph", "clique:4", "--events", str(events),
+                    "--max-periods", "40"])
+    assert code == 2
+    assert "event at period 100 comes after the last period 40" in capsys.readouterr().err
+
+
+def test_dynamic_event_at_the_last_period_is_applied(tmp_path):
+    events = tmp_path / "events.txt"
+    events.write_text("40 remove_node 3\n")
+    base = ["dynamic", "--graph", "clique:4", "--max-periods", "40"]
+    assert run_cli(base + ["--events", str(events), "--out", str(tmp_path / "with.csv")]) == 0
+    assert run_cli(base + ["--out", str(tmp_path / "without.csv")]) == 0
+    assert (tmp_path / "with.csv").read_bytes() != (tmp_path / "without.csv").read_bytes()
+
+
+def test_failure_tag_labels_a_full_spec_as_graph(capsys):
+    assert run_cli(["static", "--graph", "clique:4", "--max-periods", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "graph: 1 trial(s) complete" in out
+    assert "FAIL graph trial=0: did not converge within 1 periods" in out
+    assert "n=None" not in out
+
+
 def test_oracle_ballsbins_gate(capsys):
     assert run_cli(["oracle", "ballsbins", "--m", "12", "--n", "12"]) == 0
     out = capsys.readouterr().out

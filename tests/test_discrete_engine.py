@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beepsim.discrete import DiscreteEngine
-from beepsim.errors import ConfigError, ProtocolViolation
+from beepsim.errors import ConfigError
 from beepsim.topology import DynamicEvent, Topology, parse_events, star
 
 
@@ -69,28 +69,18 @@ def test_slot_outcome_states():
     engine, _ = make_engine(topo, offsets={0: (0,)})
     engine.run_slots(8)  # first (listen-only) period
     out = engine.step_slot()  # slot 8: boundary, then node 0 beeps at offset 0
-    assert out.state_of(0) == "beeped"
-    assert out.state_of(1) == "heard_beep"
-    assert out.state_of(2) == "silence"
+    assert out.beeped == {0}
+    assert out.heard == {1}  # node 2 is not adjacent: silence
 
 
 def test_local_phase_and_wake_offsets():
+    # Both nodes beep at their local phase 5 and wake 3 slots apart, so each
+    # hears the other 3 slots off its own phase 5, mod Q = 16.
     topo = Topology.from_edges(2, [(0, 1)])
-    engine, _ = make_engine(topo, q=16, wake={0: 0, 1: 3})
-    engine.run_slots(21)
-    assert engine.local_phase(0, 5) == 5
-    assert engine.local_phase(1, 3) == 0
-    assert engine.local_phase(1, 20) == 1
-    # same global slot, phases differ by the wake difference mod Q
-    assert (engine.local_phase(0, 20) - engine.local_phase(1, 20)) % 16 == 3
-
-
-def test_local_phase_of_sleeping_node_is_an_error():
-    topo = Topology.from_edges(2, [(0, 1)])
-    engine, _ = make_engine(topo, q=16, wake={0: 0, 1: 12})
-    engine.run_slots(4)
-    with pytest.raises(ProtocolViolation):
-        engine.local_phase(1, 4)
+    engine, protos = make_engine(topo, q=16, offsets={0: (5,), 1: (5,)}, wake={0: 0, 1: 3})
+    engine.run_slots(3 * 16 + 4)
+    assert protos[1].heard_periods[-1] == (2,)  # global slot 37, node 1's phase 34 mod 16
+    assert protos[0].heard_periods[-1] == (8,)  # global slot 40
 
 
 def test_listener_phase_uses_its_own_clock():

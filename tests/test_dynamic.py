@@ -1,11 +1,12 @@
 """Dynamic mode: second beeps, windowed degree estimate, churn recovery."""
 
 import math
+from types import SimpleNamespace
 
 from beepsim import rng
 from beepsim.config import SimConfig
-from beepsim.jitterjump import JitterAndJump
-from beepsim.runner import run_jitterjump_trial
+from beepsim.jitterjump import JitterAndJump, PeriodReport
+from beepsim.runner import _BoundaryChecks, run_jitterjump_trial
 from beepsim.topology import DynamicEvent, star
 
 
@@ -55,7 +56,7 @@ def test_star_collapse_triggers_recolor_with_larger_interval():
     n = 65
     churn = 20
     r = math.ceil(math.log2(n))
-    cfg = SimConfig(master_seed=15, dynamic=True, r=r)
+    cfg = SimConfig(master_seed=15, dynamic=True, r=r, max_periods=churn + 3 * r)
     events = tuple(DynamicEvent(churn, "remove_node", (v,)) for v in range(2, n))
     seen = {}
 
@@ -63,7 +64,6 @@ def test_star_collapse_triggers_recolor_with_larger_interval():
         seen[period] = engine.protocols[0].resets
 
     res = run_jitterjump_trial(star(n), cfg, seed_key=("collapse",), events=events,
-                               max_periods=churn + 3 * r, stop_on_convergence=False,
                                state_hook=hook)
     reset_period = next((p for p in sorted(seen) if seen[p] > 0), None)
     assert reset_period is not None
@@ -77,11 +77,41 @@ def test_star_collapse_triggers_recolor_with_larger_interval():
 
 def test_restabilization_metric_counts_from_event():
     n = 17
-    cfg = SimConfig(master_seed=21, dynamic=True, r=4)
+    cfg = SimConfig(master_seed=21, dynamic=True, r=4, max_periods=30)
     events = (DynamicEvent(10, "add_node", (n, 0)),)
-    res = run_jitterjump_trial(star(n), cfg, seed_key=("join",), events=events,
-                               max_periods=30, stop_on_convergence=False)
+    res = run_jitterjump_trial(star(n), cfg, seed_key=("join",), events=events)
     delay = res.restabilized_after(10)
     assert delay is not None
     # the joining node listens one full period before claiming a slot
     assert delay >= 2
+
+
+def test_beep_bound_allows_the_degree_before_an_event():
+    # 14 of 16 spokes leave at period 10; the hub's first boundary after
+    # that reports beeps heard from all 16 spokes, within 4 per neighbor
+    cfg = SimConfig(master_seed=1, dynamic=True, r=4, max_periods=14)
+    events = tuple(DynamicEvent(10, "remove_node", (v,)) for v in range(3, 17))
+    res = run_jitterjump_trial(star(17), cfg, seed_key=("churn",), events=events)
+    assert res.window_observations > 0
+    assert res.beep_bound_violations == 0
+
+
+def test_beep_bound_is_four_beeps_per_neighbor_at_either_boundary():
+    topo = star(5)
+    proto = SimpleNamespace(last_report=None)
+    engine = SimpleNamespace(topology=topo, protocols={0: proto})
+    checks = _BoundaryChecks(1 / 16, 256, dynamic=True, collect_rows=False)
+
+    def boundary(beeps_heard):
+        proto.last_report = PeriodReport(0, None, None, None, beeps_heard, False, None)
+        checks.on_period_boundary(engine, 0, 0)
+
+    checks.on_period_boundary(engine, 0, 0)  # wake: no report, degree 4 noted
+    boundary(4 * 4 + 1)
+    assert checks.beep_bound_violations == 1
+    topo.remove_node(3)
+    topo.remove_node(4)
+    boundary(4 * 4)  # degree 4 -> 2 inside the period: the larger one bounds it
+    assert checks.beep_bound_violations == 1
+    boundary(4 * 2 + 1)  # degree 2 at both ends
+    assert checks.beep_bound_violations == 2

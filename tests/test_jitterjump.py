@@ -5,20 +5,15 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import collision_escape_trial
+
 from beepsim import rng
 from beepsim.config import SimConfig
-from beepsim.discrete import DiscreteEngine
 from beepsim.errors import ConfigError
-from beepsim.jitterjump import (
-    JitterAndJump,
-    buffer_length,
-    free_slots,
-    heard_in_range,
-    measured_interval,
-)
+from beepsim.jitterjump import JitterAndJump, buffer_length, free_slots, measured_interval
 from beepsim.phases import in_range
-from beepsim.runner import collision_escape_trial, run_jitterjump_trial
-from beepsim.topology import Topology, clique, random_regular
+from beepsim.runner import run_jitterjump_trial
+from beepsim.topology import clique, random_regular
 
 
 def reference_free_slots(heard, b, q, own_phase=None):
@@ -177,9 +172,8 @@ def test_config_rejects_bad_parameters():
         SimConfig(eta=1 / 16, kappa=32)
     with pytest.raises(ConfigError):
         SimConfig(model="continuous", epsilon=1.5)
-    cfg = SimConfig()
     with pytest.raises(ConfigError):
-        cfg.resolve_q(delta=4) if cfg.Q else SimConfig(Q=16).resolve_q(4)
+        SimConfig(kappa=64.5).resolve_q(1)  # not a whole number of slots
 
 
 def test_resolve_q_scales_with_delta():
@@ -204,13 +198,13 @@ def test_small_clique_converges_and_stays_good():
     assert result.monotonic_violations == 0
     assert result.sandwich_violations == 0
     assert result.free_floor_violations == 0
-    assert all(lab == "good" for lab in result.labels.values())
+    assert all(lab == "good" for lab in result.final_labels.values())
 
 
 def test_degree_estimate_lower_bounds_uncolored_neighbors():
     # Nodes with at least a dozen conflicting neighbors should, at least half
     # the time, hear at least a quarter as many distinct slots.
-    cfg = SimConfig(master_seed=31)
+    cfg = SimConfig(master_seed=31, max_periods=2)
     n = 18
     hits = 0
     total = 0
@@ -236,8 +230,7 @@ def test_degree_estimate_lower_bounds_uncolored_neighbors():
                     states[v] = engine.protocols[v].d_tilde
 
         run_jitterjump_trial(
-            clique(n), cfg, seed_key=("estimate", t), stop_on_convergence=False,
-            max_periods=2, state_hook=hook2,
+            clique(n), cfg, seed_key=("estimate", t), state_hook=hook2,
         )
         for v, conflicted in observations:
             if conflicted >= 12:

@@ -4,7 +4,7 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from beepsim.phases import PhaseSet, from_global, in_range, lift_onto, to_global, wrap_distance
+from beepsim.phases import PhaseSet, in_range, lift_onto, wrap_distance
 
 
 def make(values, tau=10):
@@ -41,12 +41,6 @@ def test_negative_and_oversized_endpoints_reduce():
     assert tuple(s.range_query(-2, 12)) == (1, 9)  # [8, 2] after reduction
 
 
-def test_to_global_examples():
-    assert to_global(3, 5, 16) == 8
-    assert to_global(0, 0, 16) == 0
-    assert to_global(10, 10, 16) == 4
-
-
 def test_wrap_distance():
     assert wrap_distance(0, 15, 16) == 1
     assert wrap_distance(3, 3, 16) == 0
@@ -80,22 +74,6 @@ def test_partition_property(case):
     right = set(s.range_query(b + 1, a - 1))
     assert left | right == set(s)
     assert not (left & right)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=64),
-    st.integers(min_value=0, max_value=63),
-    st.integers(min_value=0, max_value=63),
-)
-def test_to_global_round_trip(q, p, theta):
-    p %= q
-    theta %= q
-    g = to_global(p, theta, q)
-    assert 0 <= g < q
-    assert from_global(g, theta, q) == p
-    # applying the inverse offset undoes the map
-    assert to_global(g, q - theta, q) == p
 
 
 @settings(max_examples=200, deadline=None)

@@ -10,7 +10,6 @@ from beepsim.topology import (
     build_wakeup,
     clique,
     cycle_of_blocks,
-    format_edge_list,
     gnp,
     parse_edge_list,
     parse_events,
@@ -99,7 +98,7 @@ def test_cycle_of_blocks_is_three_regular():
 
 def test_edge_list_round_trip():
     g = cycle_of_blocks(3)
-    text = format_edge_list(g)
+    text = "".join(f"{u} {v}\n" for u, v in g.edges())
     back = parse_edge_list(text)
     assert back.edges() == g.edges()
 
