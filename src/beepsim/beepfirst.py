@@ -14,7 +14,7 @@ the topology.
 
 from __future__ import annotations
 
-from .continuous import Beep, Listen, Rebase
+from .continuous import CONTINUOUS_PERIOD, Beep, Listen, Rebase
 from .errors import ProtocolViolation
 from .phases import PhaseSet, lift_onto
 
@@ -61,8 +61,7 @@ def _first_fit(s: PhaseSet, b: float, t_period: float):
 class BeepFirst:
     """Node-local protocol state; driven as a generator by the engine."""
 
-    def __init__(self, t_period: float, epsilon: float, degree: int, max_degree: int, rng):
-        self.t = float(t_period)
+    def __init__(self, epsilon: float, degree: int, max_degree: int, rng):
         self.epsilon = float(epsilon)
         self.d = int(degree)
         self.d_max = int(max_degree)
@@ -79,7 +78,7 @@ class BeepFirst:
         return self.stable_since is not None
 
     def run(self):
-        t_period = self.t
+        t_period = CONTINUOUS_PERIOD
         self.eps_v = float(self.rng.uniform(0.0, self.epsilon))
         self.interval = (1.0 - self.epsilon) * t_period / (2.0 * (self.d_max + 1))
         self.b = (1.0 - self.eps_v) * t_period / (2.0 * (self.d + 1))

@@ -22,7 +22,6 @@ from fractions import Fraction
 
 from . import rng as rngmod
 from .analysis import (
-    classify_good_bad,
     fit_log_growth,
     hardness_reduction,
     neighbor_phase_ties,
@@ -30,7 +29,7 @@ from .analysis import (
     validate_interval_coloring,
 )
 from .ballsbins import amplification_rounds, bb_exact, bb_montecarlo
-from .config import SimConfig
+from .config import DEFAULT_EPSILON, DEFAULT_ETA, DEFAULT_KAPPA, SimConfig
 from .errors import ConfigError, InternalInconsistencyError, ProtocolViolation
 from .lowerbound import expected_retention_floor, twin_coupling_experiment
 from .runner import run_beepfirst_trial, run_jitterjump_trial
@@ -52,12 +51,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="node count(s) for a bare generator name; comma list sweeps")
     parser.add_argument("--delta", type=int, default=None, help="degree for random-regular")
     parser.add_argument("--p", type=float, default=None, help="edge probability for gnp")
-    parser.add_argument("--eta", type=float, default=1.0 / 16.0)
-    parser.add_argument("--kappa", type=float, default=64.0)
-    parser.add_argument("--epsilon", type=float, default=0.1)
+    parser.add_argument("--eta", type=float, default=None,
+                        help=f"jitterjump buffer fraction (default {DEFAULT_ETA:g})")
+    parser.add_argument("--kappa", type=float, default=None,
+                        help=f"jitterjump slots per unit of degree (default {DEFAULT_KAPPA:g})")
+    parser.add_argument("--epsilon", type=float, default=None,
+                        help=f"beepfirst buffer randomization (default {DEFAULT_EPSILON:g})")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--trials", type=_at_least_one, default=1)
-    parser.add_argument("--max-periods", type=int, default=None)
+    parser.add_argument("--max-periods", type=int, default=None, help="jitterjump period cap")
     parser.add_argument("--wakeup", default="simultaneous")
     parser.add_argument("--out", default=None, help="CSV output path")
     parser.add_argument("--json", action="store_true", help="print a JSON summary")
@@ -147,12 +149,19 @@ def _out_path(base: str, trial: int, trials: int) -> str:
     return f"{stem}_t{trial:03d}{ext or '.csv'}"
 
 
+def _reject_flags(args, flags: tuple[str, ...], protocol: str) -> None:
+    """Exit 2 on a flag the protocol would ignore, rather than pass vacuously."""
+    for flag in flags:
+        if getattr(args, flag.replace("-", "_")) is not None:
+            raise ConfigError(f"--{flag} does not apply to the {protocol} protocol")
+
+
 def _config(args, dynamic: bool = False, r: int | None = None) -> SimConfig:
+    _reject_flags(args, ("epsilon",), "jitterjump")
     return SimConfig(
         model="discrete",
-        kappa=args.kappa,
-        eta=args.eta,
-        epsilon=args.epsilon,
+        kappa=DEFAULT_KAPPA if args.kappa is None else args.kappa,
+        eta=DEFAULT_ETA if args.eta is None else args.eta,
         r=r,
         master_seed=args.seed,
         wakeup=args.wakeup,
@@ -260,7 +269,9 @@ def _validate_jitterjump(result, cfg, failures: list[str], tag: str, events=()) 
 
 def _run_beepfirst_campaign(args) -> int:
     sizes = _sizes(args) or [None]
-    cfg = SimConfig(model="continuous", epsilon=args.epsilon, master_seed=args.seed,
+    _reject_flags(args, ("eta", "kappa", "max-periods"), "beepfirst")
+    epsilon = DEFAULT_EPSILON if args.epsilon is None else args.epsilon
+    cfg = SimConfig(model="continuous", epsilon=epsilon, master_seed=args.seed,
                     wakeup=args.wakeup)
     failures: list[str] = []
     summary: dict = {"protocol": "beepfirst", "trials_per_size": args.trials,

@@ -27,6 +27,8 @@ from typing import Callable
 from .errors import ConfigError
 from .topology import Topology
 
+CONTINUOUS_PERIOD = 1.0  # T: the continuous model's period length
+
 _RANK_WAKE = 0
 _RANK_RESUME = 1
 _RANK_BEEP = 2
@@ -78,14 +80,10 @@ class ContinuousEngine:
     def __init__(
         self,
         topology: Topology,
-        t_period: float,
         protocol_factory: Callable[[int], object],
         wakeup: dict[int, float],
     ):
-        if t_period <= 0:
-            raise ConfigError("period length must be positive")
         self.topology = topology.copy()
-        self.t_period = float(t_period)
         self.now = 0.0
         self.tie_collisions = 0
         self.protocols: dict[int, object] = {}
@@ -161,7 +159,7 @@ class ContinuousEngine:
                 self._advance(v, None)
             elif rank == _RANK_RESUME:
                 node.listening = False
-                tau = self.t_period
+                tau = CONTINUOUS_PERIOD
                 phases = tuple(sorted({(t - node.origin) % tau for t in node.buffer}))
                 node.buffer = []
                 self._advance(v, phases)
@@ -174,7 +172,7 @@ class ContinuousEngine:
 
     def theta(self, v: int) -> float:
         """Clock offset of the node's period origin in the global frame."""
-        return self._nodes[v].origin % self.t_period
+        return self._nodes[v].origin % CONTINUOUS_PERIOD
 
     def heard_log(self, v: int) -> tuple[float, ...]:
         return tuple(self._nodes[v].heard_log)

@@ -12,8 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import rng as rngmod
 from .analysis import (
+    BAD_COLORED,
+    BAD_UNCOLORED,
     GOOD,
     ColoringSnapshot,
     NodeState,
@@ -21,22 +25,27 @@ from .analysis import (
 )
 from .beepfirst import BeepFirst
 from .config import SimConfig
-from .continuous import ContinuousEngine
+from .continuous import CONTINUOUS_PERIOD, ContinuousEngine
 from .discrete import DiscreteEngine
 from .errors import ConfigError, ProtocolViolation
 from .jitterjump import JitterAndJump
-from .phases import wrap_distance
 from .topology import DynamicEvent, Topology, build_wakeup
 from .trace import TraceRow
 
-CONTINUOUS_PERIOD = 1.0  # T: the continuous model's period length
 BEEPFIRST_HORIZON_PERIODS = 4  # a beep-first trial runs this long past the last wake
+
+
+def _phases_clash(a, b, q):
+    """The good/bad rule: two global phases clash when they lie within wrap
+    distance 1 of each other.  Takes ints or numpy arrays alike."""
+    d = (a - b) % q
+    return (d <= 1) | (d >= q - 1)
 
 
 def _label_for(engine: DiscreteEngine, v: int) -> str:
     proto = engine.protocols[v]
     if proto.p is None or not proto.colored:
-        return "bad-uncolored"
+        return BAD_UNCOLORED
     q = engine.q
     pv = (proto.p + engine.wake_slot[v]) % q
     for u in engine.topology.neighbors(v):
@@ -45,9 +54,41 @@ def _label_for(engine: DiscreteEngine, v: int) -> str:
         pu = engine.protocols[u].p
         if pu is None:
             continue
-        if wrap_distance((pu + engine.wake_slot[u]) % q, pv, q) <= 1:
-            return "bad-colored"
+        if _phases_clash((pu + engine.wake_slot[u]) % q, pv, q):
+            return BAD_COLORED
     return GOOD
+
+
+class _EdgeArrays:
+    """The engine's nodes and edges as index arrays, for whole-graph passes.
+
+    Valid until the next topology event: the caller rebuilds it after a
+    period in which events were applied (node ids, wake slots and protocol
+    objects change only then).
+    """
+
+    def __init__(self, engine: DiscreteEngine):
+        nodes = engine.topology.nodes
+        self.q = engine.q
+        self.nodes = np.array(nodes, dtype=np.int64)
+        pairs = np.array(engine.topology.edges(), dtype=np.int64).reshape(-1, 2)
+        self.src = np.searchsorted(self.nodes, pairs[:, 0])
+        self.dst = np.searchsorted(self.nodes, pairs[:, 1])
+        self.wake = np.array([engine.wake_slot[v] for v in nodes], dtype=np.int64)
+        self.protocols = [engine.protocols[v] for v in nodes]
+
+    def good_set(self) -> set[int]:
+        """Nodes that are colored and clash with no neighbor holding a phase."""
+        local = np.array([-1 if pr.p is None else pr.p for pr in self.protocols], dtype=np.int64)
+        colored = np.array([pr.colored for pr in self.protocols], dtype=bool)
+        has_phase = local >= 0
+        phase = (local + self.wake) % self.q
+        src, dst = self.src, self.dst
+        clash = has_phase[src] & has_phase[dst] & _phases_clash(phase[src], phase[dst], self.q)
+        bad = np.zeros(len(self.nodes), dtype=bool)
+        bad[src[clash]] = True
+        bad[dst[clash]] = True
+        return set(self.nodes[colored & has_phase & ~bad].tolist())
 
 
 def discrete_snapshot(engine: DiscreteEngine) -> ColoringSnapshot:
@@ -195,25 +236,27 @@ def run_jitterjump_trial(
     converged_period = None
     snapshot = None
     all_good_periods: list[int] = []
+    event_periods = {ev.at_period for ev in events}
 
-    engine.run_slots(1)  # wake processing at slot 0
+    engine.run_slots(1)  # wake processing and the events of period 0 at slot 0
+    edge_arrays = _EdgeArrays(engine)
     periods_run = 0
     for k in range(1, max_periods + 1):
-        engine.run_slots(q)
+        engine.run_slots(q)  # its last slot, kQ, applies the events of period k
         periods_run = k
-        current = discrete_snapshot(engine)
-        labels = classify_good_bad(current, engine.topology)
-        good = {v for v, lab in labels.items() if lab == GOOD}
+        if k in event_periods:
+            edge_arrays = _EdgeArrays(engine)
+        good = edge_arrays.good_set()
         lost = (prev_good & engine.alive) - good
         monotonic_violations += len(lost)
         prev_good = good
         if state_hook is not None:
-            state_hook(engine, k, labels)
+            state_hook(engine, k, classify_good_bad(discrete_snapshot(engine), engine.topology))
         if good == engine.alive and engine.alive:
             all_good_periods.append(k)
             if converged_period is None:
                 converged_period = k
-                snapshot = current
+                snapshot = discrete_snapshot(engine)
             if not cfg.dynamic:
                 break
 
@@ -277,14 +320,13 @@ def run_beepfirst_trial(
 
     def factory(v: int) -> BeepFirst:
         return BeepFirst(
-            t_period,
             cfg.epsilon,
             topology.degree(v),
             topology.max_neighborhood_degree(v),
             rngmod.stream(master, *seed_key, v, "protocol"),
         )
 
-    engine = ContinuousEngine(topology, t_period, factory, wake)
+    engine = ContinuousEngine(topology, factory, wake)
     overruns = 0
     try:
         engine.run_until(max(wake.values(), default=0.0) + BEEPFIRST_HORIZON_PERIODS * t_period)

@@ -45,6 +45,17 @@ class Topology:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Topology":
         return cls(range(n), edges)
 
+    @classmethod
+    def _from_simple_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Topology":
+        """:meth:`from_edges` without the per-edge checks, for generator
+        output that is a simple graph on 0..n-1 by construction."""
+        out = cls()
+        adj = out._adj = {v: set() for v in range(n)}
+        for u, v in edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        return out
+
     # -- queries ---------------------------------------------------------
 
     @property
@@ -127,8 +138,12 @@ def gnp(n: int, p: float, rng: np.random.Generator) -> Topology:
     """Erdos-Renyi G(n, p)."""
     if n < 1 or not 0.0 <= p <= 1.0:
         raise ConfigError("gnp needs n >= 1 and p in [0, 1]")
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return Topology.from_edges(n, edges)
+    # one row of draws per node, in the order of the pairs (u, v), u < v
+    edges = []
+    for u in range(n - 1):
+        hits = np.flatnonzero(rng.random(n - u - 1) < p) + (u + 1)
+        edges += [(u, v) for v in hits.tolist()]
+    return Topology._from_simple_edges(n, edges)
 
 
 _PAIRING_ATTEMPTS = 5000
@@ -140,22 +155,13 @@ def random_regular(n: int, d: int, rng: np.random.Generator) -> Topology:
         raise ConfigError(f"no {d}-regular graph on {n} nodes exists")
     stubs = np.repeat(np.arange(n), d)
     for _ in range(_PAIRING_ATTEMPTS):
-        perm = rng.permutation(stubs)
-        pairs = perm.reshape(-1, 2)
-        seen: set[tuple[int, int]] = set()
-        ok = True
-        for a, b in pairs:
-            u, v = int(a), int(b)
-            if u == v:
-                ok = False
-                break
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                ok = False
-                break
-            seen.add(key)
-        if ok:
-            return Topology.from_edges(n, sorted(seen))
+        pairs = rng.permutation(stubs).reshape(-1, 2)
+        a, b = pairs[:, 0], pairs[:, 1]
+        if (a == b).any():  # a self-loop
+            continue
+        keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b))  # edge u < v as u*n + v
+        if (keys[1:] != keys[:-1]).all():  # no duplicate edge
+            return Topology._from_simple_edges(n, zip((keys // n).tolist(), (keys % n).tolist()))
     raise ConfigError(f"could not sample a simple {d}-regular graph in {_PAIRING_ATTEMPTS} attempts")
 
 

@@ -17,7 +17,7 @@ def bf_config(**kw):
 
 
 def test_init_formulas_isolated_node():
-    proto = BeepFirst(1.0, 0.1, 0, 0, rng.stream(1, "p"))
+    proto = BeepFirst(0.1, 0, 0, rng.stream(1, "p"))
     gen = proto.run()
     next(gen)  # runs initialization up to the first listen
     assert proto.interval == pytest.approx(0.45)
@@ -26,8 +26,8 @@ def test_init_formulas_isolated_node():
 
 
 def test_start_offset_is_deterministic_per_stream():
-    a = BeepFirst(1.0, 0.1, 2, 3, rng.stream(9, "p"))
-    b = BeepFirst(1.0, 0.1, 2, 3, rng.stream(9, "p"))
+    a = BeepFirst(0.1, 2, 3, rng.stream(9, "p"))
+    b = BeepFirst(0.1, 2, 3, rng.stream(9, "p"))
     next(a.run())
     next(b.run())
     assert a.eps_v == b.eps_v
@@ -94,9 +94,9 @@ def test_stable_node_beeps_every_period_at_same_phase():
     from beepsim import rng as rngmod
 
     def factory(v):
-        return BeepFirst(1.0, 0.1, 1, 1, rngmod.stream(7, "steady", v, "p"))
+        return BeepFirst(0.1, 1, 1, rngmod.stream(7, "steady", v, "p"))
 
-    engine = ContinuousEngine(topo, 1.0, factory, {0: 0.0, 1: 0.0})
+    engine = ContinuousEngine(topo, factory, {0: 0.0, 1: 0.0})
     engine.run_until(8.0)
     for v in (0, 1):
         proto = engine.protocols[v]
@@ -152,10 +152,10 @@ def test_shared_streams_produce_identical_phases_and_a_tie():
 
     def factory(v):
         key = (37, "twin", "p") if v in (0, 1) else (37, v, "p")
-        return BeepFirst(1.0, 0.1, topo.degree(v), topo.max_neighborhood_degree(v),
+        return BeepFirst(0.1, topo.degree(v), topo.max_neighborhood_degree(v),
                          rng.stream(*key))
 
-    engine = ContinuousEngine(topo, 1.0, factory, {v: 0.0 for v in topo.nodes})
+    engine = ContinuousEngine(topo, factory, {v: 0.0 for v in topo.nodes})
     engine.run_until(5.0)
     assert engine.protocols[0].p == engine.protocols[1].p
     assert engine.tie_collisions >= 1

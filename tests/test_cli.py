@@ -78,6 +78,37 @@ def test_bad_kappa_is_config_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--eta", "0.5", "--kappa", "1"],
+    ["--eta", "0.0625"],
+    ["--kappa", "64"],
+    ["--max-periods", "3"],
+])
+def test_beepfirst_rejects_jitterjump_flags(flags, capsys):
+    code = run_cli(["static", "--protocol", "beepfirst", "--graph", "clique:4", *flags])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{flags[0]} does not apply to the beepfirst protocol" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["static", "--graph", "clique:4"],
+    ["static", "--protocol", "jitterjump", "--graph", "clique:4"],
+    ["dynamic", "--graph", "clique:4"],
+])
+def test_jitterjump_rejects_epsilon(command, capsys):
+    code = run_cli([*command, "--epsilon", "7"])
+    assert code == 2
+    assert "--epsilon does not apply to the jitterjump protocol" in capsys.readouterr().err
+
+
+def test_each_protocol_keeps_its_own_flags():
+    assert run_cli(["static", "--protocol", "beepfirst", "--graph", "clique:4",
+                    "--epsilon", "0.2"]) == 0
+    assert run_cli(["static", "--graph", "clique:4", "--eta", "0.05", "--kappa", "80",
+                    "--max-periods", "40"]) == 0
+
+
 def test_unknown_graph_file_is_config_error(tmp_path, capsys):
     code = run_cli(["static", "--graph", str(tmp_path / "missing.edges")])
     assert code == 2

@@ -1,17 +1,20 @@
-"""Event-driven engine: windows, delivery, frame conversion, ties."""
+"""Event-driven engine: windows, delivery, frame conversion, ties.
+
+Times are in units of the period T = 1, and are dyadic fractions so that
+sums and phases compare exactly.
+"""
 
 import pytest
 
-from beepsim.continuous import Beep, ContinuousEngine, Listen, Rebase
+from beepsim.continuous import CONTINUOUS_PERIOD, Beep, ContinuousEngine, Listen, Rebase
 from beepsim.topology import Topology
 
 
 class Script:
     """Runs a fixed list of commands, then listens forever in period chunks."""
 
-    def __init__(self, commands, t_period=10.0):
+    def __init__(self, commands):
         self.commands = commands
-        self.t = t_period
         self.results = []
 
     def run(self):
@@ -20,44 +23,44 @@ class Script:
             if isinstance(cmd, Listen):
                 self.results.append(got)
         while True:
-            got = yield Listen(self.t)
+            got = yield Listen(CONTINUOUS_PERIOD)
             self.results.append(got)
 
 
-def build(topology, scripts, wake=None, t_period=10.0):
+def build(topology, scripts, wake=None):
     wake = wake or {v: 0.0 for v in topology.nodes}
     protos = {}
 
     def factory(v):
-        protos[v] = Script(scripts.get(v, []), t_period)
+        protos[v] = Script(scripts.get(v, []))
         return protos[v]
 
-    engine = ContinuousEngine(topology, t_period, factory, wake)
+    engine = ContinuousEngine(topology, factory, wake)
     return engine, protos
 
 
 def test_beep_delivered_at_listener_local_phase():
-    # u beeps at t=2.5; v's origin is 1.0, so v records phase 1.5.
+    # u beeps at t=0.25; v's origin is 0.125, so v records phase 0.125.
     topo = Topology.from_edges(2, [(0, 1)])
     engine, protos = build(
         topo,
         {
-            0: [Listen(2.5), Beep()],
-            1: [Listen(1.0), Rebase(), Listen(10.0)],
+            0: [Listen(0.25), Beep()],
+            1: [Listen(0.125), Rebase(), Listen(1.0)],
         },
     )
-    engine.run_until(20.0)
-    assert protos[1].results[1] == (1.5,)
+    engine.run_until(2.0)
+    assert protos[1].results[1] == (0.125,)
 
 
 def test_beeping_node_misses_concurrent_beep():
     topo = Topology.from_edges(2, [(0, 1)])
     engine, protos = build(
         topo,
-        {0: [Listen(3.0), Beep()], 1: [Listen(3.0), Beep()]},
+        {0: [Listen(0.375), Beep()], 1: [Listen(0.375), Beep()]},
     )
-    engine.run_until(20.0)
-    # both beeped at t=3.0 while not listening: neither heard anything
+    engine.run_until(2.0)
+    # both beeped at t=0.375 while not listening: neither heard anything
     assert protos[0].results[1] == ()
     assert protos[1].results[1] == ()
 
@@ -65,14 +68,14 @@ def test_beeping_node_misses_concurrent_beep():
 def test_listen_zero_hears_nothing():
     topo = Topology.from_edges(2, [(0, 1)])
     engine, protos = build(topo, {0: [Listen(0.0)], 1: [Beep()]})
-    engine.run_until(5.0)
+    engine.run_until(0.5)
     assert protos[0].results[0] == ()
 
 
 def test_silent_neighborhood_full_period():
     topo = Topology.from_edges(2, [(0, 1)])
-    engine, protos = build(topo, {0: [Listen(10.0)]})
-    engine.run_until(10.0)
+    engine, protos = build(topo, {0: [Listen(1.0)]})
+    engine.run_until(1.0)
     assert protos[0].results[0] == ()
 
 
@@ -82,23 +85,23 @@ def test_window_is_closed_open():
     engine, protos = build(
         topo,
         {
-            0: [Listen(4.0), Listen(4.0)],
-            1: [Listen(4.0), Beep()],
+            0: [Listen(0.5), Listen(0.5)],
+            1: [Listen(0.5), Beep()],
         },
     )
-    engine.run_until(12.0)
+    engine.run_until(1.25)
     assert protos[0].results[0] == ()
-    assert protos[0].results[1] == (4.0,)
+    assert protos[0].results[1] == (0.5,)
 
 
 def test_beep_at_wake_instant_is_heard():
     topo = Topology.from_edges(2, [(0, 1)])
     engine, protos = build(
         topo,
-        {0: [Listen(5.0)], 1: [Beep()]},
+        {0: [Listen(0.5)], 1: [Beep()]},
         wake={0: 0.0, 1: 0.0},
     )
-    engine.run_until(6.0)
+    engine.run_until(0.625)
     assert protos[0].results[0] == (0.0,)
 
 
@@ -109,45 +112,45 @@ def test_identical_beep_times_counted_and_both_delivered():
     engine, protos = build(
         topo,
         {
-            0: [Listen(3.0), Beep()],
-            1: [Listen(3.0), Beep()],
-            2: [Listen(10.0)],
+            0: [Listen(0.375), Beep()],
+            1: [Listen(0.375), Beep()],
+            2: [Listen(1.0)],
         },
     )
-    engine.run_until(10.0)
+    engine.run_until(1.0)
     assert engine.tie_collisions == 1
-    assert protos[2].results[0] == (3.0,)
+    assert protos[2].results[0] == (0.375,)
 
 
 def test_stable_neighbor_heard_at_constant_phase():
     topo = Topology.from_edges(2, [(0, 1)])
     engine, protos = build(
         topo,
-        {0: [Listen(2.0), Beep(), Listen(8.0), Listen(2.0), Beep(), Listen(8.0),
-             Listen(2.0), Beep(), Listen(8.0)]},
+        {0: [Listen(0.25), Beep(), Listen(0.75), Listen(0.25), Beep(), Listen(0.75),
+             Listen(0.25), Beep(), Listen(0.75)]},
     )
-    engine.run_until(40.0)
+    engine.run_until(4.0)
     heard = [r for r in protos[1].results if r]
-    assert heard[0] == (2.0,)
-    assert all(r == (2.0,) for r in heard)
+    assert heard[0] == (0.25,)
+    assert all(r == (0.25,) for r in heard)
 
 
 def test_event_order_is_deterministic():
     topo = Topology.from_edges(3, [(0, 1), (1, 2)])
     scripts = {
-        0: [Listen(1.0), Beep(), Listen(4.0)],
-        2: [Listen(1.0), Beep(), Listen(4.0)],
+        0: [Listen(0.125), Beep(), Listen(0.5)],
+        2: [Listen(0.125), Beep(), Listen(0.5)],
     }
     e1, p1 = build(topo, scripts)
-    e1.run_until(15.0)
+    e1.run_until(1.5)
     e2, p2 = build(topo, scripts)
-    e2.run_until(15.0)
+    e2.run_until(1.5)
     assert p1[1].results == p2[1].results
     assert e1.tie_collisions == e2.tie_collisions
 
 
 def test_theta_reports_rebased_origin():
     topo = Topology.from_edges(1, [])
-    engine, _ = build(topo, {0: [Listen(3.5), Rebase(), Listen(10.0)]})
-    engine.run_until(5.0)
-    assert engine.theta(0) == pytest.approx(3.5)
+    engine, _ = build(topo, {0: [Listen(0.375), Rebase(), Listen(1.0)]})
+    engine.run_until(0.5)
+    assert engine.theta(0) == pytest.approx(0.375)

@@ -1,6 +1,7 @@
 """Slot-synchronous engine: delivery rules, clocks, churn, determinism."""
 
 import pytest
+from helpers import valid_events
 from hypothesis import given, settings, strategies as st
 
 from beepsim.discrete import DiscreteEngine
@@ -219,28 +220,6 @@ class BoundaryLog:
 
     def on_period_boundary(self, engine, v, slot):
         self.rows.append((slot, v, engine.protocols[v].fingerprint()))
-
-
-def valid_events(topo, candidates):
-    """Keep the candidate events that apply cleanly, in period then list order."""
-    shadow = topo.copy()
-    kept = []
-    for ev in sorted(candidates, key=lambda e: e.at_period):
-        trial = shadow.copy()  # a failing add_node leaves its node half added
-        try:
-            if ev.kind == "add_node":
-                trial.add_node(ev.nodes[0], ev.nodes[1:])
-            elif ev.kind == "remove_node":
-                trial.remove_node(ev.nodes[0])
-            elif ev.kind == "add_edge":
-                trial.add_edge(*ev.nodes)
-            else:
-                trial.remove_edge(*ev.nodes)
-        except ConfigError:
-            continue
-        shadow = trial
-        kept.append(ev)
-    return tuple(kept)
 
 
 @st.composite

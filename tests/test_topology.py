@@ -1,6 +1,7 @@
 """Graphs, generators, and input file parsing."""
 
 import pytest
+from helpers import gnp_reference, random_regular_reference
 
 from beepsim import rng
 from beepsim.errors import ConfigError
@@ -64,6 +65,36 @@ def test_random_regular_is_regular():
     assert all(g.degree(v) == 4 for v in g.nodes)
     with pytest.raises(ConfigError):
         random_regular(5, 3, rng.stream(1, "topology"))  # odd degree sum
+
+
+def same_graph(fast, slow):
+    """Equal node sets, and each node's neighbors in the same iteration order."""
+    assert fast.nodes == slow.nodes
+    assert all(list(fast.neighbors(v)) == list(slow.neighbors(v)) for v in fast.nodes)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n,p", [(1, 0.5), (2, 0.5), (9, 0.0), (9, 1.0), (40, 0.1),
+                                 (64, 0.1), (150, 0.03)])
+def test_gnp_matches_pairwise_reference(seed, n, p):
+    fast_rng, slow_rng = rng.stream(seed, "gnp"), rng.stream(seed, "gnp")
+    same_graph(gnp(n, p, fast_rng), gnp_reference(n, p, slow_rng))
+    assert fast_rng.random() == slow_rng.random()  # the stream is left in the same place
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n,d", [(1, 0), (6, 0), (4, 3), (10, 3), (24, 4), (64, 4),
+                                 (300, 4), (20, 5)])
+def test_random_regular_matches_pairwise_reference(seed, n, d):
+    fast_rng, slow_rng = rng.stream(seed, "rr"), rng.stream(seed, "rr")
+    same_graph(random_regular(n, d, fast_rng), random_regular_reference(n, d, slow_rng))
+    assert fast_rng.random() == slow_rng.random()
+
+
+def test_random_regular_without_a_graph_is_config_error():
+    for n, d in ((5, 3), (7, 1), (4, 4), (3, -1)):
+        with pytest.raises(ConfigError, match=f"no {d}-regular graph on {n} nodes"):
+            random_regular(n, d, rng.stream(1, "rr"))
 
 
 def test_star_and_clique():
