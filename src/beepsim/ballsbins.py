@@ -1,8 +1,10 @@
 """Occupancy oracles for throwing m balls into n bins uniformly at random.
 
 ``bb_exact`` computes the distribution of the number of occupied bins in
-exact integer arithmetic; ``bb_enumerate`` cross-checks it by counting all
-n^m placements outright; ``bb_montecarlo`` samples it.  These back the
+exact integer arithmetic from Stirling numbers; ``bb_enumerate``
+cross-checks it without them, by enumerating the C(m+n-1, n-1) occupancy
+vectors and weighting each by the number of placements that produce it;
+``bb_montecarlo`` samples it.  These back the
 statistical arguments about how many distinct slots a node hears when its
 uncolored neighbors jump to random free slots.
 """
@@ -68,28 +70,36 @@ def bb_exact(m: int, n: int) -> OccupancyDistribution:
 
 
 def bb_enumerate(m: int, n: int, limit: int = 10_000_000) -> dict[int, int]:
-    """Exact occupied-bin counts by enumerating all n^m placements."""
+    """Exact occupied-bin counts by enumerating occupancy vectors.
+
+    Every vector (c_1, ..., c_n) of bin loads summing to m stands for the
+    m!/(c_1! ... c_n!) placements that produce it, and occupies as many
+    bins as it has nonzero loads.  There are C(m+n-1, n-1) vectors;
+    ``limit`` bounds that number.
+    """
     if n < 1 or m < 1:
         raise ConfigError("need n >= 1 and m >= 1")
-    total = n**m
-    if total > limit:
-        raise ConfigError(f"n^m = {total} exceeds the enumeration limit {limit}")
-    counts = np.zeros(min(m, n) + 1, dtype=np.int64)
-    chunk = max(1, 1 << 19)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = np.empty((idx.size, m), dtype=np.int32)
-        rest = idx
-        for j in range(m):
-            digits[:, j] = rest % n
-            rest = rest // n
-        if m == 1:
-            occ = np.ones(idx.size, dtype=np.int64)
+    vectors = math.comb(m + n - 1, n - 1)
+    if vectors > limit:
+        raise ConfigError(
+            f"C(m+n-1, n-1) = {vectors} occupancy vectors exceed the enumeration limit {limit}"
+        )
+    fact = [math.factorial(c) for c in range(m + 1)]
+    counts = [0] * (min(m, n) + 1)
+    # depth-first over bins: (bins left, balls left, m!/prod of the loads
+    # chosen so far, bins occupied so far); the quotient stays an integer
+    stack = [(n, m, fact[m], 0)]
+    while stack:
+        bins, balls, weight, occupied = stack.pop()
+        if balls == 0:  # every bin left stays empty
+            counts[occupied] += weight
+        elif bins == 1:  # the last bin takes every ball left
+            counts[occupied + 1] += weight // fact[balls]
         else:
-            srt = np.sort(digits, axis=1)
-            occ = (np.diff(srt, axis=1) != 0).sum(axis=1) + 1
-        counts += np.bincount(occ, minlength=counts.size)
-    return {k: int(c) for k, c in enumerate(counts) if c}
+            stack.append((bins - 1, balls, weight, occupied))
+            for c in range(1, balls + 1):
+                stack.append((bins - 1, balls - c, weight // fact[c], occupied + 1))
+    return {k: c for k, c in enumerate(counts) if c}
 
 
 def bb_montecarlo(m: int, n: int, trials: int, seed: int) -> dict[int, float]:

@@ -31,7 +31,7 @@ from .analysis import (
 from .ballsbins import amplification_rounds, bb_exact, bb_montecarlo
 from .config import DEFAULT_EPSILON, DEFAULT_ETA, DEFAULT_KAPPA, SimConfig
 from .errors import ConfigError, InternalInconsistencyError, ProtocolViolation
-from .lowerbound import expected_retention_floor, twin_coupling_experiment
+from .lowerbound import build_lowerbound_graph, expected_retention_floor, twin_coupling_experiment
 from .runner import run_beepfirst_trial, run_jitterjump_trial
 from .topology import GENERATORS, Topology, load_edge_list, load_events, parse_graph_spec
 from .trace import write_csv
@@ -381,6 +381,12 @@ def _cmd_oracle(args) -> int:
         print(f"periods until all nodes succeed w.p. 1 - n^-{args.q:g}: {value:.6f}")
         return 0
     if args.oracle == "lowerbound":
+        q = SimConfig().resolve_q(build_lowerbound_graph(args.k).delta)
+        if args.slots <= q:
+            raise ConfigError(
+                f"--slots {args.slots} must exceed Q = {q}: every node listens through "
+                f"its first period, so no twin acts before slot {q}"
+            )
         shared = twin_coupling_experiment(args.k, args.slots, args.trials, args.seed,
                                           shared_randomness=True)
         free = twin_coupling_experiment(args.k, args.slots, args.trials, args.seed,

@@ -183,16 +183,20 @@ class DiscreteEngine:
         self.slot = s + 1
         return SlotOutcome(s, beepers, frozenset(heard_now))
 
-    def run_slots(self, count: int) -> None:
+    def run_slots(self, count: int) -> SlotOutcome | None:
         """Advance ``count`` slots, calling :meth:`step_slot` on each one that
-        is not silent (a silent slot would yield an empty outcome)."""
+        is not silent (a silent slot would yield an empty outcome).  Return
+        the outcome of the last slot stepped, or ``None`` if every slot was
+        silent."""
         s, end = self.slot, self.slot + count
         q, boundaries, beeps, events = self.q, self._boundaries, self._beeps, self._events
+        outcome = None
         while s < end:
             if s in boundaries or s in beeps or (
                 s % q == 0 and self._event_idx < len(events)
             ):
                 self.slot = s
-                self.step_slot()
+                outcome = self.step_slot()
             s += 1
         self.slot = s
+        return outcome

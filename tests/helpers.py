@@ -10,8 +10,10 @@ from beepsim import rng as rngmod
 from beepsim.beepfirst import _first_fit
 from beepsim.discrete import DiscreteEngine
 from beepsim.errors import ConfigError
+from beepsim.config import SimConfig
 from beepsim.jitterjump import JitterAndJump
-from beepsim.topology import _PAIRING_ATTEMPTS, Topology
+from beepsim.lowerbound import TwinCouplingStats
+from beepsim.topology import _PAIRING_ATTEMPTS, Topology, cycle_of_blocks, twin_pairs
 
 
 def first_clear_phase(s, b, t_period):
@@ -105,3 +107,61 @@ def valid_events(topo, candidates):
         shadow = trial
         kept.append(ev)
     return tuple(kept)
+
+
+def twin_coupling_reference(k, slots, trials, seed, shared_randomness=False):
+    """The twin experiment stepping and fingerprinting every slot: the
+    oracle for ``lowerbound.twin_coupling_experiment``."""
+    cfg = SimConfig()
+    topo = cycle_of_blocks(k)
+    pairs = twin_pairs(k)
+    twin_index = {}
+    for idx, (b, c) in enumerate(pairs):
+        twin_index[b] = idx
+        twin_index[c] = idx
+    q = cfg.resolve_q(topo.delta)
+
+    divergences = 0
+    same_state = 0
+    same_action = 0
+    retained = [0] * slots
+
+    for trial in range(trials):
+
+        def factory(v):
+            if shared_randomness and v in twin_index:
+                key = (seed, trial, "twin", twin_index[v], "protocol")
+            else:
+                key = (seed, trial, v, "protocol")
+            return JitterAndJump(q, cfg.eta, rngmod.stream(*key))
+
+        engine = DiscreteEngine(topo, q, factory, {v: 0 for v in topo.nodes})
+        alive_pairs = set(range(len(pairs)))
+        for s in range(slots):
+            identical = {
+                idx
+                for idx in alive_pairs
+                if engine.fingerprint(pairs[idx][0]) == engine.fingerprint(pairs[idx][1])
+            }
+            if identical:
+                retained[s] += 1
+            if shared_randomness and len(identical) < len(alive_pairs):
+                divergences += len(alive_pairs) - len(identical)
+                alive_pairs = identical
+            outcome = engine.step_slot()
+            for idx in identical:
+                b, c = pairs[idx]
+                same_state += 1
+                if (b in outcome.beeped) == (c in outcome.beeped):
+                    same_action += 1
+
+    return TwinCouplingStats(
+        k=k,
+        trials=trials,
+        slots=slots,
+        shared_randomness=shared_randomness,
+        divergences=divergences,
+        same_state_observations=same_state,
+        same_action_matches=same_action,
+        retention_by_slot=tuple(r / trials for r in retained),
+    )

@@ -58,13 +58,26 @@ def test_exact_matches_brute_force_grid():
 
 
 def test_enumerate_matches_brute_force():
-    for m, n in [(3, 3), (5, 4), (2, 7)]:
-        assert bb_enumerate(m, n) == brute_counts(m, n)
+    # every pair with n^m <= 10^5 on gate 9's grid, m > n and n > m alike
+    pairs = [(m, n) for n in range(1, 13) for m in range(1, 25) if n**m <= 10**5]
+    assert (16, 2) in pairs and (1, 12) in pairs and (4, 12) in pairs
+    for m, n in pairs:
+        counts = bb_enumerate(m, n)
+        assert counts == brute_counts(m, n), (m, n)
+        assert list(counts) == sorted(counts)
+        assert all(type(v) is int for v in counts.values())
 
 
 def test_enumerate_refuses_oversized():
     with pytest.raises(ConfigError):
         bb_enumerate(30, 10, limit=10**6)
+
+
+def test_enumerate_limit_counts_occupancy_vectors():
+    # C(7+10-1, 10-1) = 11440 vectors stand for the 10^7 placements
+    assert sum(bb_enumerate(7, 10, limit=11440).values()) == 10**7
+    with pytest.raises(ConfigError, match="11440 occupancy vectors"):
+        bb_enumerate(7, 10, limit=11439)
 
 
 @settings(max_examples=40, deadline=None)

@@ -191,11 +191,22 @@ def test_oracle_amplify_domain_error(capsys):
 
 
 def test_oracle_lowerbound(capsys):
-    code = run_cli(["oracle", "lowerbound", "--k", "4", "--slots", "40",
+    code = run_cli(["oracle", "lowerbound", "--k", "4", "--slots", "256",
                     "--trials", "20", "--seed", "2"])
     out = capsys.readouterr().out
     assert code == 0
     assert "divergences: 0" in out
+
+
+@pytest.mark.parametrize("slots", ["1", "100", "192"])
+def test_oracle_lowerbound_refuses_runs_inside_the_listen_only_period(slots, capsys):
+    # Q = 64 * 3 = 192 on the block graph: no twin acts before slot Q
+    code = run_cli(["oracle", "lowerbound", "--k", "4", "--slots", slots,
+                    "--trials", "2", "--seed", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Q = 192" in captured.err
+    assert captured.out == ""
 
 
 def test_sweep_text_summary_labels_the_median_fit(capsys):

@@ -262,9 +262,11 @@ def test_run_slots_matches_stepping_every_slot(case):
     skipping, skip_log = build()
     stepping, step_log = build()
     for k in chunks:
-        skipping.run_slots(k)
+        last = skipping.run_slots(k)
+        outs = []
         for _ in range(k):
             out = stepping.step_slot()
+            outs.append(out)
             # listener rule: v hears iff an awake neighbour beeps and v does not
             assert not out.beeped & out.heard
             assert out.beeped <= stepping.alive
@@ -274,6 +276,9 @@ def test_run_slots_matches_stepping_every_slot(case):
                 and stepping.topology.neighbors(v) & out.beeped
             }
             assert out.heard == expected
+        # run_slots returns the last slot it stepped; every later slot is silent
+        later = outs if last is None else outs[outs.index(last) + 1:]
+        assert not any(out.beeped or out.heard for out in later)
         assert skipping.slot == stepping.slot
         assert skipping.alive == stepping.alive
         for v in stepping.alive:

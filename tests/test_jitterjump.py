@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,8 +17,8 @@ from beepsim.runner import run_jitterjump_trial
 from beepsim.topology import clique, random_regular
 
 
-def reference_free_slots(heard, b, q, own_phase=None):
-    """Literal guard-window definition, as an independent oracle."""
+def literal_free_slots(heard, b, q, own_phase=None):
+    """Literal guard-window definition, one (slot, marker) test at a time."""
     markers = set(heard)
     if own_phase is not None:
         markers.add(own_phase % q)
@@ -26,6 +27,19 @@ def reference_free_slots(heard, b, q, own_phase=None):
         for p in range(q)
         if not any(in_range(x, p - b - 2, p + b + 1, q) for x in markers)
     ]
+
+
+def reference_free_slots(heard, b, q, own_phase=None):
+    """The same definition as one (Q x markers) broadcast of the wrap-aware
+    closed range test of ``phases.in_range``: the oracle for ``free_slots``."""
+    markers = set(heard)
+    if own_phase is not None:
+        markers.add(own_phase % q)
+    x = np.array(sorted(markers), dtype=np.int64)
+    p = np.arange(q, dtype=np.int64)[:, None]
+    lo, hi = (p - b - 2) % q, (p + b + 1) % q
+    inside = np.where(lo <= hi, (lo <= x) & (x <= hi), (x >= lo) | (x <= hi))
+    return np.flatnonzero(~inside.any(axis=1)).tolist()
 
 
 def proto(q=64, eta=1.0 / 16.0, seed=1, dynamic=False, window=4):
@@ -54,14 +68,15 @@ def test_free_slots_includes_own_phase_marker():
     assert with_own == free_slots((10,), 2, 32)
 
 
+# small periods with few markers, and periods up to the Q = 8192 of a
+# 128-degree star with up to 300 markers, so blocked runs merge and wrap
+SMALL_PERIODS = st.tuples(st.integers(min_value=12, max_value=48), st.just(6))
+LARGE_PERIODS = st.tuples(st.integers(min_value=49, max_value=8192), st.just(300))
+
+
 @st.composite
-def free_slot_cases(draw):
-    # small periods with few markers, and periods up to the Q = 8192 of a
-    # 128-degree star with up to 300 markers, so blocked runs merge and wrap
-    q, most = draw(st.one_of(
-        st.tuples(st.integers(min_value=12, max_value=48), st.just(6)),
-        st.tuples(st.integers(min_value=49, max_value=8192), st.just(300)),
-    ))
+def free_slot_cases(draw, periods=st.one_of(SMALL_PERIODS, LARGE_PERIODS)):
+    q, most = draw(periods)
     count = draw(st.integers(min_value=0, max_value=min(most, q)))
     heard = draw(st.lists(st.integers(min_value=0, max_value=q - 1),
                           min_size=count, max_size=count))
@@ -84,6 +99,15 @@ def test_free_slots_matches_reference(case):
     q, heard, b, own = case
     assert free_slots(tuple(heard), b, q, own_phase=own) == reference_free_slots(
         tuple(heard), b, q, own_phase=own
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(free_slot_cases(SMALL_PERIODS))
+def test_broadcast_reference_matches_in_range(case):
+    q, heard, b, own = case
+    assert reference_free_slots(heard, b, q, own_phase=own) == literal_free_slots(
+        heard, b, q, own_phase=own
     )
 
 

@@ -3,7 +3,10 @@
 import math
 
 import pytest
+from helpers import twin_coupling_reference
+from hypothesis import given, settings, strategies as st
 
+from beepsim.config import SimConfig
 from beepsim.errors import ConfigError
 from beepsim.lowerbound import (
     build_lowerbound_graph,
@@ -11,6 +14,8 @@ from beepsim.lowerbound import (
     twin_coupling_experiment,
 )
 from beepsim.topology import twin_pairs
+
+Q = SimConfig().resolve_q(build_lowerbound_graph(2).delta)  # 192 for every k
 
 
 def test_graph_shape():
@@ -61,3 +66,21 @@ def test_divergence_happens_eventually_without_sharing():
     # but everyone is identical through the silent first period
     q = 64 * 3  # kappa * delta of the 3-regular block graph
     assert stats.retention_by_slot[q - 1] == 1.0
+
+
+# slot counts inside the listen-only first period, and a few either side
+# of the boundaries at Q and 2Q
+slot_counts = st.one_of(
+    st.integers(min_value=1, max_value=Q - 1),
+    st.builds(lambda base, d: base + d, st.sampled_from((Q, 2 * Q)),
+              st.integers(min_value=-2, max_value=3)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=5), slot_counts,
+       st.integers(min_value=1, max_value=4), st.booleans(), st.integers(0, 2**16))
+def test_experiment_matches_stepping_every_slot(k, slots, trials, shared, seed):
+    assert twin_coupling_experiment(k, slots, trials, seed, shared) == twin_coupling_reference(
+        k, slots, trials, seed, shared
+    )

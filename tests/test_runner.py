@@ -1,11 +1,14 @@
-"""The runner's per-period good set against the snapshot classifier."""
+"""The runner's per-period good set against the snapshot classifier, and
+the stability of per-node draws under topology edits."""
 
 from unittest import mock
 
 import numpy as np
+import pytest
 from helpers import valid_events
 from hypothesis import given, settings, strategies as st
 
+from beepsim import rng as rngmod
 from beepsim import runner
 from beepsim.analysis import GOOD, classify_good_bad
 from beepsim.config import SimConfig
@@ -78,3 +81,58 @@ def test_array_good_set_matches_classifier_every_period(case):
     final_good = {v for v, label in result.final_labels.items() if label == GOOD}
     assert final_good == computed[-1]
     assert result.final_labels == classify_good_bad(result.final_snapshot, result.topology)
+
+
+@st.composite
+def topology_edits(draw):
+    n = draw(st.integers(min_value=2, max_value=8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    absent = [e for e in pairs if e not in edges]
+    before = Topology.from_edges(n, edges)
+    after = before.copy()
+    kinds = ["add_node", "remove_node"]
+    kinds += ["add_edge"] * bool(absent) + ["remove_edge"] * bool(edges)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "add_edge":
+        touched = draw(st.sampled_from(absent))
+        after.add_edge(*touched)
+    elif kind == "remove_edge":
+        touched = draw(st.sampled_from(edges))
+        after.remove_edge(*touched)
+    elif kind == "add_node":
+        touched = (n,)
+        after.add_node(n, draw(st.lists(st.integers(min_value=0, max_value=n - 1), unique=True)))
+    else:
+        touched = (draw(st.integers(min_value=0, max_value=n - 1)),)
+        after.remove_node(touched[0])
+    return before, after, set(touched), draw(st.integers(min_value=0, max_value=2**16))
+
+
+def protocol_stream_states(run, topology, cfg):
+    """Run one trial and return each node's protocol stream state at creation."""
+    states = {}
+    stream = rngmod.stream
+
+    def recording(*key):
+        gen = stream(*key)
+        if key[-1] == "protocol":
+            states[key[-2]] = gen.bit_generator.state
+        return gen
+
+    with mock.patch.object(rngmod, "stream", recording):
+        run(topology, cfg, seed_key=("edit",))
+    return states
+
+
+@pytest.mark.parametrize("run", [runner.run_jitterjump_trial, runner.run_beepfirst_trial])
+@settings(max_examples=60, deadline=None)
+@given(topology_edits())
+def test_topology_edit_leaves_untouched_nodes_draws_unchanged(run, case):
+    before, after, touched, seed = case
+    cfg = SimConfig(master_seed=seed, max_periods=4)
+    old = protocol_stream_states(run, before, cfg)
+    new = protocol_stream_states(run, after, cfg)
+    assert set(old) == set(before.nodes) and set(new) == set(after.nodes)
+    untouched = (set(before.nodes) & set(after.nodes)) - touched
+    assert {v: new[v] for v in untouched} == {v: old[v] for v in untouched}
