@@ -370,8 +370,10 @@ def _cmd_oracle(args) -> int:
                     continue
                 sigma = math.sqrt(float(p) * (1 - float(p)) / args.trials)
                 dev = abs(emp.get(k, 0.0) - float(p))
-                worst = max(worst, dev / sigma)
-                if dev > 4 * sigma:
+                # a point mass (sigma 0) is compared exactly: any deviation fails
+                excess = dev / sigma if sigma else (math.inf if dev else 0.0)
+                worst = max(worst, excess)
+                if excess > 4:
                     ok = False
             print(f"monte carlo ({args.trials} trials): worst bin deviation "
                   f"{worst:.2f} sigma ({rare} near-empty bins not sigma-tested)")

@@ -144,41 +144,47 @@ class DiscreteEngine:
 
     def step_slot(self) -> SlotOutcome:
         """Advance the world by one slot and deliver beeps."""
-        s = self.slot
-        if s % self.q == 0:
-            self.apply_dynamic_events(s // self.q)
+        s, q = self.slot, self.q
+        if s % q == 0:
+            self.apply_dynamic_events(s // q)
+        heard, scheduled, wake_slot = self._heard, self._scheduled, self.wake_slot
 
-        for v in sorted(self._boundaries.pop(s, ())):
-            if v not in self.alive:
-                continue
-            heard = tuple(sorted(self._heard[v]))
-            self._heard[v] = set()
-            if s == self.wake_slot[v]:
-                plan: tuple[int, ...] = ()  # first period: listen only
-            else:
-                plan = tuple(self.protocols[v].on_period_end(heard))
-            for off in plan:
-                if not 0 <= off <= self.q:
-                    raise InternalInconsistencyError(
-                        f"beep offset {off} outside [0, Q] from node {v}"
-                    )
-                t = s + off
-                self._beeps.setdefault(t, []).append(v)
-                self._scheduled[v].add(t)
-            self._boundaries.setdefault(s + self.q, []).append(v)
-            if self.observer is not None:
-                self.observer.on_period_boundary(self, v, s)
+        # every node met here is alive: _retire takes a removed node out of
+        # its boundary and beep lists, and out of the topology
+        due = self._boundaries.pop(s, None)
+        if due:
+            due.sort()
+            beeps, protocols, observer = self._beeps, self.protocols, self.observer
+            for v in due:
+                got = tuple(sorted(heard[v]))
+                heard[v] = set()
+                if s != wake_slot[v]:  # the first period is listen only
+                    for off in protocols[v].on_period_end(got):
+                        if not 0 <= off <= q:
+                            raise InternalInconsistencyError(
+                                f"beep offset {off} outside [0, Q] from node {v}"
+                            )
+                        beeps.setdefault(s + off, []).append(v)
+                        scheduled[v].add(s + off)
+                if observer is not None:
+                    observer.on_period_boundary(self, v, s)
+            self._boundaries.setdefault(s + q, []).extend(due)  # never an empty list
 
-        beepers = frozenset(v for v in self._beeps.pop(s, ()) if v in self.alive)
-        for v in beepers:
-            self._scheduled[v].discard(s)
-        heard_now: set[int] = set()
-        for u in sorted(beepers):
-            for v in self.topology.neighbors(u):
-                if v in beepers or v not in self.alive or s < self.wake_slot[v]:
-                    continue
-                self._heard[v].add((s - self.wake_slot[v]) % self.q)
-                heard_now.add(v)
+        # each listener hears the slot at one phase of its own clock, however
+        # many neighbours beep; phases go into sets, so beeper order is free
+        beepers = frozenset(self._beeps.pop(s, ()))
+        heard_now = set()
+        if beepers:
+            neighbors = self.topology.neighbors
+            listeners = set()
+            for u in beepers:
+                scheduled[u].discard(s)
+                listeners.update(neighbors(u))
+            for v in listeners - beepers:
+                wake = wake_slot[v]
+                if s >= wake:
+                    heard[v].add((s - wake) % q)
+                    heard_now.add(v)
 
         self.slot = s + 1
         return SlotOutcome(s, beepers, frozenset(heard_now))

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ProtocolViolation
-from .phases import in_range
 
 
 def buffer_length(eta: float, q: int, estimate: int) -> int:
@@ -38,12 +37,19 @@ def measured_interval(heard: tuple[int, ...], phase: int, q: int) -> int:
     """
     if not heard:
         return q - 1
-    gap = min((phase - x) % q for x in heard)
-    return max(gap - 1, 0)
+    gap = min([(phase - x) % q for x in heard])
+    return gap - 1 if gap else 0
 
 
 def heard_in_range(heard, a, b, q) -> bool:
-    return any(in_range(x, a, b, q) for x in heard)
+    """Whether a heard phase lies in the wrap-aware closed range [a, b] (the
+    range of ``phases.in_range``): x is in it exactly when its distance
+    forward from a is at most the range's."""
+    width = (b - a) % q
+    for x in heard:
+        if (x - a) % q <= width:
+            return True
+    return False
 
 
 def free_slots(heard, b: int, q: int, own_phase: int | None = None) -> list[int]:
@@ -74,8 +80,7 @@ def free_slots(heard, b: int, q: int, own_phase: int | None = None) -> list[int]
     return free
 
 
-@dataclass(frozen=True)
-class PeriodReport:
+class PeriodReport(NamedTuple):
     """Observation record for one completed local period."""
 
     period: int
@@ -115,72 +120,58 @@ class JitterAndJump:
 
     def on_period_end(self, heard: tuple[int, ...]) -> tuple[int, ...]:
         """Digest one finished period and plan the next one's beeps."""
-        q = self.q
+        q, p, dynamic, colored = self.q, self.p, self.dynamic, self.colored
         n_heard = len(heard)
-        interval = None
-        reset = False
-        if self.period == 0:
-            self.d_tilde = max(n_heard, 1)
-            if self.dynamic:
-                self._window.append(n_heard)
-                self.d_star = max(self._window)
-            self.b = buffer_length(self.eta, q, self.d_tilde)
+        interval, reset = None, False
+        if dynamic:
+            self._window.append(n_heard)
+            d_star = self.d_star = max(self._window)
+        if self.period == 0 or not dynamic:
+            d_tilde = max(n_heard, 1)
         else:
-            interval = measured_interval(heard, self.p, q)
-            self.interval = interval
-            if self.dynamic:
-                self._window.append(n_heard)
-                self.d_star = max(self._window)
-                self.d_tilde = max(self.d_tilde, self.d_star)
-            else:
-                self.d_tilde = max(n_heard, 1)
-            self.b = buffer_length(self.eta, q, self.d_tilde)
-            if not heard_in_range(heard, self.p - self.b, self.p + self.b, q):
-                self.colored = True
-            elif heard_in_range(heard, self.p - 1, self.p + 2, q):
-                self.colored = False
-            if self.dynamic and self.d_star < self.d_tilde / 16:
-                self.d_tilde = max(self.d_star, 1)
-                self.b = buffer_length(self.eta, q, self.d_tilde)
-                self.colored = False
+            d_tilde = max(self.d_tilde, d_star)
+        b = buffer_length(self.eta, q, d_tilde)
+        if self.period:
+            interval = self.interval = measured_interval(heard, p, q)
+            if not heard_in_range(heard, p - b, p + b, q):
+                colored = True
+            elif heard_in_range(heard, p - 1, p + 2, q):
+                colored = False
+            if dynamic and d_star < d_tilde / 16:
+                d_tilde = max(d_star, 1)
+                b = buffer_length(self.eta, q, d_tilde)
+                colored = False
                 self.resets += 1
                 reset = True
+        self.d_tilde, self.b, self.colored = d_tilde, b, colored
 
-        used_phase = self.p
-        used_jitter = self.jitter
         free_count = None
-        free: list[int] | None = None
-        if not self.colored or self.dynamic:
-            free = free_slots(heard, self.b, q, own_phase=self.p)
+        if not colored or dynamic:
+            free = free_slots(heard, b, q, own_phase=p)
             free_count = len(free)
             if not free:
                 raise ProtocolViolation(
-                    f"no free slots (Q={q}, b={self.b}, heard={n_heard}); "
+                    f"no free slots (Q={q}, b={b}, heard={n_heard}); "
                     "parameters are outside the supported regime"
                 )
-        if not self.colored:
-            self.p = int(free[self.rng.integers(len(free))])
-        self.jitter = int(self.rng.integers(2))
+        rng = self.rng
+        if not colored:
+            self.p = free[rng.integers(free_count)]
+        used_jitter = self.jitter
+        jitter = self.jitter = int(rng.integers(2))
         # the jittered beep position is modular: at p = Q-1 a jitter of 1
         # beeps in slot 0 of the same period, keeping the node audible once
         # per period window exactly as the modular window checks assume
-        offsets = [(self.p + self.jitter) % q]
-        if self.dynamic:
-            self.p_prime = int(free[self.rng.integers(len(free))])
-            offsets.append(self.p_prime)
+        offsets = ((self.p + jitter) % q,)
+        if dynamic:
+            self.p_prime = free[rng.integers(free_count)]
+            offsets += (self.p_prime,)
 
         self.last_report = PeriodReport(
-            period=self.period,
-            phase=used_phase,
-            jitter=used_jitter,
-            interval=interval,
-            beeps_heard=n_heard,
-            colored=self.colored,
-            free_count=free_count,
-            reset=reset,
+            self.period, p, used_jitter, interval, n_heard, colored, free_count, reset
         )
         self.period += 1
-        return tuple(offsets)
+        return offsets
 
     def fingerprint(self):
         window = tuple(self._window) if self._window is not None else None

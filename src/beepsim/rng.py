@@ -2,8 +2,11 @@
 
 Every draw in a run descends from one master seed.  Streams are keyed by
 arbitrary tuples such as ``(master, trial, node, "protocol")`` so that a
-topology edit which does not touch a node leaves that node's draws
-unchanged, and independent trials never share randomness.
+topology edit which does not touch a node leaves that node's protocol
+draws unchanged, and independent trials never share randomness.  Two
+exceptions: the ``random`` wakeup draws all nodes' wake slots from one
+stream in id order (see ``topology.build_wakeup``), and a node re-added
+under a removed node's id gets that node's key, so it replays its draws.
 """
 
 from __future__ import annotations

@@ -105,8 +105,6 @@ class _BoundaryChecks:
     """Per-boundary bookkeeping shared by the static and dynamic runners."""
 
     def __init__(self, eta: float, q: int, dynamic: bool, collect_rows: bool):
-        self.eta = eta
-        self.q = q
         self.dynamic = dynamic
         self.collect_rows = collect_rows
         self.free_floor = (1.0 - 3.0 * eta) * q
@@ -126,23 +124,21 @@ class _BoundaryChecks:
             # period that just ended the degree was this one or the previous
             previous = self._degree_at_boundary.get(v, degree)
             self._degree_at_boundary[v] = degree
-        if report is None:
-            return
-        if self.dynamic:
+            if report is None:
+                return
             # two beeps per node per period: the static floor constant does
             # not apply, only the per-period beep bound
             self.window_observations += 1
             if report.beeps_heard > 4 * max(previous, degree):
                 self.beep_bound_violations += 1
-        elif report.period >= 1:
-            if not 1 <= proto.d_tilde <= max(2 * degree, 1):
+        elif report is None:
+            return
+        else:
+            if report.period and not 1 <= proto.d_tilde <= max(2 * degree, 1):
                 self.sandwich_violations += 1
-        if (
-            not self.dynamic
-            and report.free_count is not None
-            and report.free_count < self.free_floor
-        ):
-            self.free_floor_violations += 1
+            free_count = report.free_count
+            if free_count is not None and free_count < self.free_floor:
+                self.free_floor_violations += 1
         if self.collect_rows:
             self.rows.append(
                 TraceRow(

@@ -337,7 +337,9 @@ def build_wakeup(spec: str, nodes: Sequence[int], period, rng: np.random.Generat
     the continuous one; wake times are slots or real times to match.
     ``simultaneous`` wakes everyone at 0, ``random`` draws uniform wake
     times in [0, period), ``stagger:<k>`` wakes the i-th node in id order
-    at i*k, and ``file:<path>`` loads an explicit schedule.
+    at i*k, and ``file:<path>`` loads an explicit schedule.  ``random``
+    takes one draw per node in id order from ``rng``, so removing a node
+    changes the wake times of every node after it.
     """
     discrete = isinstance(period, numbers.Integral)
     if spec == "random":

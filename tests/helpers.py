@@ -8,11 +8,12 @@ import numpy as np
 
 from beepsim import rng as rngmod
 from beepsim.beepfirst import _first_fit
-from beepsim.discrete import DiscreteEngine
-from beepsim.errors import ConfigError
+from beepsim.discrete import DiscreteEngine, SlotOutcome
+from beepsim.errors import ConfigError, InternalInconsistencyError
 from beepsim.config import SimConfig
 from beepsim.jitterjump import JitterAndJump
 from beepsim.lowerbound import TwinCouplingStats
+from beepsim.phases import in_range
 from beepsim.topology import _PAIRING_ATTEMPTS, Topology, cycle_of_blocks, twin_pairs
 
 
@@ -51,6 +52,22 @@ def collision_escape_trial(cfg, seed_key) -> bool:
     # the collision period runs, and the boundary at 2Q applies the verdict.
     engine.run_slots(2 * q)
     return all(not engine.protocols[v].colored for v in (0, 1))
+
+
+def heard_in_range_reference(heard, a, b, q):
+    """Any heard phase in the wrap-aware closed range [a, b], one
+    ``phases.in_range`` call per phase: the oracle for
+    ``jitterjump.heard_in_range``."""
+    return any(in_range(x, a, b, q) for x in heard)
+
+
+def measured_interval_reference(heard, phase, q):
+    """Largest s with no heard beep in [phase-s, phase], clamped at 0: the
+    oracle for ``jitterjump.measured_interval``."""
+    if not heard:
+        return q - 1
+    gap = min((phase - x) % q for x in heard)
+    return max(gap - 1, 0)
 
 
 def gnp_reference(n, p, rng):
@@ -107,6 +124,51 @@ def valid_events(topo, candidates):
         shadow = trial
         kept.append(ev)
     return tuple(kept)
+
+
+class ReferenceEngine(DiscreteEngine):
+    """The engine with its slot step written out one node and one beeper at a
+    time, beepers in id order: the oracle for ``DiscreteEngine.step_slot``."""
+
+    def step_slot(self) -> SlotOutcome:
+        s = self.slot
+        if s % self.q == 0:
+            self.apply_dynamic_events(s // self.q)
+
+        for v in sorted(self._boundaries.pop(s, ())):
+            if v not in self.alive:
+                continue
+            heard = tuple(sorted(self._heard[v]))
+            self._heard[v] = set()
+            if s == self.wake_slot[v]:
+                plan: tuple[int, ...] = ()  # first period: listen only
+            else:
+                plan = tuple(self.protocols[v].on_period_end(heard))
+            for off in plan:
+                if not 0 <= off <= self.q:
+                    raise InternalInconsistencyError(
+                        f"beep offset {off} outside [0, Q] from node {v}"
+                    )
+                t = s + off
+                self._beeps.setdefault(t, []).append(v)
+                self._scheduled[v].add(t)
+            self._boundaries.setdefault(s + self.q, []).append(v)
+            if self.observer is not None:
+                self.observer.on_period_boundary(self, v, s)
+
+        beepers = frozenset(v for v in self._beeps.pop(s, ()) if v in self.alive)
+        for v in beepers:
+            self._scheduled[v].discard(s)
+        heard_now: set[int] = set()
+        for u in sorted(beepers):
+            for v in self.topology.neighbors(u):
+                if v in beepers or v not in self.alive or s < self.wake_slot[v]:
+                    continue
+                self._heard[v].add((s - self.wake_slot[v]) % self.q)
+                heard_now.add(v)
+
+        self.slot = s + 1
+        return SlotOutcome(s, beepers, frozenset(heard_now))
 
 
 def twin_coupling_reference(k, slots, trials, seed, shared_randomness=False):

@@ -1,9 +1,11 @@
 """Command-line interface: exit codes, CSV schema, determinism."""
 
 import json
+import warnings
 
 import pytest
 
+from beepsim import cli
 from beepsim.cli import main
 from beepsim.trace import COLUMNS
 
@@ -176,6 +178,20 @@ def test_oracle_ballsbins_montecarlo(capsys):
     assert run_cli(["oracle", "ballsbins", "--m", "4", "--n", "6",
                     "--trials", "20000"]) == 0
     assert "monte carlo" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("m, n", [("0", "3"), ("5", "1")])
+def test_oracle_ballsbins_point_mass_is_compared_exactly(m, n, capsys, monkeypatch):
+    # every placement occupies the same number of bins, so sigma is 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["oracle", "ballsbins", "--m", m, "--n", n, "--trials", "100"]) == 0
+    assert "worst bin deviation 0.00 sigma" in capsys.readouterr().out
+    occupied = min(int(m), int(n))
+    monkeypatch.setattr(cli, "bb_montecarlo",
+                        lambda *args: {occupied: 0.99, occupied + 1: 0.01})
+    assert run_cli(["oracle", "ballsbins", "--m", m, "--n", n, "--trials", "100"]) == 1
+    assert "worst bin deviation inf sigma" in capsys.readouterr().out
 
 
 def test_oracle_amplify(capsys):

@@ -1,12 +1,13 @@
 """Slot-synchronous engine: delivery rules, clocks, churn, determinism."""
 
 import pytest
-from helpers import valid_events
+from helpers import ReferenceEngine, valid_events
 from hypothesis import given, settings, strategies as st
 
+from beepsim import rng as rngmod
 from beepsim.discrete import DiscreteEngine
 from beepsim.errors import ConfigError
-from beepsim.topology import DynamicEvent, Topology, parse_events, star
+from beepsim.topology import DynamicEvent, Topology, build_wakeup, parse_events, star
 
 
 class ScriptedProtocol:
@@ -190,7 +191,8 @@ def test_node_removed_and_readded_in_one_period_starts_afresh():
     assert len(protos[1].heard_periods) == 3
 
 
-# -- differential check: run_slots skips silent slots, step_slot steps all --
+# -- differential check: run_slots skips silent slots, step_slot steps all, and
+# both agree with the literal per-slot step of helpers.ReferenceEngine --
 
 
 class HistoryProtocol:
@@ -222,14 +224,36 @@ class BoundaryLog:
         self.rows.append((slot, v, engine.protocols[v].fingerprint()))
 
 
+def recording(engine_cls):
+    """``engine_cls`` noting the slot of every ``step_slot`` call."""
+
+    class Recording(engine_cls):
+        def __init__(self, *args, **kwargs):
+            self.stepped = []
+            super().__init__(*args, **kwargs)
+
+        def step_slot(self):
+            self.stepped.append(self.slot)
+            return super().step_slot()
+
+    return Recording
+
+
 @st.composite
 def engine_cases(draw):
     n = draw(st.integers(min_value=2, max_value=7))
     q = draw(st.integers(min_value=3, max_value=16))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    # late wake slots included: up to three periods in
-    wake = {v: draw(st.integers(min_value=0, max_value=3 * q)) for v in range(n)}
+    schedule = draw(st.sampled_from(("explicit", "simultaneous", "random", "stagger")))
+    if schedule == "explicit":
+        # late wake slots included: up to three periods in
+        wake = {v: draw(st.integers(min_value=0, max_value=3 * q)) for v in range(n)}
+    else:
+        if schedule == "stagger":
+            schedule = f"stagger:{draw(st.integers(min_value=0, max_value=q))}"
+        stream = rngmod.stream(draw(st.integers(min_value=0, max_value=2**16)), "wakeup")
+        wake = build_wakeup(schedule, tuple(range(n)), q, stream)
     node = st.integers(min_value=0, max_value=n + 1)
     candidates = draw(st.lists(
         st.tuples(
@@ -243,6 +267,15 @@ def engine_cases(draw):
     for period, kind, a, b, rest in candidates:
         nodes = {"add_node": (a, *rest), "remove_node": (a,)}.get(kind, (a, b))
         events.append(DynamicEvent(period, kind, nodes))
+    # a node removed and re-added under its id, in the same period or later
+    readds = draw(st.lists(
+        st.tuples(st.integers(min_value=0, max_value=6), node,
+                  st.integers(min_value=0, max_value=2), st.lists(node, max_size=2)),
+        max_size=2,
+    ))
+    for period, v, gap, neighbors in readds:
+        events.append(DynamicEvent(period, "remove_node", (v,)))
+        events.append(DynamicEvent(period + gap, "add_node", (v, *neighbors)))
     chunks = draw(st.lists(st.integers(min_value=0, max_value=3 * q), min_size=1, max_size=8))
     return Topology.from_edges(n, edges), q, wake, events, chunks
 
@@ -253,19 +286,24 @@ def test_run_slots_matches_stepping_every_slot(case):
     topo, q, wake, candidates, chunks = case
     events = valid_events(topo, candidates)
 
-    def build():
+    def build(engine_cls):
         log = BoundaryLog()
-        engine = DiscreteEngine(topo, q, lambda v: HistoryProtocol(v, q), wake,
-                                events=events, observer=log)
+        engine = engine_cls(topo, q, lambda v: HistoryProtocol(v, q), wake,
+                            events=events, observer=log)
         return engine, log
 
-    skipping, skip_log = build()
-    stepping, step_log = build()
+    skipping, skip_log = build(recording(DiscreteEngine))
+    ref_skipping, _ = build(recording(ReferenceEngine))
+    stepping, step_log = build(DiscreteEngine)
+    reference, ref_log = build(ReferenceEngine)
     for k in chunks:
         last = skipping.run_slots(k)
+        assert last == ref_skipping.run_slots(k)
+        assert skipping.stepped == ref_skipping.stepped
         outs = []
         for _ in range(k):
             out = stepping.step_slot()
+            assert out == reference.step_slot()
             outs.append(out)
             # listener rule: v hears iff an awake neighbour beeps and v does not
             assert not out.beeped & out.heard
@@ -279,8 +317,9 @@ def test_run_slots_matches_stepping_every_slot(case):
         # run_slots returns the last slot it stepped; every later slot is silent
         later = outs if last is None else outs[outs.index(last) + 1:]
         assert not any(out.beeped or out.heard for out in later)
-        assert skipping.slot == stepping.slot
-        assert skipping.alive == stepping.alive
-        for v in stepping.alive:
-            assert skipping.fingerprint(v) == stepping.fingerprint(v)
-        assert skip_log.rows == step_log.rows
+        for engine, log in ((skipping, skip_log), (stepping, step_log)):
+            assert engine.slot == reference.slot
+            assert engine.alive == reference.alive
+            for v in reference.alive:
+                assert engine.fingerprint(v) == reference.fingerprint(v)
+            assert log.rows == ref_log.rows

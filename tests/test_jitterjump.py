@@ -6,12 +6,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import collision_escape_trial
+from helpers import (
+    collision_escape_trial,
+    heard_in_range_reference,
+    measured_interval_reference,
+)
 
 from beepsim import rng
 from beepsim.config import SimConfig
 from beepsim.errors import ConfigError
-from beepsim.jitterjump import JitterAndJump, buffer_length, free_slots, measured_interval
+from beepsim.jitterjump import (
+    JitterAndJump,
+    PeriodReport,
+    buffer_length,
+    free_slots,
+    heard_in_range,
+    measured_interval,
+)
 from beepsim.phases import in_range
 from beepsim.runner import run_jitterjump_trial
 from beepsim.topology import clique, random_regular
@@ -116,6 +127,36 @@ def test_measured_interval():
     assert measured_interval((5,), 10, 32) == 4
     assert measured_interval((10,), 10, 32) == 0  # own slot occupied
     assert measured_interval((11,), 10, 32) == 30  # only a trailing beep
+
+
+@st.composite
+def window_cases(draw):
+    q = draw(st.integers(min_value=3, max_value=8192))
+    phases = st.one_of(st.integers(min_value=0, max_value=q - 1), st.integers())
+    heard = draw(st.lists(phases, max_size=40))
+    # endpoints anywhere, including negative and >= Q, and ranges of every width
+    a = draw(st.one_of(st.integers(min_value=-2 * q, max_value=3 * q), st.integers()))
+    b = draw(st.one_of(st.integers(min_value=a - q, max_value=a + 2 * q), st.integers()))
+    return q, tuple(heard), a, b, draw(phases)
+
+
+@settings(max_examples=200, deadline=None)
+@given(window_cases())
+def test_window_checks_match_literal_references(case):
+    q, heard, a, b, phase = case
+    assert heard_in_range(heard, a, b, q) == heard_in_range_reference(heard, a, b, q)
+    assert measured_interval(heard, phase, q) == measured_interval_reference(heard, phase, q)
+
+
+def test_period_report_builds_positionally_and_by_keyword():
+    fields = dict(period=3, phase=5, jitter=1, interval=7, beeps_heard=4, colored=True,
+                  free_count=None)
+    report = PeriodReport(*fields.values())  # as tests/test_dynamic.py builds it
+    assert report == PeriodReport(**fields)
+    assert {name: getattr(report, name) for name in fields} == fields
+    assert report.reset is False
+    assert PeriodReport(*fields.values(), True).reset is True
+    assert PeriodReport(**fields, reset=True).reset is True
 
 
 def test_first_period_isolated_node():
