@@ -9,10 +9,13 @@ that slot, and cannot tell one beep from many.  A beeping node gets no
 feedback, not even about its own beep.
 
 Nodes run local periods of Q slots anchored at their wake slot.  At each
-local period boundary the engine hands the protocol the set of phases
-heard during the period that just ended and receives the beep offsets for
-the period that starts; an offset of exactly Q lands in slot 0 of the
-following local period (a jittered beep wrapping past the boundary).
+local period boundary the engine hands the protocol the phases heard
+during the period that just ended, in ascending order, and receives the
+beep offsets for the period that starts; an offset of exactly Q lands in
+slot 0 of the following local period (a jittered beep wrapping past the
+boundary).  A node's heard phases are kept as the ascending global slots
+it heard in its current local period: a boundary at slot s turns slot t
+into phase t - (s - Q), with no set and no sort.
 
 Dynamic topology events are applied at global period boundaries, those
 of one period in the order given.  All bookkeeping is resolved in a fixed
@@ -21,15 +24,13 @@ order so identical configurations produce bit-identical runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import ConfigError, InternalInconsistencyError
 from .topology import DynamicEvent, Topology
 
 
-@dataclass(frozen=True)
-class SlotOutcome:
+class SlotOutcome(NamedTuple):
     """What happened in one global slot."""
 
     slot: int
@@ -66,7 +67,8 @@ class DiscreteEngine:
         self.protocols: dict[int, object] = {}
         self.wake_slot: dict[int, int] = {}
         self.alive: set[int] = set()
-        self._heard: dict[int, set[int]] = {}
+        self._last_wake = 0  # no node wakes after this slot
+        self._heard: dict[int, list[int]] = {}
         self._scheduled: dict[int, set[int]] = {}
         self._boundaries: dict[int, list[int]] = {}
         self._beeps: dict[int, list[int]] = {}
@@ -81,28 +83,39 @@ class DiscreteEngine:
         if wake < self.slot:
             raise ConfigError(f"node {v} would wake in the past (slot {wake})")
         self.wake_slot[v] = wake
+        self._last_wake = max(self._last_wake, wake)
         self.alive.add(v)
         self.protocols[v] = self._factory(v)
-        self._heard[v] = set()
+        self._heard[v] = []
         self._scheduled[v] = set()
         self._boundaries.setdefault(wake, []).append(v)
 
     def _retire(self, v: int) -> None:
         # drop the node's queued beeps and boundary, so a node re-added
-        # under the same id does not inherit them
+        # under the same id does not inherit them; a list left empty goes
+        # too, so that its slot stays silent
         self.alive.discard(v)
-        self._heard.pop(v, None)
+        del self._heard[v]
+        beeps = self._beeps
         for t in self._scheduled.pop(v):
-            self._beeps[t] = [u for u in self._beeps[t] if u != v]
+            kept = [u for u in beeps[t] if u != v]
+            if kept:
+                beeps[t] = kept
+            else:
+                del beeps[t]
         wake = self.wake_slot[v]
         pending = wake if wake >= self.slot else self.slot + (wake - self.slot) % self.q
-        self._boundaries[pending].remove(v)
+        due = self._boundaries[pending]
+        due.remove(v)
+        if not due:
+            del self._boundaries[pending]
 
     # -- queries ---------------------------------------------------------
 
     def pending_phases(self, v: int) -> tuple[int, ...]:
         """Phases heard so far in the current local period of ``v``."""
-        return tuple(sorted(self._heard[v]))
+        wake, q = self.wake_slot[v], self.q
+        return tuple([(t - wake) % q for t in self._heard[v]])
 
     def fingerprint(self, v: int):
         """Full protocol-visible state of a node, for coupling experiments."""
@@ -155,10 +168,12 @@ class DiscreteEngine:
         if due:
             due.sort()
             beeps, protocols, observer = self._beeps, self.protocols, self.observer
+            start = s - q  # the local period ending here began at slot s - Q
             for v in due:
-                got = tuple(sorted(heard[v]))
-                heard[v] = set()
+                slots = heard[v]
+                heard[v] = []
                 if s != wake_slot[v]:  # the first period is listen only
+                    got = tuple([t - start for t in slots])
                     for off in protocols[v].on_period_end(got):
                         if not 0 <= off <= q:
                             raise InternalInconsistencyError(
@@ -170,21 +185,26 @@ class DiscreteEngine:
                     observer.on_period_boundary(self, v, s)
             self._boundaries.setdefault(s + q, []).extend(due)  # never an empty list
 
-        # each listener hears the slot at one phase of its own clock, however
-        # many neighbours beep; phases go into sets, so beeper order is free
-        beepers = frozenset(self._beeps.pop(s, ()))
-        heard_now = set()
-        if beepers:
-            neighbors = self.topology.neighbors
-            listeners = set()
-            for u in beepers:
-                scheduled[u].discard(s)
-                listeners.update(neighbors(u))
-            for v in listeners - beepers:
-                wake = wake_slot[v]
-                if s >= wake:
-                    heard[v].add((s - wake) % q)
-                    heard_now.add(v)
+        # a listener hears the slot once however many neighbours beep: it
+        # appends s unless its list already ends with s
+        beepers = self._beeps.pop(s, None)
+        if not beepers:
+            self.slot = s + 1
+            return SlotOutcome(s, frozenset(), frozenset())
+        beepers = frozenset(beepers)
+        neighbors = self.topology.neighbors
+        sleepers = s < self._last_wake  # some node may not be awake yet
+        heard_now = []
+        for u in beepers:
+            scheduled[u].discard(s)
+            for v in neighbors(u):
+                slots = heard[v]
+                if (slots and slots[-1] == s) or v in beepers:
+                    continue
+                if sleepers and s < wake_slot[v]:
+                    continue
+                slots.append(s)
+                heard_now.append(v)
 
         self.slot = s + 1
         return SlotOutcome(s, beepers, frozenset(heard_now))

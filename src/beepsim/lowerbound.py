@@ -91,15 +91,16 @@ def twin_coupling_experiment(
     retained = [0] * slots
 
     for trial in range(trials):
-
-        def factory(v: int) -> JitterAndJump:
-            if shared_randomness and v in twin_index:
-                key = (seed, trial, "twin", twin_index[v], "protocol")
-            else:
-                key = (seed, trial, v, "protocol")
-            return JitterAndJump(q, cfg.eta, rngmod.stream(*key))
-
-        engine = DiscreteEngine(topo, q, factory, {v: 0 for v in topo.nodes})
+        keys = [
+            (seed, trial, "twin", twin_index[v], "protocol")
+            if shared_randomness and v in twin_index
+            else (seed, trial, v, "protocol")
+            for v in topo.nodes
+        ]
+        gens = dict(zip(topo.nodes, rngmod.streams(keys)))
+        engine = DiscreteEngine(
+            topo, q, lambda v: JitterAndJump(q, cfg.eta, gens[v]), {v: 0 for v in topo.nodes}
+        )
         alive_pairs = set(range(len(pairs)))
         changed = alive_pairs  # pairs whose identity must be recomputed
         identical: set[int] = set()

@@ -187,6 +187,12 @@ class JitterJumpResult:
         return None
 
 
+def _protocol_streams(master: int, seed_key: tuple, nodes) -> dict:
+    """Each node's protocol stream, keyed ``(master, *seed_key, v, "protocol")``."""
+    keys = [(master, *seed_key, v, "protocol") for v in nodes]
+    return dict(zip(nodes, rngmod.streams(keys)))
+
+
 def run_jitterjump_trial(
     topology: Topology,
     cfg: SimConfig,
@@ -214,15 +220,15 @@ def run_jitterjump_trial(
         cfg.wakeup, topology.nodes, q, rngmod.stream(master, *seed_key, "wakeup")
     )
     window = cfg.window_length(n)
+    # the initial nodes' streams in one batch; a node added by an event,
+    # or re-added under a removed node's id, builds its own
+    initial = _protocol_streams(master, seed_key, topology.nodes)
 
     def factory(v: int) -> JitterAndJump:
-        return JitterAndJump(
-            q,
-            cfg.eta,
-            rngmod.stream(master, *seed_key, v, "protocol"),
-            dynamic=cfg.dynamic,
-            window=window,
-        )
+        gen = initial.pop(v, None)
+        if gen is None:
+            gen = rngmod.stream(master, *seed_key, v, "protocol")
+        return JitterAndJump(q, cfg.eta, gen, dynamic=cfg.dynamic, window=window)
 
     checks = _BoundaryChecks(cfg.eta, q, cfg.dynamic, collect_rows)
     engine = DiscreteEngine(topology, q, factory, wake, events=events, observer=checks)
@@ -314,12 +320,14 @@ def run_beepfirst_trial(
         cfg.wakeup, topology.nodes, t_period, rngmod.stream(master, *seed_key, "wakeup")
     )
 
+    gens = _protocol_streams(master, seed_key, topology.nodes)
+
     def factory(v: int) -> BeepFirst:
         return BeepFirst(
             cfg.epsilon,
             topology.degree(v),
             topology.max_neighborhood_degree(v),
-            rngmod.stream(master, *seed_key, v, "protocol"),
+            gens[v],
         )
 
     engine = ContinuousEngine(topology, factory, wake)

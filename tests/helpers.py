@@ -128,7 +128,15 @@ def valid_events(topo, candidates):
 
 class ReferenceEngine(DiscreteEngine):
     """The engine with its slot step written out one node and one beeper at a
-    time, beepers in id order: the oracle for ``DiscreteEngine.step_slot``."""
+    time, beepers in id order, and each node's heard phases kept as a set:
+    the oracle for ``DiscreteEngine.step_slot`` and ``pending_phases``."""
+
+    def _admit(self, v, wake):
+        super()._admit(v, wake)
+        self._heard[v] = set()  # phases of its own clock, not global slots
+
+    def pending_phases(self, v):
+        return tuple(sorted(self._heard[v]))
 
     def step_slot(self) -> SlotOutcome:
         s = self.slot

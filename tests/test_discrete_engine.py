@@ -314,6 +314,10 @@ def test_run_slots_matches_stepping_every_slot(case):
                 and stepping.topology.neighbors(v) & out.beeped
             }
             assert out.heard == expected
+            assert stepping.alive == reference.alive
+            for v in reference.alive:
+                assert stepping.pending_phases(v) == reference.pending_phases(v)
+                assert stepping.fingerprint(v) == reference.fingerprint(v)
         # run_slots returns the last slot it stepped; every later slot is silent
         later = outs if last is None else outs[outs.index(last) + 1:]
         assert not any(out.beeped or out.heard for out in later)

@@ -112,15 +112,16 @@ def topology_edits(draw):
 def protocol_stream_states(run, topology, cfg):
     """Run one trial and return each node's protocol stream state at creation."""
     states = {}
-    stream = rngmod.stream
+    streams = rngmod.streams  # rng.stream goes through it too
 
-    def recording(*key):
-        gen = stream(*key)
-        if key[-1] == "protocol":
-            states[key[-2]] = gen.bit_generator.state
-        return gen
+    def recording(keys):
+        gens = streams(keys)
+        for key, gen in zip(keys, gens):
+            if key[-1] == "protocol":
+                states[key[-2]] = gen.bit_generator.state
+        return gens
 
-    with mock.patch.object(rngmod, "stream", recording):
+    with mock.patch.object(rngmod, "streams", recording):
         run(topology, cfg, seed_key=("edit",))
     return states
 
