@@ -3,7 +3,8 @@
 A node listens for a random prefix, then for one full period, and then
 scans forward for the first phase whose surrounding buffer is clear of
 every beep heard so far, extending its listening as the candidate moves.
-Once found it beeps at that phase every period forever.  Buffer lengths
+Once found it beeps at that phase and hands the engine a :class:`Cycle`
+that beeps there every period forever.  Buffer lengths
 are randomized through a continuous draw so no two nodes ever settle on
 the same phase.
 
@@ -14,7 +15,7 @@ the topology.
 
 from __future__ import annotations
 
-from .continuous import CONTINUOUS_PERIOD, Beep, Listen, Rebase
+from .continuous import CONTINUOUS_PERIOD, Beep, Cycle, Listen, Rebase
 from .errors import ProtocolViolation
 from .phases import PhaseSet, lift_onto
 
@@ -92,8 +93,5 @@ class BeepFirst:
 
         beeped_at = yield Beep()
         self.stable_since = beeped_at
-        yield Listen(t_period - p)
-        while True:
-            yield Listen(p)
-            yield Beep()
-            yield Listen(t_period - p)
+        # listen out the period, listen up to p, beep: the engine repeats it
+        yield Cycle(t_period - p, p)

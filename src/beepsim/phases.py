@@ -9,6 +9,7 @@ the arc 8, 9, 0, 1, 2.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -72,9 +73,21 @@ class PhaseSet:
         return value % self.period in self.phases
 
     def range_query(self, a, b) -> "PhaseSet":
-        """Subset of phases in the wrap-aware closed range [a, b]."""
+        """Subset of phases in the wrap-aware closed range [a, b].
+
+        The same comparisons as :func:`in_range`, made by bisection over
+        the sorted members, which are already reduced mod ``period``.  A
+        wrapped range is the members up to ``y`` followed by those from
+        ``x`` on, so the result stays ascending.
+        """
         tau = self.period
-        kept = tuple(p for p in self.phases if in_range(p, a, b, tau))
+        phases = self.phases
+        x = a % tau
+        y = b % tau
+        if x <= y:
+            kept = phases[bisect_left(phases, x):bisect_right(phases, y)]
+        else:
+            kept = phases[:bisect_right(phases, y)] + phases[bisect_left(phases, x):]
         return PhaseSet(kept, tau)
 
     def union(self, values: Iterable) -> "PhaseSet":

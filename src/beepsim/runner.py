@@ -321,14 +321,11 @@ def run_beepfirst_trial(
     )
 
     gens = _protocol_streams(master, seed_key, topology.nodes)
+    degree = {v: topology.degree(v) for v in topology.nodes}
 
     def factory(v: int) -> BeepFirst:
-        return BeepFirst(
-            cfg.epsilon,
-            topology.degree(v),
-            topology.max_neighborhood_degree(v),
-            gens[v],
-        )
+        d_max = max([degree[v]] + [degree[u] for u in topology.neighbors(v)])
+        return BeepFirst(cfg.epsilon, degree[v], d_max, gens[v])
 
     engine = ContinuousEngine(topology, factory, wake)
     overruns = 0

@@ -138,12 +138,14 @@ def gnp(n: int, p: float, rng: np.random.Generator) -> Topology:
     """Erdos-Renyi G(n, p)."""
     if n < 1 or not 0.0 <= p <= 1.0:
         raise ConfigError("gnp needs n >= 1 and p in [0, 1]")
-    # one row of draws per node, in the order of the pairs (u, v), u < v
-    edges = []
-    for u in range(n - 1):
-        hits = np.flatnonzero(rng.random(n - u - 1) < p) + (u + 1)
-        edges += [(u, v) for v in hits.tolist()]
-    return Topology._from_simple_edges(n, edges)
+    # one draw per pair (u, v), u < v, in row order: pair k of row u has
+    # k = start[u] + (v - u - 1).  PCG64 spends one 64-bit output per
+    # double, so the values equal one random() call per pair.
+    hits = np.flatnonzero(rng.random(n * (n - 1) // 2) < p)
+    start = np.arange(n - 1) * (2 * n - 1 - np.arange(n - 1)) // 2
+    u = np.searchsorted(start, hits, side="right") - 1
+    v = hits - start[u] + u + 1
+    return Topology._from_simple_edges(n, zip(u.tolist(), v.tolist()))
 
 
 _PAIRING_ATTEMPTS = 5000

@@ -7,13 +7,14 @@
 import numpy as np
 
 from beepsim import rng as rngmod
-from beepsim.beepfirst import _first_fit
+from beepsim.beepfirst import BeepFirst, _first_fit
+from beepsim.continuous import CONTINUOUS_PERIOD, Beep, Listen, Rebase
 from beepsim.discrete import DiscreteEngine, SlotOutcome
 from beepsim.errors import ConfigError, InternalInconsistencyError
 from beepsim.config import SimConfig
 from beepsim.jitterjump import JitterAndJump
 from beepsim.lowerbound import TwinCouplingStats
-from beepsim.phases import in_range
+from beepsim.phases import PhaseSet, in_range
 from beepsim.topology import _PAIRING_ATTEMPTS, Topology, cycle_of_blocks, twin_pairs
 
 
@@ -30,6 +31,32 @@ def first_clear_phase(s, b, t_period):
             scan.send(())
     except StopIteration as done:
         return done.value
+
+
+class LoopBeepFirst(BeepFirst):
+    """Beep-first with its settled phase spelled out as listens and beeps,
+    resumed by the engine at every one: the oracle for ``Cycle``."""
+
+    def run(self):
+        t_period = CONTINUOUS_PERIOD
+        self.eps_v = float(self.rng.uniform(0.0, self.epsilon))
+        self.interval = (1.0 - self.epsilon) * t_period / (2.0 * (self.d_max + 1))
+        self.b = (1.0 - self.eps_v) * t_period / (2.0 * (self.d + 1))
+        yield Listen(self.eps_v)
+        yield Rebase()
+
+        heard = yield Listen(t_period)
+        s = PhaseSet.from_iterable(heard, t_period)
+        p, self.search_listening = yield from _first_fit(s, self.b, t_period)
+        self.p = p
+
+        beeped_at = yield Beep()
+        self.stable_since = beeped_at
+        yield Listen(t_period - p)
+        while True:
+            yield Listen(p)
+            yield Beep()
+            yield Listen(t_period - p)
 
 
 def collision_escape_trial(cfg, seed_key) -> bool:

@@ -1,9 +1,13 @@
 """Continuous first-fit protocol: initialization, search, stability."""
 
-import pytest
-from helpers import first_clear_phase
+import gc
+from unittest.mock import patch
 
-from beepsim import rng
+import pytest
+from helpers import LoopBeepFirst, first_clear_phase
+from hypothesis import given, settings, strategies as st
+
+from beepsim import continuous, rng, runner
 from beepsim.beepfirst import BeepFirst
 from beepsim.config import SimConfig
 from beepsim.phases import PhaseSet, wrap_distance
@@ -169,3 +173,88 @@ def test_staggered_wakeup_still_settles_within_three_periods():
     assert result.all_stable
     assert result.late_nodes == 0
     assert result.max_stable_delay < 3.0
+
+
+def trial_and_engine(topo, cfg, protocol_cls):
+    """``run_beepfirst_trial`` with CSV rows, driving ``protocol_cls``, and
+    the engine it ran."""
+    engines = []
+
+    class Recording(continuous.ContinuousEngine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            engines.append(self)
+
+    with patch.object(runner, "ContinuousEngine", Recording), \
+            patch.object(runner, "BeepFirst", protocol_cls):
+        result = run_beepfirst_trial(topo, cfg, seed_key=("cycle",), collect_rows=True)
+    return result, engines[0]
+
+
+def assert_same_run(topo, cycled, looped):
+    (res, eng), (ref, ref_eng) = cycled, looped
+    for v in topo.nodes:
+        assert eng.beep_log(v) == ref_eng.beep_log(v)
+        assert eng.heard_log(v) == ref_eng.heard_log(v)
+        assert eng.theta(v) == ref_eng.theta(v)
+        assert res.protocols[v].stable_since == ref.protocols[v].stable_since
+        assert res.protocols[v].p == ref.protocols[v].p
+    assert eng.tie_collisions == ref_eng.tie_collisions == res.tie_collisions
+    assert res.rows == ref.rows
+    assert res.snapshot == ref.snapshot
+    # the cycle ran: some node beeped again after settling
+    assert any(len(eng.beep_log(v)) > 1 for v in topo.nodes)
+
+
+@st.composite
+def cycle_cases(draw):
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    if draw(st.booleans()):
+        topo = gnp(draw(st.integers(min_value=2, max_value=24)),
+                   draw(st.sampled_from((0.1, 0.3))), rng.stream(seed, "g"))
+    else:
+        topo = clique(draw(st.integers(min_value=1, max_value=8)))
+    wakeup = draw(st.sampled_from(("simultaneous", "random", "stagger:1")))
+    return topo, bf_config(master_seed=seed, wakeup=wakeup)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cycle_cases())
+def test_cycle_matches_listen_listen_beep_loop(case):
+    topo, cfg = case
+    assert_same_run(topo, trial_and_engine(topo, cfg, BeepFirst),
+                    trial_and_engine(topo, cfg, LoopBeepFirst))
+
+
+@pytest.mark.parametrize("seed", (37, 38, 39))
+def test_cycle_matches_loop_with_coincident_beeps(seed):
+    # twins on one stream beep at the same instants every period
+    topo = Topology.from_edges(3, [(0, 2), (1, 2)])
+    runs = []
+    for cls in (BeepFirst, LoopBeepFirst):
+        def factory(v, cls=cls):
+            key = (seed, "twin", "p") if v in (0, 1) else (seed, v, "p")
+            return cls(0.1, topo.degree(v), topo.max_neighborhood_degree(v), rng.stream(*key))
+
+        engine = continuous.ContinuousEngine(topo, factory, {v: 0.0 for v in topo.nodes})
+        engine.run_until(6.0)
+        runs.append(engine)
+    new, old = runs
+    assert new.tie_collisions == old.tie_collisions >= 4
+    for v in topo.nodes:
+        assert new.beep_log(v) == old.beep_log(v)
+        assert new.heard_log(v) == old.heard_log(v)
+
+
+def test_trial_engine_is_freed_without_the_cycle_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        result = run_beepfirst_trial(gnp(32, 0.2, rng.stream(5, "g")), bf_config(master_seed=5),
+                                     seed_key=("mem",))
+        assert result.all_stable
+        del result
+        leaked = [o for o in gc.get_objects() if type(o) is continuous._Node]
+    finally:
+        gc.enable()
+    assert leaked == []

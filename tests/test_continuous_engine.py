@@ -6,7 +6,8 @@ sums and phases compare exactly.
 
 import pytest
 
-from beepsim.continuous import CONTINUOUS_PERIOD, Beep, ContinuousEngine, Listen, Rebase
+from beepsim.continuous import CONTINUOUS_PERIOD, Beep, ContinuousEngine, Cycle, Listen, Rebase
+from beepsim.errors import ConfigError
 from beepsim.topology import Topology
 
 
@@ -154,3 +155,47 @@ def test_theta_reports_rebased_origin():
     engine, _ = build(topo, {0: [Listen(0.375), Rebase(), Listen(1.0)]})
     engine.run_until(0.5)
     assert engine.theta(0) == pytest.approx(0.375)
+
+
+def cycle_with_neighbors(neighbor_scripts, run_to):
+    """Node 1 cycles from t=0 (listen 0.25, listen 0.75, beep); nodes 0 and 2
+    are its neighbors, node 3 hangs off node 2 and only listens."""
+    topo = Topology.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    scripts = {1: [Cycle(0.25, 0.75)], **neighbor_scripts}
+    engine, protos = build(topo, scripts)
+    engine.run_until(run_to)
+    return engine, protos
+
+
+def test_cycle_beeps_at_the_end_of_each_window():
+    engine, protos = cycle_with_neighbors({}, 3.0)
+    assert engine.beep_log(1) == (1.0, 2.0, 3.0)
+    assert protos[1].results == []  # never resumed after the cycle
+    assert protos[0].results == [(), (0.0,), (0.0,)]
+
+
+def test_cycle_hears_a_beep_at_now_plus_first():
+    # the two listens are one window: the instant between them is inside it
+    engine, _ = cycle_with_neighbors({0: [Listen(0.25), Beep()]}, 1.0)
+    assert engine.heard_log(1) == (0.25,)
+
+
+def test_cycle_misses_beeps_at_its_own_beep_instant():
+    # node 0 beeps at 1.0 just before node 1 (lower id), node 2 just after
+    engine, _ = cycle_with_neighbors(
+        {0: [Listen(1.0), Beep()], 2: [Listen(1.0), Beep(), Listen(0.5), Beep()]}, 2.0)
+    assert engine.beep_log(1) == (1.0, 2.0)
+    assert engine.heard_log(1) == (1.5,)
+    assert engine.tie_collisions == 2
+
+
+def test_cycle_zero_second_listen_beeps_once_per_period():
+    engine, _ = cycle_with_neighbors({1: [Listen(0.125), Beep(), Cycle(1.0, 0.0)]}, 3.5)
+    assert engine.beep_log(1) == (0.125, 1.125, 2.125, 3.125)
+
+
+def test_cycle_rejects_negative_durations():
+    topo = Topology.from_edges(1, [])
+    engine, _ = build(topo, {0: [Cycle(0.5, -0.25)]})
+    with pytest.raises(ConfigError):
+        engine.run_until(1.0)

@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from beepsim.phases import PhaseSet, in_range, lift_onto, wrap_distance
 
@@ -76,21 +76,32 @@ def test_partition_property(case):
     assert not (left & right)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(min_value=2, max_value=32).flatmap(
-        lambda q: st.tuples(
-            st.just(q),
-            st.sets(st.integers(min_value=0, max_value=q - 1), max_size=8),
-            st.integers(min_value=0, max_value=q - 1),
-            st.integers(min_value=0, max_value=q - 1),
-            st.integers(min_value=0, max_value=q - 1),
-        )
-    )
-)
+@st.composite
+def range_cases(draw):
+    """A set, a range whose endpoints are often members, and a probe.
+
+    Endpoints also come out equal (``a == b``), reversed (a wrapped
+    range) and outside [0, q) (reduced first)."""
+    q = draw(st.integers(min_value=2, max_value=32))
+    values = draw(st.sets(st.integers(min_value=0, max_value=q - 1), max_size=8))
+    point = st.integers(min_value=-q, max_value=2 * q)
+    if values:
+        point = st.one_of(st.sampled_from(sorted(values)), point)
+    a = draw(point)
+    b = draw(st.one_of(st.just(a), point))
+    probe = draw(st.integers(min_value=0, max_value=q - 1))
+    return q, values, a, b, probe
+
+
+@settings(max_examples=300, deadline=None)
+@example((10, {1, 5, 9}, 9, 1, 0))  # wrapped, both endpoints members
+@example((10, {1, 5, 9}, 5, 5, 5))  # a == b on a member
+@example((10, {1, 5, 9}, 4, 4, 4))  # a == b between members
+@example((10, {0, 9}, 9, 0, 9))  # wrapped range of exactly the two ends
+@given(range_cases())
 def test_in_range_matches_range_query(case):
     q, values, a, b, probe = case
     s = make(values, q)
-    assert (probe in set(s.range_query(a, b))) == (
-        probe in values and in_range(probe, a, b, q)
-    )
+    got = tuple(s.range_query(a, b))
+    assert got == tuple(sorted(x for x in values if in_range(x, a, b, q)))  # ascending
+    assert (probe in set(got)) == (probe in values and in_range(probe, a, b, q))
