@@ -112,9 +112,8 @@ def symmetric_window_violations(snapshot: ColoringSnapshot, topology: Topology) 
         su, sv = states.get(u), states.get(v)
         if su is None or sv is None or su.global_phase is None or sv.global_phase is None:
             continue
-        if wrap_distance(su.global_phase, sv.global_phase, tau) <= (sv.interval or 0):
-            bad.append((u, v))
-        elif wrap_distance(su.global_phase, sv.global_phase, tau) <= (su.interval or 0):
+        d = wrap_distance(su.global_phase, sv.global_phase, tau)
+        if d <= (sv.interval or 0) or d <= (su.interval or 0):
             bad.append((u, v))
     return bad
 

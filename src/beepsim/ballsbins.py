@@ -132,6 +132,6 @@ def amplification_rounds(c: float, p: float, q: float, n: float) -> float:
     """
     if not 0.0 < p <= 1.0:
         raise ConfigError(f"probability p must lie in (0, 1], got {p}")
-    if c < 1 or q < 0 or n < 2:
-        raise ConfigError("need c >= 1, q >= 0, n >= 2")
+    if not all(map(math.isfinite, (c, q, n))) or c < 1 or q < 0 or n < 2:
+        raise ConfigError(f"need finite c >= 1, q >= 0, n >= 2, got c={c}, q={q}, n={n}")
     return (c * (q + 1) / p) * math.log(n)

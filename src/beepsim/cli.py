@@ -86,7 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bb = osub.add_parser("ballsbins", help="occupancy distribution oracle")
     p_bb.add_argument("--m", type=int, required=True)
     p_bb.add_argument("--n", type=int, required=True)
-    p_bb.add_argument("--trials", type=int, default=None, help="optional Monte Carlo check")
+    p_bb.add_argument("--trials", type=_at_least_one, default=None,
+                      help="optional Monte Carlo check")
     p_bb.add_argument("--seed", type=int, default=1)
 
     p_amp = osub.add_parser("amplify", help="success-probability amplification calculator")
@@ -358,7 +359,7 @@ def _cmd_oracle(args) -> int:
         if args.m >= 12 and args.n >= args.m:
             ok = p_gt > Fraction(1, 2) and ez > Fraction(args.m, 2)
             print(f"gates (P > 1/2, E > m/2): {'pass' if ok else 'FAIL'}")
-        if args.trials:
+        if args.trials is not None:
             emp = bb_montecarlo(args.m, args.n, args.trials, args.seed)
             worst = 0.0
             rare = 0

@@ -22,34 +22,12 @@ from collections import deque
 from typing import NamedTuple
 
 from .errors import ProtocolViolation
+from .rng import RawDraws
 
 
 def buffer_length(eta: float, q: int, estimate: int) -> int:
     """Guard buffer in slots: floor(eta*Q/(estimate+1)), at least 1."""
     return max(1, math.floor(eta * q / (estimate + 1)))
-
-
-def measured_interval(heard: tuple[int, ...], phase: int, q: int) -> int:
-    """Largest s such that no beep was heard in [phase-s, phase].
-
-    Q-1 when nothing was heard at all; 0 when a beep landed on the phase
-    itself (the node is about to restart anyway in that case).
-    """
-    if not heard:
-        return q - 1
-    gap = min([(phase - x) % q for x in heard])
-    return gap - 1 if gap else 0
-
-
-def heard_in_range(heard, a, b, q) -> bool:
-    """Whether a heard phase lies in the wrap-aware closed range [a, b] (the
-    range of ``phases.in_range``): x is in it exactly when its distance
-    forward from a is at most the range's."""
-    width = (b - a) % q
-    for x in heard:
-        if (x - a) % q <= width:
-            return True
-    return False
 
 
 def free_slots(heard, b: int, q: int, own_phase: int | None = None) -> list[int]:
@@ -97,13 +75,15 @@ class JitterAndJump:
     """Node-local state machine driven by :class:`DiscreteEngine`.
 
     The protocol is anonymous: it sees only its own random stream and the
-    phases it heard, never a node identity.
+    phases it heard, never a node identity.  It takes every draw from the
+    raw words of ``rng`` (see :class:`RawDraws`), so nothing else may read
+    that generator.
     """
 
     def __init__(self, q: int, eta: float, rng, dynamic: bool = False, window: int = 1):
         self.q = q
         self.eta = eta
-        self.rng = rng
+        self._draws = RawDraws(rng)
         self.dynamic = dynamic
         self.colored = False
         self.p: int | None = None
@@ -132,10 +112,26 @@ class JitterAndJump:
             d_tilde = max(self.d_tilde, d_star)
         b = buffer_length(self.eta, q, d_tilde)
         if self.period:
-            interval = self.interval = measured_interval(heard, p, q)
-            if not heard_in_range(heard, p - b, p + b, q):
+            # one pass over the heard phases, by their distance d back from
+            # p: the interval is the least d less 1, and a phase lies in the
+            # wrap-aware range [p-b, p+b] (or [p-1, p+2]) when its distance
+            # from the range's start, (b - d) mod Q (or (1 - d) mod Q), is at
+            # most the range's width mod Q, as in phases.in_range
+            gap, wide, narrow = q, 2 * b % q, 3 % q
+            in_buffer = near = False
+            for x in heard:
+                d = (p - x) % q
+                if d < gap:
+                    gap = d
+                if (b - d) % q <= wide:
+                    in_buffer = True
+                if (1 - d) % q <= narrow:
+                    near = True
+            # Q-1 when nothing was heard; 0 when a beep landed on p itself
+            interval = self.interval = gap - 1 if gap else 0
+            if not in_buffer:
                 colored = True
-            elif heard_in_range(heard, p - 1, p + 2, q):
+            elif near:
                 colored = False
             if dynamic and d_star < d_tilde / 16:
                 d_tilde = max(d_star, 1)
@@ -154,17 +150,17 @@ class JitterAndJump:
                     f"no free slots (Q={q}, b={b}, heard={n_heard}); "
                     "parameters are outside the supported regime"
                 )
-        rng = self.rng
+        below = self._draws.below
         if not colored:
-            self.p = free[rng.integers(free_count)]
+            self.p = free[below(free_count)]
         used_jitter = self.jitter
-        jitter = self.jitter = int(rng.integers(2))
+        jitter = self.jitter = below(2)
         # the jittered beep position is modular: at p = Q-1 a jitter of 1
         # beeps in slot 0 of the same period, keeping the node audible once
         # per period window exactly as the modular window checks assume
         offsets = ((self.p + jitter) % q,)
         if dynamic:
-            self.p_prime = free[rng.integers(free_count)]
+            self.p_prime = free[below(free_count)]
             offsets += (self.p_prime,)
 
         self.last_report = PeriodReport(

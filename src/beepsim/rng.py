@@ -12,6 +12,13 @@ A key's stream is ``PCG64`` seeded by numpy's ``SeedSequence`` over the
 encoded key.  :func:`streams` computes the seed sequences of a whole batch
 of keys as uint32 array operations, with values identical to
 ``np.random.SeedSequence(entropy).generate_state(4, np.uint64)``.
+
+A jitter-and-jump node draws through :class:`RawDraws`: it reads its
+stream's raw 64-bit words, low 32-bit half first, and maps each half to
+[0, n) by Lemire's multiply-shift rejection, exactly as numpy's
+``Generator.integers(n)`` does, so its draws equal numpy's.  It keeps the
+unused high half itself, and numpy keeps its own in the bit generator, so
+nothing else may read that node's ``Generator``.
 """
 
 from __future__ import annotations
@@ -99,6 +106,40 @@ class _SeedWords(ISeedSequence):
         if n_words != _POOL or np.dtype(dtype) != np.uint64:
             raise ValueError("batched seed words serve PCG64's 4 x uint64 request only")
         return self.words
+
+
+class RawDraws:
+    """``gen.integers(n)`` for 1 <= n <= 2**32, drawn from ``gen``'s raw words.
+
+    Lemire's rule ("Fast Random Integer Generation in an Interval", ACM
+    TOMACS 2019) on 32-bit halves, low half first: ``m = x*n``, redrawn
+    while ``m mod 2**32 < (2**32 - n) mod n``, gives ``m >> 32``.  A bound
+    of 1 draws nothing; a bound of 2 never redraws and is a half's top bit.
+    The pending high half is kept here, not in ``gen``.
+    """
+
+    __slots__ = ("_bits", "_half")
+
+    def __init__(self, gen: np.random.Generator):
+        self._bits = gen.bit_generator
+        self._half: int | None = None
+
+    def below(self, n: int) -> int:
+        if n == 1:
+            return 0
+        while True:
+            half = self._half
+            if half is None:
+                word = self._bits.random_raw()
+                self._half = word >> 32
+                half = word & _WORD
+            else:
+                self._half = None
+            m = half * n
+            low = m & _WORD
+            # the threshold is below n, so only low < n needs the modulo
+            if low >= n or low >= (_WORD + 1 - n) % n:
+                return m >> 32
 
 
 def streams(keys) -> list[np.random.Generator]:

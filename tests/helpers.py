@@ -10,9 +10,9 @@ from beepsim import rng as rngmod
 from beepsim.beepfirst import BeepFirst, _first_fit
 from beepsim.continuous import CONTINUOUS_PERIOD, Beep, Listen, Rebase
 from beepsim.discrete import DiscreteEngine, SlotOutcome
-from beepsim.errors import ConfigError, InternalInconsistencyError
+from beepsim.errors import ConfigError, InternalInconsistencyError, ProtocolViolation
 from beepsim.config import SimConfig
-from beepsim.jitterjump import JitterAndJump
+from beepsim.jitterjump import JitterAndJump, PeriodReport, buffer_length, free_slots
 from beepsim.lowerbound import TwinCouplingStats
 from beepsim.phases import PhaseSet, in_range
 from beepsim.topology import _PAIRING_ATTEMPTS, Topology, cycle_of_blocks, twin_pairs
@@ -83,18 +83,79 @@ def collision_escape_trial(cfg, seed_key) -> bool:
 
 def heard_in_range_reference(heard, a, b, q):
     """Any heard phase in the wrap-aware closed range [a, b], one
-    ``phases.in_range`` call per phase: the oracle for
-    ``jitterjump.heard_in_range``."""
+    ``phases.in_range`` call per phase: the buffer and near tests of
+    ``ReferenceJitterAndJump``."""
     return any(in_range(x, a, b, q) for x in heard)
 
 
 def measured_interval_reference(heard, phase, q):
-    """Largest s with no heard beep in [phase-s, phase], clamped at 0: the
-    oracle for ``jitterjump.measured_interval``."""
+    """Largest s with no heard beep in [phase-s, phase], clamped at 0, and
+    Q-1 when nothing was heard: the interval of ``ReferenceJitterAndJump``."""
     if not heard:
         return q - 1
     gap = min((phase - x) % q for x in heard)
     return max(gap - 1, 0)
+
+
+class ReferenceJitterAndJump(JitterAndJump):
+    """Jitter-and-jump with one window check per pass over the heard phases
+    and every draw from ``Generator.integers``: the oracle for the one-pass
+    period digest and the raw-word draws of ``JitterAndJump``."""
+
+    def __init__(self, q, eta, rng, dynamic=False, window=1):
+        super().__init__(q, eta, rng, dynamic=dynamic, window=window)
+        self.rng = rng
+
+    def on_period_end(self, heard):
+        q, p, dynamic, colored = self.q, self.p, self.dynamic, self.colored
+        n_heard = len(heard)
+        interval, reset = None, False
+        if dynamic:
+            self._window.append(n_heard)
+            d_star = self.d_star = max(self._window)
+        if self.period == 0 or not dynamic:
+            d_tilde = max(n_heard, 1)
+        else:
+            d_tilde = max(self.d_tilde, d_star)
+        b = buffer_length(self.eta, q, d_tilde)
+        if self.period:
+            interval = self.interval = measured_interval_reference(heard, p, q)
+            if not heard_in_range_reference(heard, p - b, p + b, q):
+                colored = True
+            elif heard_in_range_reference(heard, p - 1, p + 2, q):
+                colored = False
+            if dynamic and d_star < d_tilde / 16:
+                d_tilde = max(d_star, 1)
+                b = buffer_length(self.eta, q, d_tilde)
+                colored = False
+                self.resets += 1
+                reset = True
+        self.d_tilde, self.b, self.colored = d_tilde, b, colored
+
+        free_count = None
+        if not colored or dynamic:
+            free = free_slots(heard, b, q, own_phase=p)
+            free_count = len(free)
+            if not free:
+                raise ProtocolViolation(
+                    f"no free slots (Q={q}, b={b}, heard={n_heard}); "
+                    "parameters are outside the supported regime"
+                )
+        rng = self.rng
+        if not colored:
+            self.p = free[rng.integers(free_count)]
+        used_jitter = self.jitter
+        jitter = self.jitter = int(rng.integers(2))
+        offsets = ((self.p + jitter) % q,)
+        if dynamic:
+            self.p_prime = free[rng.integers(free_count)]
+            offsets += (self.p_prime,)
+
+        self.last_report = PeriodReport(
+            self.period, p, used_jitter, interval, n_heard, colored, free_count, reset
+        )
+        self.period += 1
+        return offsets
 
 
 def gnp_reference(n, p, rng):

@@ -129,3 +129,7 @@ def test_amplification_examples():
         amplification_rounds(1, 0.0, 1, 16)
     with pytest.raises(ConfigError):
         amplification_rounds(1, 1.5, 1, 16)
+    for bad in ((math.nan, 0.5, 1, 16), (1, 0.5, math.nan, 16), (1, 0.5, 1, math.nan),
+                (math.inf, 0.5, 1, 16), (1, 0.5, math.inf, 16), (1, 0.5, 1, math.inf)):
+        with pytest.raises(ConfigError):
+            amplification_rounds(*bad)

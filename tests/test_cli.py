@@ -206,6 +206,16 @@ def test_oracle_amplify_domain_error(capsys):
                     "--q", "1", "--n", "16"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--c", "--q", "--n"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_oracle_amplify_rejects_non_finite_parameters(flag, value, capsys):
+    values = {"--c": "1", "--p": "0.5", "--q": "1", "--n": "4", flag: value}
+    assert run_cli(["oracle", "amplify", *(x for pair in values.items() for x in pair)]) == 2
+    captured = capsys.readouterr()
+    assert "finite" in captured.err
+    assert captured.out == ""
+
+
 def test_oracle_lowerbound(capsys):
     code = run_cli(["oracle", "lowerbound", "--k", "4", "--slots", "256",
                     "--trials", "20", "--seed", "2"])
@@ -243,6 +253,7 @@ def test_sweep_text_summary_labels_the_median_fit(capsys):
     ["dynamic", "--graph", "clique:4", "--trials", "0"],
     ["oracle", "lowerbound", "--k", "4", "--slots", "40", "--trials", "0"],
     ["oracle", "lowerbound", "--k", "4", "--slots", "0", "--trials", "5"],
+    ["oracle", "ballsbins", "--m", "5", "--n", "5", "--trials", "0"],
 ])
 def test_counts_below_one_exit_2(args, capsys):
     with pytest.raises(SystemExit) as exc:

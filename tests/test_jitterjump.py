@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
+    ReferenceJitterAndJump,
     collision_escape_trial,
     heard_in_range_reference,
     measured_interval_reference,
@@ -14,14 +15,12 @@ from helpers import (
 
 from beepsim import rng
 from beepsim.config import SimConfig
-from beepsim.errors import ConfigError
+from beepsim.errors import ConfigError, ProtocolViolation
 from beepsim.jitterjump import (
     JitterAndJump,
     PeriodReport,
     buffer_length,
     free_slots,
-    heard_in_range,
-    measured_interval,
 )
 from beepsim.phases import in_range
 from beepsim.runner import run_jitterjump_trial
@@ -123,10 +122,10 @@ def test_broadcast_reference_matches_in_range(case):
 
 
 def test_measured_interval():
-    assert measured_interval((), 10, 32) == 31
-    assert measured_interval((5,), 10, 32) == 4
-    assert measured_interval((10,), 10, 32) == 0  # own slot occupied
-    assert measured_interval((11,), 10, 32) == 30  # only a trailing beep
+    assert measured_interval_reference((), 10, 32) == 31
+    assert measured_interval_reference((5,), 10, 32) == 4
+    assert measured_interval_reference((10,), 10, 32) == 0  # own slot occupied
+    assert measured_interval_reference((11,), 10, 32) == 30  # only a trailing beep
 
 
 @st.composite
@@ -144,8 +143,61 @@ def window_cases(draw):
 @given(window_cases())
 def test_window_checks_match_literal_references(case):
     q, heard, a, b, phase = case
-    assert heard_in_range(heard, a, b, q) == heard_in_range_reference(heard, a, b, q)
-    assert measured_interval(heard, phase, q) == measured_interval_reference(heard, phase, q)
+    # the range [a, b] spelled out slot by slot, from a forward to b
+    members = {(a + i) % q for i in range((b - a) % q + 1)}
+    assert heard_in_range_reference(heard, a, b, q) == any(x % q in members for x in heard)
+    # the interval found by widening [phase-s, phase] one slot at a time
+    slots = {x % q for x in heard}
+    widest = next((max(s - 1, 0) for s in range(q) if (phase - s) % q in slots), q - 1)
+    assert measured_interval_reference(heard, phase, q) == widest
+
+
+@st.composite
+def heard_sequences(draw):
+    # tiny periods reach the wrap of the window widths (2b or 3 mod Q) and
+    # single free slots; larger ones fit enough beeps for a dynamic reset
+    q, most = draw(st.one_of(st.tuples(st.integers(min_value=1, max_value=48), st.just(8)),
+                             st.tuples(st.integers(min_value=49, max_value=256), st.just(24))))
+    heard = st.lists(st.integers(min_value=0, max_value=q - 1), unique=True,
+                     max_size=most).map(lambda xs: tuple(sorted(xs)))
+    return (
+        draw(st.booleans()),
+        q,
+        draw(st.sampled_from([1 / 16, 1 / 4, 1.0])),
+        draw(st.integers(min_value=1, max_value=4)),
+        # a colored phase to start from, as after a first period, so that
+        # periods too short for any free slot still run their window tests
+        draw(st.one_of(st.none(), st.integers(min_value=0, max_value=q - 1))),
+        draw(st.lists(heard, min_size=1, max_size=8)),
+        draw(st.integers(min_value=0, max_value=2**16)),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(heard_sequences())
+@example((False, 7, 1 / 16, 1, None, [(3,), (), (0,)], 1))  # free_count == 1
+@example((False, 3, 1 / 16, 1, 1, [(1,), (2,), (0,)], 2))  # near width 3 % 3 == 0
+@example((False, 8, 1.0, 1, 2, [(2,), (5,), ()], 3))  # buffer width 2b % Q == 0
+@example((True, 256, 1 / 16, 1, None, [tuple(range(0, 200, 10)), (), (7,)], 4))  # reset
+def test_jitterjump_matches_reference(case):
+    dynamic, q, eta, window, colored_at, periods, seed = case
+    nodes = new, ref = [cls(q, eta, rng.stream(seed, "protocol"), dynamic=dynamic, window=window)
+                        for cls in (JitterAndJump, ReferenceJitterAndJump)]
+    if colored_at is not None:
+        for node in nodes:
+            node.period, node.colored, node.p = 1, True, colored_at
+    for heard in periods:
+        outcomes = []
+        for node in nodes:
+            try:
+                outcomes.append(node.on_period_end(heard))
+            except ProtocolViolation as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        assert new.last_report == ref.last_report
+        assert new.fingerprint() == ref.fingerprint()
+        if isinstance(outcomes[0], str):
+            break
 
 
 def test_period_report_builds_positionally_and_by_keyword():
