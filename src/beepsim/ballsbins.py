@@ -4,7 +4,8 @@
 exact integer arithmetic from Stirling numbers; ``bb_enumerate``
 cross-checks it without them, by enumerating the C(m+n-1, n-1) occupancy
 vectors and weighting each by the number of placements that produce it;
-``bb_montecarlo`` samples it.  These back the
+``bb_montecarlo`` samples it, in chunks of a fixed number of draws so
+that its memory does not grow with the trial count.  These back the
 statistical arguments about how many distinct slots a node hears when its
 uncolored neighbors jump to random free slots.
 """
@@ -102,23 +103,34 @@ def bb_enumerate(m: int, n: int, limit: int = 10_000_000) -> dict[int, int]:
     return {k: c for k, c in enumerate(counts) if c}
 
 
+MONTECARLO_CHUNK_DRAWS = 393_216  # draws per chunk: about 1.5 MB as int32
+
+
 def bb_montecarlo(m: int, n: int, trials: int, seed: int) -> dict[int, float]:
-    """Empirical occupied-bin pmf from independent uniform placements."""
+    """Empirical occupied-bin pmf from independent uniform placements.
+
+    Trials are drawn ``MONTECARLO_CHUNK_DRAWS // m`` at a time (at least
+    one), so memory stays fixed however many trials are asked for.  The
+    draws do not depend on the chunk size, and for n <= 2**31 numpy draws
+    int32 and int64 bins by the same 32-bit rule, so the bins are those of
+    one ``integers(0, n, size=(trials, m))`` call.
+    """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     if m == 0:
         return {0: 1.0}
     rng = stream(seed, "ballsbins")
     counts = np.zeros(min(m, n) + 1, dtype=np.int64)
-    chunk = max(1, int(2_000_000 // m))
+    chunk = max(1, MONTECARLO_CHUNK_DRAWS // m)
+    dtype = np.int32 if n <= 2**31 else np.int64
     remaining = trials
     while remaining:
         c = min(chunk, remaining)
-        draws = rng.integers(0, n, size=(c, m))
-        if n < 2**15:  # the same bins sort faster as int16
+        draws = rng.integers(0, n, size=(c, m), dtype=dtype)
+        if n <= 2**15:  # the same bins sort faster as int16
             draws = draws.astype(np.int16)
-        srt = np.sort(draws, axis=1)
-        occ = np.count_nonzero(srt[:, 1:] != srt[:, :-1], axis=1) + 1
+        draws.sort(axis=1)
+        occ = np.count_nonzero(draws[:, 1:] != draws[:, :-1], axis=1) + 1
         counts += np.bincount(occ, minlength=counts.size)
         remaining -= c
     return {k: c / trials for k, c in enumerate(counts) if c}

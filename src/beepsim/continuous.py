@@ -69,7 +69,7 @@ class _Node:
     # ended hears nothing more: there is no separate "listening" flag.
     # The current window's beeps are heard_log[win_idx:].
     __slots__ = ("gen", "origin", "win_start", "win_end", "win_idx", "heard_log",
-                 "beep_times", "last_beep", "cycle")
+                 "last_beep", "cycle")
 
     def __init__(self, gen, wake: float):
         self.gen = gen
@@ -78,7 +78,6 @@ class _Node:
         self.win_end = 0.0
         self.win_idx = 0
         self.heard_log: list[float] = []
-        self.beep_times: list[float] = []
         self.last_beep = float("-inf")
         self.cycle: tuple[float, float] | None = None
 
@@ -157,7 +156,6 @@ class ContinuousEngine:
             self.tie_collisions += 1
         self._last_emit = t
         nv = self._nodes[v]
-        nv.beep_times.append(t)
         nv.last_beep = t
         for nu in self._nbrs[v]:
             # a node that itself beeps at t is in beeping mode at that instant,
@@ -205,6 +203,3 @@ class ContinuousEngine:
 
     def heard_log(self, v: int) -> tuple[float, ...]:
         return tuple(self._nodes[v].heard_log)
-
-    def beep_log(self, v: int) -> tuple[float, ...]:
-        return tuple(self._nodes[v].beep_times)

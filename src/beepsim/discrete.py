@@ -2,8 +2,13 @@
 
 Global time advances in slots, but only slots where something can happen
 are stepped: a slot with no local period boundary, no queued beep and no
-pending topology event is silent, and the engine moves past it without
-work.  Within a slot every awake node either beeps or listens; a listening
+pending topology event is silent.  The engine keeps a min-heap of the
+slots that hold a boundary or a queued beep (a slot is pushed when it
+gains its first one; an entry whose slot has been stepped or emptied is
+dropped when it reaches the top), so ``run_slots`` jumps from one busy
+slot to the next without looking at the silent ones between them.
+
+Within a slot every awake node either beeps or listens; a listening
 node hears something exactly when at least one graph neighbor beeps in
 that slot, and cannot tell one beep from many.  A beeping node gets no
 feedback, not even about its own beep.
@@ -24,6 +29,7 @@ order so identical configurations produce bit-identical runs.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import ConfigError, InternalInconsistencyError
@@ -72,6 +78,7 @@ class DiscreteEngine:
         self._scheduled: dict[int, set[int]] = {}
         self._boundaries: dict[int, list[int]] = {}
         self._beeps: dict[int, list[int]] = {}
+        self._due: list[int] = []  # heap over the keys of _boundaries and _beeps
         self._events = sorted(events, key=lambda e: e.at_period)  # stable: file order
         self._event_idx = 0
         for v in self.topology.nodes:
@@ -88,7 +95,12 @@ class DiscreteEngine:
         self.protocols[v] = self._factory(v)
         self._heard[v] = []
         self._scheduled[v] = set()
-        self._boundaries.setdefault(wake, []).append(v)
+        due = self._boundaries.get(wake)
+        if due is None:
+            self._boundaries[wake] = [v]
+            heappush(self._due, wake)
+        else:
+            due.append(v)
 
     def _retire(self, v: int) -> None:
         # drop the node's queued beeps and boundary, so a node re-added
@@ -168,6 +180,7 @@ class DiscreteEngine:
         if due:
             due.sort()
             beeps, protocols, observer = self._beeps, self.protocols, self.observer
+            heap = self._due
             start = s - q  # the local period ending here began at slot s - Q
             for v in due:
                 slots = heard[v]
@@ -179,11 +192,22 @@ class DiscreteEngine:
                             raise InternalInconsistencyError(
                                 f"beep offset {off} outside [0, Q] from node {v}"
                             )
-                        beeps.setdefault(s + off, []).append(v)
-                        scheduled[v].add(s + off)
+                        t = s + off
+                        at = beeps.get(t)
+                        if at is None:
+                            beeps[t] = [v]
+                            heappush(heap, t)
+                        else:
+                            at.append(v)
+                        scheduled[v].add(t)
                 if observer is not None:
                     observer.on_period_boundary(self, v, s)
-            self._boundaries.setdefault(s + q, []).extend(due)  # never an empty list
+            after = self._boundaries.get(s + q)
+            if after is None:
+                self._boundaries[s + q] = due  # never an empty list
+                heappush(heap, s + q)
+            else:
+                after.extend(due)
 
         # a listener hears the slot once however many neighbours beep: it
         # appends s unless its list already ends with s
@@ -209,20 +233,34 @@ class DiscreteEngine:
         self.slot = s + 1
         return SlotOutcome(s, beepers, frozenset(heard_now))
 
+    def next_busy_slot(self, end: int) -> int:
+        """The first slot from the current one on that is not silent, or
+        ``end`` if every slot before ``end`` is silent.
+
+        While topology events remain, every global period boundary counts
+        as busy, since it may apply them."""
+        s, heap = self.slot, self._due
+        boundaries, beeps = self._boundaries, self._beeps
+        while heap:
+            t = heap[0]
+            if t >= s and (t in boundaries or t in beeps):
+                break
+            heappop(heap)  # stepped already, or emptied by _retire
+        else:
+            t = end
+        if self._event_idx < len(self._events):
+            t = min(t, -(-s // self.q) * self.q)
+        return min(t, end)
+
     def run_slots(self, count: int) -> SlotOutcome | None:
         """Advance ``count`` slots, calling :meth:`step_slot` on each one that
         is not silent (a silent slot would yield an empty outcome).  Return
         the outcome of the last slot stepped, or ``None`` if every slot was
         silent."""
-        s, end = self.slot, self.slot + count
-        q, boundaries, beeps, events = self.q, self._boundaries, self._beeps, self._events
+        end = self.slot + count
         outcome = None
-        while s < end:
-            if s in boundaries or s in beeps or (
-                s % q == 0 and self._event_idx < len(events)
-            ):
-                self.slot = s
-                outcome = self.step_slot()
-            s += 1
-        self.slot = s
+        while (s := self.next_busy_slot(end)) < end:
+            self.slot = s
+            outcome = self.step_slot()
+        self.slot = end
         return outcome

@@ -110,7 +110,8 @@ class JitterAndJump:
             d_tilde = max(n_heard, 1)
         else:
             d_tilde = max(self.d_tilde, d_star)
-        b = buffer_length(self.eta, q, d_tilde)
+        # self.b is always the buffer of self.d_tilde
+        b = self.b if d_tilde == self.d_tilde else buffer_length(self.eta, q, d_tilde)
         if self.period:
             # one pass over the heard phases, by their distance d back from
             # p: the interval is the least d less 1, and a phase lies in the

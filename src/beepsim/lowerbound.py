@@ -10,17 +10,20 @@ measures all three effects on real protocol executions.
 
 A node's fingerprint changes only in a slot where it has a local period
 boundary, beeps or hears.  Every node wakes at slot 0, so boundaries fall
-on multiples of Q.  The experiment therefore steps only busy slots and
-compares a twin pair again only after a boundary slot or a slot in which
-one of its twins beeped or heard; a silent slot leaves every pair as it
-was and counts each identical pair as acting alike.  The statistics equal
-those of fingerprinting every pair in every slot.
+on multiples of Q.  The experiment therefore asks the engine for the next
+busy slot and jumps to it, and compares a twin pair again only after a
+boundary slot or a slot in which one of its twins beeped or heard.  A
+silent stretch leaves every pair as it was: it is credited in bulk, each
+of its slots to retention when a pair is identical and each identical
+pair to same-state and same-action counts.  The statistics equal those
+of fingerprinting every pair in every slot.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 from . import rng as rngmod
 from .config import SimConfig
@@ -88,7 +91,7 @@ def twin_coupling_experiment(
     divergences = 0
     same_state = 0
     same_action = 0
-    retained = [0] * slots
+    retained = [0] * (slots + 1)  # differences: stretches are credited in bulk
 
     for trial in range(trials):
         keys = [
@@ -104,29 +107,37 @@ def twin_coupling_experiment(
         alive_pairs = set(range(len(pairs)))
         changed = alive_pairs  # pairs whose identity must be recomputed
         identical: set[int] = set()
-        for s in range(slots):
+        s = 0
+        while s < slots:
             for idx in changed:
                 b, c = pairs[idx]
                 if engine.fingerprint(b) == engine.fingerprint(c):
                     identical.add(idx)
                 else:
                     identical.discard(idx)
-            if identical:
-                retained[s] += 1
             if shared_randomness and len(identical) < len(alive_pairs):
                 divergences += len(alive_pairs) - len(identical)
                 alive_pairs = set(identical)
-            outcome = engine.run_slots(1)
-            same_state += len(identical)
-            if outcome is None:  # silent slot: no twin acts and no state changes
-                same_action += len(identical)
+            # slots s .. end-1 all start in this state: every one before the
+            # next busy slot is silent, and the busy slot, if any, is the last
+            end = min(engine.next_busy_slot(slots) + 1, slots)
+            if identical:
+                retained[s] += 1
+                retained[end] -= 1
+            outcome = engine.run_slots(end - s)
+            # identical twins act alike in every slot but a busy one that
+            # one of them beeps in and the other does not
+            same_state += len(identical) * (end - s)
+            same_action += len(identical) * (end - s)
+            s = end
+            if outcome is None:  # no state changed
                 changed = ()
                 continue
             for idx in identical:
                 b, c = pairs[idx]
-                if (b in outcome.beeped) == (c in outcome.beeped):
-                    same_action += 1
-            if s % q == 0:  # every node woke at slot 0, so boundaries fall here
+                if (b in outcome.beeped) != (c in outcome.beeped):
+                    same_action -= 1
+            if outcome.slot % q == 0:  # every node woke at slot 0, so boundaries fall here
                 changed = alive_pairs
             else:
                 touched = outcome.beeped | outcome.heard
@@ -140,7 +151,7 @@ def twin_coupling_experiment(
         divergences=divergences,
         same_state_observations=same_state,
         same_action_matches=same_action,
-        retention_by_slot=tuple(r / trials for r in retained),
+        retention_by_slot=tuple(r / trials for r in accumulate(retained[:slots])),
     )
 
 

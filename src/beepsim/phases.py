@@ -59,10 +59,6 @@ class PhaseSet:
         reduced = sorted({v % period for v in values})
         return cls(tuple(reduced), period)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.phases
-
     def __len__(self) -> int:
         return len(self.phases)
 

@@ -104,7 +104,8 @@ def discrete_snapshot(engine: DiscreteEngine) -> ColoringSnapshot:
 class _BoundaryChecks:
     """Per-boundary bookkeeping shared by the static and dynamic runners."""
 
-    def __init__(self, eta: float, q: int, dynamic: bool, collect_rows: bool):
+    def __init__(self, eta: float, q: int, topology: Topology, dynamic: bool,
+                 collect_rows: bool):
         self.dynamic = dynamic
         self.collect_rows = collect_rows
         self.free_floor = (1.0 - 3.0 * eta) * q
@@ -114,12 +115,16 @@ class _BoundaryChecks:
         self.window_observations = 0
         self.rows: list[TraceRow] = []
         self._degree_at_boundary: dict[int, int] = {}
+        # a static topology never changes, so its degree bounds are fixed
+        self._estimate_bound = None if dynamic else {
+            v: max(2 * topology.degree(v), 1) for v in topology.nodes
+        }
 
     def on_period_boundary(self, engine: DiscreteEngine, v: int, slot: int) -> None:
         proto = engine.protocols[v]
         report = proto.last_report
-        degree = engine.topology.degree(v)
         if self.dynamic:
+            degree = engine.topology.degree(v)
             # events land on global period boundaries, so during the local
             # period that just ended the degree was this one or the previous
             previous = self._degree_at_boundary.get(v, degree)
@@ -134,7 +139,7 @@ class _BoundaryChecks:
         elif report is None:
             return
         else:
-            if report.period and not 1 <= proto.d_tilde <= max(2 * degree, 1):
+            if report.period and not 1 <= proto.d_tilde <= self._estimate_bound[v]:
                 self.sandwich_violations += 1
             free_count = report.free_count
             if free_count is not None and free_count < self.free_floor:
@@ -211,6 +216,8 @@ def run_jitterjump_trial(
     q = cfg.resolve_q(topology.delta)
     n = topology.n
     max_periods = cfg.max_periods or max(64, math.ceil(50.0 * math.log(max(n, 2))))
+    if events and not cfg.dynamic:  # static checks read each degree once
+        raise ConfigError("topology events need a dynamic run")
     for ev in events:
         if ev.at_period > max_periods:
             raise ConfigError(f"event at period {ev.at_period} comes after the last "
@@ -230,7 +237,7 @@ def run_jitterjump_trial(
             gen = rngmod.stream(master, *seed_key, v, "protocol")
         return JitterAndJump(q, cfg.eta, gen, dynamic=cfg.dynamic, window=window)
 
-    checks = _BoundaryChecks(cfg.eta, q, cfg.dynamic, collect_rows)
+    checks = _BoundaryChecks(cfg.eta, q, topology, cfg.dynamic, collect_rows)
     engine = DiscreteEngine(topology, q, factory, wake, events=events, observer=checks)
 
     monotonic_violations = 0

@@ -85,9 +85,6 @@ class Topology:
             return 0
         return max(len(nbrs) for nbrs in self._adj.values())
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return u in self._adj and v in self._adj[u]
-
     def edges(self) -> list[tuple[int, int]]:
         return sorted((u, v) for u, nbrs in self._adj.items() for v in nbrs if u < v)
 

@@ -4,6 +4,8 @@
 ``sys.path`` and test modules import this one as ``helpers``.
 """
 
+from collections import defaultdict
+
 import numpy as np
 
 from beepsim import rng as rngmod
@@ -57,6 +59,20 @@ class LoopBeepFirst(BeepFirst):
             yield Listen(p)
             yield Beep()
             yield Listen(t_period - p)
+
+
+def record_beeps(engine):
+    """Log every beep ``engine`` emits from now on: wraps the engine's
+    ``emit_beep`` and returns a dict from node to its beep times in order."""
+    log = defaultdict(list)
+    emit = engine.emit_beep
+
+    def emit_beep(v, t):
+        log[v].append(t)
+        emit(v, t)
+
+    engine.emit_beep = emit_beep
+    return log
 
 
 def collision_escape_trial(cfg, seed_key) -> bool:
@@ -158,6 +174,29 @@ class ReferenceJitterAndJump(JitterAndJump):
         return offsets
 
 
+def bb_montecarlo_reference(m, n, trials, seed):
+    """The occupancy sampler drawing int64 bins about 2,000,000 at a time:
+    the oracle for ``ballsbins.bb_montecarlo``."""
+    if trials < 1:
+        raise ConfigError("trials must be >= 1")
+    if m == 0:
+        return {0: 1.0}
+    rng = rngmod.stream(seed, "ballsbins")
+    counts = np.zeros(min(m, n) + 1, dtype=np.int64)
+    chunk = max(1, int(2_000_000 // m))
+    remaining = trials
+    while remaining:
+        c = min(chunk, remaining)
+        draws = rng.integers(0, n, size=(c, m))
+        if n < 2**15:  # the same bins sort faster as int16
+            draws = draws.astype(np.int16)
+        srt = np.sort(draws, axis=1)
+        occ = np.count_nonzero(srt[:, 1:] != srt[:, :-1], axis=1) + 1
+        counts += np.bincount(occ, minlength=counts.size)
+        remaining -= c
+    return {k: c / trials for k, c in enumerate(counts) if c}
+
+
 def gnp_reference(n, p, rng):
     """G(n, p) drawn one pair at a time: the oracle for ``topology.gnp``."""
     if n < 1 or not 0.0 <= p <= 1.0:
@@ -216,8 +255,9 @@ def valid_events(topo, candidates):
 
 class ReferenceEngine(DiscreteEngine):
     """The engine with its slot step written out one node and one beeper at a
-    time, beepers in id order, and each node's heard phases kept as a set:
-    the oracle for ``DiscreteEngine.step_slot`` and ``pending_phases``."""
+    time, beepers in id order, each node's heard phases kept as a set, and
+    every slot of a run tested for work in turn: the oracle for
+    ``DiscreteEngine.step_slot``, ``pending_phases`` and ``run_slots``."""
 
     def _admit(self, v, wake):
         super()._admit(v, wake)
@@ -265,6 +305,19 @@ class ReferenceEngine(DiscreteEngine):
 
         self.slot = s + 1
         return SlotOutcome(s, beepers, frozenset(heard_now))
+
+    def run_slots(self, count):
+        s, end = self.slot, self.slot + count
+        outcome = None
+        while s < end:
+            if s in self._boundaries or s in self._beeps or (
+                s % self.q == 0 and self._event_idx < len(self._events)
+            ):
+                self.slot = s
+                outcome = self.step_slot()
+            s += 1
+        self.slot = s
+        return outcome
 
 
 def twin_coupling_reference(k, slots, trials, seed, shared_randomness=False):

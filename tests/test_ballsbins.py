@@ -5,9 +5,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from helpers import bb_montecarlo_reference
+from hypothesis import example, given, settings, strategies as st
 
 from beepsim.ballsbins import (
+    MONTECARLO_CHUNK_DRAWS,
     amplification_rounds,
     bb_enumerate,
     bb_exact,
@@ -116,6 +118,24 @@ def test_montecarlo_agrees_with_exact():
 def test_montecarlo_is_seeded():
     assert bb_montecarlo(3, 5, 1000, seed=9) == bb_montecarlo(3, 5, 1000, seed=9)
     assert bb_montecarlo(3, 5, 1000, seed=9) != bb_montecarlo(3, 5, 1000, seed=10)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=1, max_value=48),
+    # both sides of the int16 sort, the largest int32 bound, and one bound
+    # that stays on int64 draws
+    st.sampled_from((1, 2, 2**15 - 1, 2**15, 2**15 + 1, 2**31, 2**31 + 1)),
+    st.integers(min_value=1, max_value=1000),
+    st.integers(min_value=0, max_value=2**16),
+)
+@example(1, 2**31 + 1, 1, 0)
+@example(2, 2**15, 7, 3)
+@example(24, 240, 1000, 5)
+def test_montecarlo_matches_reference(m, n, extra, seed):
+    chunk = max(1, MONTECARLO_CHUNK_DRAWS // m)
+    trials = 2 * chunk + extra  # three chunks, the last one partial
+    assert bb_montecarlo(m, n, trials, seed) == bb_montecarlo_reference(m, n, trials, seed)
 
 
 def test_montecarlo_zero_balls():

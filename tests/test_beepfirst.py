@@ -4,7 +4,7 @@ import gc
 from unittest.mock import patch
 
 import pytest
-from helpers import LoopBeepFirst, first_clear_phase
+from helpers import LoopBeepFirst, first_clear_phase, record_beeps
 from hypothesis import given, settings, strategies as st
 
 from beepsim import continuous, rng, runner
@@ -101,12 +101,13 @@ def test_stable_node_beeps_every_period_at_same_phase():
         return BeepFirst(0.1, 1, 1, rngmod.stream(7, "steady", v, "p"))
 
     engine = ContinuousEngine(topo, factory, {0: 0.0, 1: 0.0})
+    log = record_beeps(engine)
     engine.run_until(8.0)
     for v in (0, 1):
         proto = engine.protocols[v]
         assert proto.stable
         assert proto.stable_since < 3.0
-        beeps = engine.beep_log(v)
+        beeps = log[v]
         assert len(beeps) >= 5
         # one beep per period at the chosen phase; chained float additions
         # wobble the absolute times by a few ulp per period, nothing more
@@ -176,25 +177,25 @@ def test_staggered_wakeup_still_settles_within_three_periods():
 
 
 def trial_and_engine(topo, cfg, protocol_cls):
-    """``run_beepfirst_trial`` with CSV rows, driving ``protocol_cls``, and
-    the engine it ran."""
+    """``run_beepfirst_trial`` with CSV rows, driving ``protocol_cls``, the
+    engine it ran and the engine's beeps."""
     engines = []
 
     class Recording(continuous.ContinuousEngine):
         def __init__(self, *args):
             super().__init__(*args)
-            engines.append(self)
+            engines.append((self, record_beeps(self)))
 
     with patch.object(runner, "ContinuousEngine", Recording), \
             patch.object(runner, "BeepFirst", protocol_cls):
         result = run_beepfirst_trial(topo, cfg, seed_key=("cycle",), collect_rows=True)
-    return result, engines[0]
+    return (result, *engines[0])
 
 
 def assert_same_run(topo, cycled, looped):
-    (res, eng), (ref, ref_eng) = cycled, looped
+    (res, eng, beeps), (ref, ref_eng, ref_beeps) = cycled, looped
+    assert beeps == ref_beeps
     for v in topo.nodes:
-        assert eng.beep_log(v) == ref_eng.beep_log(v)
         assert eng.heard_log(v) == ref_eng.heard_log(v)
         assert eng.theta(v) == ref_eng.theta(v)
         assert res.protocols[v].stable_since == ref.protocols[v].stable_since
@@ -203,7 +204,7 @@ def assert_same_run(topo, cycled, looped):
     assert res.rows == ref.rows
     assert res.snapshot == ref.snapshot
     # the cycle ran: some node beeped again after settling
-    assert any(len(eng.beep_log(v)) > 1 for v in topo.nodes)
+    assert any(len(times) > 1 for times in beeps.values())
 
 
 @st.composite
@@ -237,12 +238,13 @@ def test_cycle_matches_loop_with_coincident_beeps(seed):
             return cls(0.1, topo.degree(v), topo.max_neighborhood_degree(v), rng.stream(*key))
 
         engine = continuous.ContinuousEngine(topo, factory, {v: 0.0 for v in topo.nodes})
+        beeps = record_beeps(engine)
         engine.run_until(6.0)
-        runs.append(engine)
-    new, old = runs
+        runs.append((engine, beeps))
+    (new, new_beeps), (old, old_beeps) = runs
     assert new.tie_collisions == old.tie_collisions >= 4
+    assert new_beeps == old_beeps
     for v in topo.nodes:
-        assert new.beep_log(v) == old.beep_log(v)
         assert new.heard_log(v) == old.heard_log(v)
 
 

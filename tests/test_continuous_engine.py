@@ -5,6 +5,7 @@ sums and phases compare exactly.
 """
 
 import pytest
+from helpers import record_beeps
 
 from beepsim.continuous import CONTINUOUS_PERIOD, Beep, ContinuousEngine, Cycle, Listen, Rebase
 from beepsim.errors import ConfigError
@@ -163,35 +164,36 @@ def cycle_with_neighbors(neighbor_scripts, run_to):
     topo = Topology.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     scripts = {1: [Cycle(0.25, 0.75)], **neighbor_scripts}
     engine, protos = build(topo, scripts)
+    beeps = record_beeps(engine)
     engine.run_until(run_to)
-    return engine, protos
+    return engine, protos, beeps
 
 
 def test_cycle_beeps_at_the_end_of_each_window():
-    engine, protos = cycle_with_neighbors({}, 3.0)
-    assert engine.beep_log(1) == (1.0, 2.0, 3.0)
+    _, protos, beeps = cycle_with_neighbors({}, 3.0)
+    assert beeps[1] == [1.0, 2.0, 3.0]
     assert protos[1].results == []  # never resumed after the cycle
     assert protos[0].results == [(), (0.0,), (0.0,)]
 
 
 def test_cycle_hears_a_beep_at_now_plus_first():
     # the two listens are one window: the instant between them is inside it
-    engine, _ = cycle_with_neighbors({0: [Listen(0.25), Beep()]}, 1.0)
+    engine, _, _ = cycle_with_neighbors({0: [Listen(0.25), Beep()]}, 1.0)
     assert engine.heard_log(1) == (0.25,)
 
 
 def test_cycle_misses_beeps_at_its_own_beep_instant():
     # node 0 beeps at 1.0 just before node 1 (lower id), node 2 just after
-    engine, _ = cycle_with_neighbors(
+    engine, _, beeps = cycle_with_neighbors(
         {0: [Listen(1.0), Beep()], 2: [Listen(1.0), Beep(), Listen(0.5), Beep()]}, 2.0)
-    assert engine.beep_log(1) == (1.0, 2.0)
+    assert beeps[1] == [1.0, 2.0]
     assert engine.heard_log(1) == (1.5,)
     assert engine.tie_collisions == 2
 
 
 def test_cycle_zero_second_listen_beeps_once_per_period():
-    engine, _ = cycle_with_neighbors({1: [Listen(0.125), Beep(), Cycle(1.0, 0.0)]}, 3.5)
-    assert engine.beep_log(1) == (0.125, 1.125, 2.125, 3.125)
+    _, _, beeps = cycle_with_neighbors({1: [Listen(0.125), Beep(), Cycle(1.0, 0.0)]}, 3.5)
+    assert beeps[1] == [0.125, 1.125, 2.125, 3.125]
 
 
 def test_cycle_rejects_negative_durations():

@@ -3,8 +3,11 @@
 import math
 from types import SimpleNamespace
 
+import pytest
+
 from beepsim import rng
 from beepsim.config import SimConfig
+from beepsim.errors import ConfigError
 from beepsim.jitterjump import JitterAndJump, PeriodReport
 from beepsim.runner import _BoundaryChecks, run_jitterjump_trial
 from beepsim.topology import DynamicEvent, star
@@ -100,7 +103,7 @@ def test_beep_bound_is_four_beeps_per_neighbor_at_either_boundary():
     topo = star(5)
     proto = SimpleNamespace(last_report=None)
     engine = SimpleNamespace(topology=topo, protocols={0: proto})
-    checks = _BoundaryChecks(1 / 16, 256, dynamic=True, collect_rows=False)
+    checks = _BoundaryChecks(1 / 16, 256, topo, dynamic=True, collect_rows=False)
 
     def boundary(beeps_heard):
         proto.last_report = PeriodReport(0, None, None, None, beeps_heard, False, None)
@@ -115,3 +118,9 @@ def test_beep_bound_is_four_beeps_per_neighbor_at_either_boundary():
     assert checks.beep_bound_violations == 1
     boundary(4 * 2 + 1)  # degree 2 at both ends
     assert checks.beep_bound_violations == 2
+
+
+def test_events_need_a_dynamic_run():
+    events = (DynamicEvent(2, "add_node", (17, 0)),)
+    with pytest.raises(ConfigError, match="need a dynamic run"):
+        run_jitterjump_trial(star(17), SimConfig(master_seed=1, max_periods=4), events=events)

@@ -68,17 +68,17 @@ def test_divergence_happens_eventually_without_sharing():
     assert stats.retention_by_slot[q - 1] == 1.0
 
 
-# slot counts inside the listen-only first period, and a few either side
-# of the boundaries at Q and 2Q
+# slot counts up to 4Q, so that a run crosses several boundaries and may
+# end inside a silent stretch, and a few either side of each boundary
 slot_counts = st.one_of(
-    st.integers(min_value=1, max_value=Q - 1),
-    st.builds(lambda base, d: base + d, st.sampled_from((Q, 2 * Q)),
+    st.integers(min_value=1, max_value=4 * Q),
+    st.builds(lambda base, d: base + d, st.sampled_from((Q, 2 * Q, 3 * Q)),
               st.integers(min_value=-2, max_value=3)),
 )
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=2, max_value=5), slot_counts,
+@given(st.integers(min_value=2, max_value=8), slot_counts,
        st.integers(min_value=1, max_value=4), st.booleans(), st.integers(0, 2**16))
 def test_experiment_matches_stepping_every_slot(k, slots, trials, shared, seed):
     assert twin_coupling_experiment(k, slots, trials, seed, shared) == twin_coupling_reference(

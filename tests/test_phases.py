@@ -22,7 +22,7 @@ def test_range_query_wraps_through_boundary():
 
 
 def test_range_query_empty_set():
-    assert make(set()).range_query(0, 9).is_empty
+    assert len(make(set()).range_query(0, 9)) == 0
 
 
 def test_range_query_full_range_is_identity():

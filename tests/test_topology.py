@@ -27,10 +27,10 @@ def test_basic_mutation_and_queries():
     assert t.n == 4
     assert t.delta == 2
     assert t.degree(3) == 0
-    assert t.has_edge(1, 0)
+    assert 0 in t.neighbors(1)
     t.add_edge(2, 3)
     t.remove_edge(0, 1)
-    assert not t.has_edge(0, 1)
+    assert 1 not in t.neighbors(0)
     t.remove_node(1)
     assert t.nodes == (0, 2, 3)
 
