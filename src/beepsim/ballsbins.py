@@ -70,21 +70,23 @@ def bb_exact(m: int, n: int) -> OccupancyDistribution:
     return OccupancyDistribution(m, n, {k: Fraction(c, total) for k, c in counts.items()})
 
 
-def bb_enumerate(m: int, n: int, limit: int = 10_000_000) -> dict[int, int]:
+ENUMERATION_LIMIT = 10_000_000  # most occupancy vectors bb_enumerate walks
+
+
+def bb_enumerate(m: int, n: int) -> dict[int, int]:
     """Exact occupied-bin counts by enumerating occupancy vectors.
 
     Every vector (c_1, ..., c_n) of bin loads summing to m stands for the
     m!/(c_1! ... c_n!) placements that produce it, and occupies as many
     bins as it has nonzero loads.  There are C(m+n-1, n-1) vectors;
-    ``limit`` bounds that number.
+    ``ENUMERATION_LIMIT`` bounds that number.
     """
     if n < 1 or m < 1:
         raise ConfigError("need n >= 1 and m >= 1")
     vectors = math.comb(m + n - 1, n - 1)
-    if vectors > limit:
-        raise ConfigError(
-            f"C(m+n-1, n-1) = {vectors} occupancy vectors exceed the enumeration limit {limit}"
-        )
+    if vectors > ENUMERATION_LIMIT:
+        raise ConfigError(f"C(m+n-1, n-1) = {vectors} occupancy vectors exceed the "
+                          f"enumeration limit {ENUMERATION_LIMIT}")
     fact = [math.factorial(c) for c in range(m + 1)]
     counts = [0] * (min(m, n) + 1)
     # depth-first over bins: (bins left, balls left, m!/prod of the loads

@@ -126,7 +126,7 @@ def _build_topology(args, n: int | None, seed_key) -> Topology:
         for name, _ in gen.fields[1:]:
             value = getattr(args, name)
             if value is None:
-                raise ConfigError(f"{spec.replace('_', '-')} needs --{name}")
+                raise ConfigError(f"{spec} needs --{name}")
             values.append(value)
         spec = ":".join([spec, *map(str, values)])
     elif n is not None:
@@ -160,7 +160,6 @@ def _reject_flags(args, flags: tuple[str, ...], protocol: str) -> None:
 def _config(args, dynamic: bool = False, r: int | None = None) -> SimConfig:
     _reject_flags(args, ("epsilon",), "jitterjump")
     return SimConfig(
-        model="discrete",
         kappa=DEFAULT_KAPPA if args.kappa is None else args.kappa,
         eta=DEFAULT_ETA if args.eta is None else args.eta,
         r=r,
@@ -230,6 +229,8 @@ def _validate_jitterjump(result, cfg, failures: list[str], tag: str, events=()) 
         failures.append(f"{tag}: degree-estimate bound violated")
     if result.free_floor_violations:
         failures.append(f"{tag}: free-slot floor violated")
+    if result.beep_bound_violations:
+        failures.append(f"{tag}: per-period beep bound violated")
     if not events and result.monotonic_violations:
         failures.append(f"{tag}: good set shrank")
     # validate the settled state: the final one under churn, the first
@@ -272,8 +273,7 @@ def _run_beepfirst_campaign(args) -> int:
     sizes = _sizes(args) or [None]
     _reject_flags(args, ("eta", "kappa", "max-periods"), "beepfirst")
     epsilon = DEFAULT_EPSILON if args.epsilon is None else args.epsilon
-    cfg = SimConfig(model="continuous", epsilon=epsilon, master_seed=args.seed,
-                    wakeup=args.wakeup)
+    cfg = SimConfig(epsilon=epsilon, master_seed=args.seed, wakeup=args.wakeup)
     failures: list[str] = []
     summary: dict = {"protocol": "beepfirst", "trials_per_size": args.trials,
                      "seed": args.seed, "sizes": []}
@@ -301,7 +301,7 @@ def _run_beepfirst_campaign(args) -> int:
                 failures.append(f"{tag}: neighbor phase inside a symmetric interval")
             size_entry["trials"].append({
                 "all_stable": result.all_stable,
-                "max_stable_delay_periods": result.max_stable_delay / result.t_period,
+                "max_stable_delay_periods": result.max_stable_delay,  # T = 1
                 "tie_collisions": result.tie_collisions,
             })
             if args.out:

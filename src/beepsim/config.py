@@ -27,7 +27,6 @@ class SimConfig:
     trial; when ``None`` it defaults to ``max(64, ceil(50 ln n))``.
     """
 
-    model: str = "discrete"
     kappa: float = DEFAULT_KAPPA
     eta: float = DEFAULT_ETA
     epsilon: float = DEFAULT_EPSILON
@@ -38,18 +37,14 @@ class SimConfig:
     dynamic: bool = False
 
     def __post_init__(self) -> None:
-        if self.model not in ("discrete", "continuous"):
-            raise ConfigError(f"unknown model {self.model!r}")
-        if self.model == "discrete":
-            if not 0.0 < self.eta <= 1.0 / 16.0:
-                raise ConfigError(f"eta must lie in (0, 1/16], got {self.eta}")
-            if self.kappa < 4.0 / self.eta:
-                raise ConfigError(
-                    f"kappa={self.kappa} too small; need kappa >= 4/eta = {4.0 / self.eta}"
-                )
-        else:
-            if not 0.0 < self.epsilon < 1.0:
-                raise ConfigError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        if not 0.0 < self.eta <= 1.0 / 16.0:
+            raise ConfigError(f"eta must lie in (0, 1/16], got {self.eta}")
+        if self.kappa < 4.0 / self.eta:
+            raise ConfigError(
+                f"kappa={self.kappa} too small; need kappa >= 4/eta = {4.0 / self.eta}"
+            )
+        if not 0.0 < self.epsilon < 1.0:
+            raise ConfigError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if self.r is not None and self.r < 1:
             raise ConfigError("r must be a positive integer")
         if self.max_periods is not None and self.max_periods < 1:

@@ -117,7 +117,7 @@ class JitterAndJump:
             # p: the interval is the least d less 1, and a phase lies in the
             # wrap-aware range [p-b, p+b] (or [p-1, p+2]) when its distance
             # from the range's start, (b - d) mod Q (or (1 - d) mod Q), is at
-            # most the range's width mod Q, as in phases.in_range
+            # most the range's width mod Q
             gap, wide, narrow = q, 2 * b % q, 3 % q
             in_buffer = near = False
             for x in heard:

@@ -20,22 +20,6 @@ def wrap_distance(a, b, tau):
     return min(d, tau - d)
 
 
-def in_range(phase, a, b, tau) -> bool:
-    """Wrap-aware membership test for the closed range [a, b].
-
-    ``a`` and ``b`` may be any numbers; they are reduced mod ``tau``.  If the
-    reduced endpoints satisfy x <= y the range is the ordinary closed
-    interval, otherwise it is the arc from x forward through the period
-    boundary to y.
-    """
-    x = a % tau
-    y = b % tau
-    p = phase % tau
-    if x <= y:
-        return x <= p <= y
-    return p >= x or p <= y
-
-
 def lift_onto(anchor, phase, tau):
     """Unroll ``phase`` onto the real line so it lands in [anchor, anchor+tau).
 
@@ -59,22 +43,15 @@ class PhaseSet:
         reduced = sorted({v % period for v in values})
         return cls(tuple(reduced), period)
 
-    def __len__(self) -> int:
-        return len(self.phases)
-
     def __iter__(self) -> Iterator:
         return iter(self.phases)
-
-    def __contains__(self, value) -> bool:
-        return value % self.period in self.phases
 
     def range_query(self, a, b) -> "PhaseSet":
         """Subset of phases in the wrap-aware closed range [a, b].
 
-        The same comparisons as :func:`in_range`, made by bisection over
-        the sorted members, which are already reduced mod ``period``.  A
-        wrapped range is the members up to ``y`` followed by those from
-        ``x`` on, so the result stays ascending.
+        Bisects the sorted members, already reduced mod ``period``, at
+        x = a and y = b reduced.  A wrapped range (x > y) is the members up
+        to y followed by those from x on, so the result stays ascending.
         """
         tau = self.period
         phases = self.phases

@@ -49,8 +49,6 @@ def _label_for(engine: DiscreteEngine, v: int) -> str:
     q = engine.q
     pv = (proto.p + engine.wake_slot[v]) % q
     for u in engine.topology.neighbors(v):
-        if u not in engine.alive:
-            continue
         pu = engine.protocols[u].p
         if pu is None:
             continue
@@ -303,7 +301,6 @@ class BeepFirstResult:
     """One continuous-protocol trial."""
 
     topology: Topology
-    t_period: float
     all_stable: bool
     late_nodes: int
     search_overruns: int
@@ -328,11 +325,10 @@ def run_beepfirst_trial(
     )
 
     gens = _protocol_streams(master, seed_key, topology.nodes)
-    degree = {v: topology.degree(v) for v in topology.nodes}
 
     def factory(v: int) -> BeepFirst:
-        d_max = max([degree[v]] + [degree[u] for u in topology.neighbors(v)])
-        return BeepFirst(cfg.epsilon, degree[v], d_max, gens[v])
+        return BeepFirst(cfg.epsilon, topology.degree(v), topology.max_neighborhood_degree(v),
+                         gens[v])
 
     engine = ContinuousEngine(topology, factory, wake)
     overruns = 0
@@ -386,7 +382,6 @@ def run_beepfirst_trial(
 
     return BeepFirstResult(
         topology=topology,
-        t_period=t_period,
         all_stable=all_stable,
         late_nodes=late,
         search_overruns=overruns,

@@ -30,31 +30,27 @@ from .errors import ConfigError
 class Topology:
     """Mutable undirected graph without self-loops."""
 
-    def __init__(self, nodes: Iterable[int] = (), edges: Iterable[tuple[int, int]] = ()):
-        self._adj: dict[int, set[int]] = {}
-        for v in nodes:
-            self.add_node(v)
-        for u, v in edges:
-            if u not in self._adj:
-                self.add_node(u)
-            if v not in self._adj:
-                self.add_node(v)
-            self.add_edge(u, v)
+    def __init__(self, adj: dict[int, set[int]] | None = None):
+        self._adj: dict[int, set[int]] = {} if adj is None else adj
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Topology":
-        return cls(range(n), edges)
+        """Nodes 0..n-1 joined by ``edges``; an endpoint outside that range,
+        a self-loop or a repeated edge is a :class:`ConfigError`."""
+        out = cls({v: set() for v in range(n)})
+        for u, v in edges:
+            out.add_edge(u, v)
+        return out
 
     @classmethod
     def _from_simple_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Topology":
         """:meth:`from_edges` without the per-edge checks, for generator
         output that is a simple graph on 0..n-1 by construction."""
-        out = cls()
-        adj = out._adj = {v: set() for v in range(n)}
+        adj = {v: set() for v in range(n)}
         for u, v in edges:
             adj[u].add(v)
             adj[v].add(u)
-        return out
+        return cls(adj)
 
     # -- queries ---------------------------------------------------------
 
@@ -89,9 +85,7 @@ class Topology:
         return sorted((u, v) for u, nbrs in self._adj.items() for v in nbrs if u < v)
 
     def copy(self) -> "Topology":
-        out = Topology()
-        out._adj = {v: set(nbrs) for v, nbrs in self._adj.items()}
-        return out
+        return Topology({v: set(nbrs) for v, nbrs in self._adj.items()})
 
     # -- mutation --------------------------------------------------------
 
@@ -217,8 +211,6 @@ GENERATORS = {
     "clique": GraphGenerator(clique, (("n", int),)),
     "cycle-of-blocks": GraphGenerator(cycle_of_blocks, (("k", int),)),
 }
-GENERATORS["random_regular"] = GENERATORS["random-regular"]
-GENERATORS["cycle_of_blocks"] = GENERATORS["cycle-of-blocks"]
 
 
 def parse_graph_spec(spec: str, rng: np.random.Generator) -> Topology:

@@ -16,7 +16,7 @@ from beepsim.errors import ConfigError, InternalInconsistencyError, ProtocolViol
 from beepsim.config import SimConfig
 from beepsim.jitterjump import JitterAndJump, PeriodReport, buffer_length, free_slots
 from beepsim.lowerbound import TwinCouplingStats
-from beepsim.phases import PhaseSet, in_range
+from beepsim.phases import PhaseSet
 from beepsim.topology import _PAIRING_ATTEMPTS, Topology, cycle_of_blocks, twin_pairs
 
 
@@ -97,9 +97,26 @@ def collision_escape_trial(cfg, seed_key) -> bool:
     return all(not engine.protocols[v].colored for v in (0, 1))
 
 
+def in_range(phase, a, b, tau) -> bool:
+    """Wrap-aware membership test for the closed range [a, b]: the oracle
+    for ``PhaseSet.range_query`` and the window tests of ``JitterAndJump``.
+
+    ``a`` and ``b`` may be any numbers; they are reduced mod ``tau``.  If the
+    reduced endpoints satisfy x <= y the range is the ordinary closed
+    interval, otherwise it is the arc from x forward through the period
+    boundary to y.
+    """
+    x = a % tau
+    y = b % tau
+    p = phase % tau
+    if x <= y:
+        return x <= p <= y
+    return p >= x or p <= y
+
+
 def heard_in_range_reference(heard, a, b, q):
     """Any heard phase in the wrap-aware closed range [a, b], one
-    ``phases.in_range`` call per phase: the buffer and near tests of
+    ``in_range`` call per phase: the buffer and near tests of
     ``ReferenceJitterAndJump``."""
     return any(in_range(x, a, b, q) for x in heard)
 

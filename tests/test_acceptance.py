@@ -70,7 +70,7 @@ def sweep():
 @pytest.fixture(scope="module")
 def beepfirst_runs():
     """1000 trials each on sparse random graphs and a 16-clique."""
-    cfg = SimConfig(model="continuous", epsilon=EPSILON, master_seed=SEED)
+    cfg = SimConfig(epsilon=EPSILON, master_seed=SEED)
     runs = []
     for t in range(BF_TRIALS):
         topo = gnp(64, 0.1, rng.stream(SEED, "bf", "gnp", t, "topology"))

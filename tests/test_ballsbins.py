@@ -8,6 +8,7 @@ import pytest
 from helpers import bb_montecarlo_reference
 from hypothesis import example, given, settings, strategies as st
 
+from beepsim import ballsbins
 from beepsim.ballsbins import (
     MONTECARLO_CHUNK_DRAWS,
     amplification_rounds,
@@ -70,16 +71,19 @@ def test_enumerate_matches_brute_force():
         assert all(type(v) is int for v in counts.values())
 
 
-def test_enumerate_refuses_oversized():
+def test_enumerate_refuses_oversized(monkeypatch):
+    monkeypatch.setattr(ballsbins, "ENUMERATION_LIMIT", 10**6)
     with pytest.raises(ConfigError):
-        bb_enumerate(30, 10, limit=10**6)
+        bb_enumerate(30, 10)
 
 
-def test_enumerate_limit_counts_occupancy_vectors():
+def test_enumerate_limit_counts_occupancy_vectors(monkeypatch):
     # C(7+10-1, 10-1) = 11440 vectors stand for the 10^7 placements
-    assert sum(bb_enumerate(7, 10, limit=11440).values()) == 10**7
+    monkeypatch.setattr(ballsbins, "ENUMERATION_LIMIT", 11440)
+    assert sum(bb_enumerate(7, 10).values()) == 10**7
+    monkeypatch.setattr(ballsbins, "ENUMERATION_LIMIT", 11439)
     with pytest.raises(ConfigError, match="11440 occupancy vectors"):
-        bb_enumerate(7, 10, limit=11439)
+        bb_enumerate(7, 10)
 
 
 @settings(max_examples=40, deadline=None)

@@ -15,11 +15,6 @@ from beepsim.runner import run_beepfirst_trial
 from beepsim.topology import Topology, clique, gnp
 
 
-def bf_config(**kw):
-    kw.setdefault("model", "continuous")
-    return SimConfig(**kw)
-
-
 def test_init_formulas_isolated_node():
     proto = BeepFirst(0.1, 0, 0, rng.stream(1, "p"))
     gen = proto.run()
@@ -70,7 +65,7 @@ def test_first_clear_phase_wrapping_beep_near_period_end():
 
 def test_isolated_node_settles_at_zero():
     topo = Topology.from_edges(1, [])
-    result = run_beepfirst_trial(topo, bf_config(master_seed=3), seed_key=("iso",))
+    result = run_beepfirst_trial(topo, SimConfig(master_seed=3), seed_key=("iso",))
     proto = result.protocols[0]
     assert proto.stable
     assert proto.p == 0.0
@@ -79,7 +74,7 @@ def test_isolated_node_settles_at_zero():
 
 def test_two_node_clique_second_settles_behind_first():
     topo = Topology.from_edges(2, [(0, 1)])
-    result = run_beepfirst_trial(topo, bf_config(master_seed=11), seed_key=("pair",))
+    result = run_beepfirst_trial(topo, SimConfig(master_seed=11), seed_key=("pair",))
     assert result.all_stable
     p0 = result.protocols[0]
     p1 = result.protocols[1]
@@ -93,7 +88,7 @@ def test_two_node_clique_second_settles_behind_first():
 
 def test_stable_node_beeps_every_period_at_same_phase():
     topo = Topology.from_edges(2, [(0, 1)])
-    cfg = bf_config(master_seed=7)
+    cfg = SimConfig(master_seed=7)
     from beepsim.continuous import ContinuousEngine
     from beepsim import rng as rngmod
 
@@ -119,7 +114,7 @@ def test_stable_node_beeps_every_period_at_same_phase():
 
 
 def test_intervals_never_contain_neighbor_phase():
-    cfg = bf_config(master_seed=19)
+    cfg = SimConfig(master_seed=19)
     topo = gnp(24, 0.2, rng.stream(19, "g"))
     result = run_beepfirst_trial(topo, cfg, seed_key=("lemma",))
     assert result.all_stable
@@ -131,7 +126,7 @@ def test_intervals_never_contain_neighbor_phase():
 
 
 def test_interval_formula_uses_neighborhood_max_degree():
-    cfg = bf_config(master_seed=23, epsilon=0.2)
+    cfg = SimConfig(master_seed=23, epsilon=0.2)
     topo = clique(5)
     result = run_beepfirst_trial(topo, cfg, seed_key=("formula",))
     for state in result.snapshot.states:
@@ -140,7 +135,7 @@ def test_interval_formula_uses_neighborhood_max_degree():
 
 
 def test_search_shorter_than_one_period():
-    cfg = bf_config(master_seed=29)
+    cfg = SimConfig(master_seed=29)
     topo = clique(12)
     result = run_beepfirst_trial(topo, cfg, seed_key=("short",))
     assert result.search_overruns == 0
@@ -152,7 +147,7 @@ def test_shared_streams_produce_identical_phases_and_a_tie():
     # two non-adjacent nodes with one common neighbor and identical streams
     # behave identically forever; the engine flags the coincident beeps
     topo = Topology.from_edges(3, [(0, 2), (1, 2)])
-    cfg = bf_config(master_seed=37)
+    cfg = SimConfig(master_seed=37)
     from beepsim.continuous import ContinuousEngine
 
     def factory(v):
@@ -169,7 +164,7 @@ def test_shared_streams_produce_identical_phases_and_a_tie():
 
 def test_staggered_wakeup_still_settles_within_three_periods():
     topo = gnp(16, 0.2, rng.stream(41, "g"))
-    cfg = bf_config(master_seed=41, wakeup="random")
+    cfg = SimConfig(master_seed=41, wakeup="random")
     result = run_beepfirst_trial(topo, cfg, seed_key=("stagger",))
     assert result.all_stable
     assert result.late_nodes == 0
@@ -216,7 +211,7 @@ def cycle_cases(draw):
     else:
         topo = clique(draw(st.integers(min_value=1, max_value=8)))
     wakeup = draw(st.sampled_from(("simultaneous", "random", "stagger:1")))
-    return topo, bf_config(master_seed=seed, wakeup=wakeup)
+    return topo, SimConfig(master_seed=seed, wakeup=wakeup)
 
 
 @settings(max_examples=60, deadline=None)
@@ -252,7 +247,7 @@ def test_trial_engine_is_freed_without_the_cycle_collector():
     gc.collect()
     gc.disable()
     try:
-        result = run_beepfirst_trial(gnp(32, 0.2, rng.stream(5, "g")), bf_config(master_seed=5),
+        result = run_beepfirst_trial(gnp(32, 0.2, rng.stream(5, "g")), SimConfig(master_seed=5),
                                      seed_key=("mem",))
         assert result.all_stable
         del result

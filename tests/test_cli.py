@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, CSV schema, determinism."""
 
+import dataclasses
 import json
 import warnings
 
@@ -157,6 +158,19 @@ def test_dynamic_event_at_the_last_period_is_applied(tmp_path):
     assert run_cli(base + ["--events", str(events), "--out", str(tmp_path / "with.csv")]) == 0
     assert run_cli(base + ["--out", str(tmp_path / "without.csv")]) == 0
     assert (tmp_path / "with.csv").read_bytes() != (tmp_path / "without.csv").read_bytes()
+
+
+def test_dynamic_beep_bound_violation_fails(monkeypatch, capsys):
+    run_trial = cli.run_jitterjump_trial
+
+    def one_violation(*args, **kwargs):
+        return dataclasses.replace(run_trial(*args, **kwargs), beep_bound_violations=1)
+
+    monkeypatch.setattr(cli, "run_jitterjump_trial", one_violation)
+    assert run_cli(["dynamic", "--graph", "clique:4", "--max-periods", "8"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL graph trial=0: per-period beep bound violated" in out
+    assert "all validators passed" not in out
 
 
 def test_failure_tag_labels_a_full_spec_as_graph(capsys):

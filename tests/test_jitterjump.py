@@ -10,6 +10,7 @@ from helpers import (
     ReferenceJitterAndJump,
     collision_escape_trial,
     heard_in_range_reference,
+    in_range,
     measured_interval_reference,
 )
 
@@ -22,7 +23,6 @@ from beepsim.jitterjump import (
     buffer_length,
     free_slots,
 )
-from beepsim.phases import in_range
 from beepsim.runner import run_jitterjump_trial
 from beepsim.topology import clique, random_regular
 
@@ -288,7 +288,9 @@ def test_config_rejects_bad_parameters():
     with pytest.raises(ConfigError):
         SimConfig(eta=1 / 16, kappa=32)
     with pytest.raises(ConfigError):
-        SimConfig(model="continuous", epsilon=1.5)
+        SimConfig(epsilon=1.5)
+    with pytest.raises(ConfigError):
+        SimConfig(epsilon=0.0)
     with pytest.raises(ConfigError):
         SimConfig(kappa=64.5).resolve_q(1)  # not a whole number of slots
 

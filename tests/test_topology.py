@@ -43,6 +43,8 @@ def test_self_loops_and_duplicates_rejected():
         t.add_edge(0, 1)
     with pytest.raises(ConfigError):
         t.remove_edge(0, 2)
+    with pytest.raises(ConfigError, match="unknown node"):
+        Topology.from_edges(3, [(0, 5)])  # endpoints must lie in range(n)
 
 
 def test_max_neighborhood_degree():
@@ -148,6 +150,8 @@ def test_parse_graph_spec():
     assert len(g.edges()) == 6
     with pytest.raises(ConfigError):
         parse_graph_spec("mystery:4", rng.stream(1))
+    with pytest.raises(ConfigError, match="unknown graph generator"):
+        parse_graph_spec("cycle_of_blocks:4", rng.stream(1))  # hyphenated names only
     with pytest.raises(ConfigError):
         parse_graph_spec("gnp:4", rng.stream(1))
 
