@@ -10,14 +10,48 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import InternalInconsistencyError
-from .phases import wrap_distance
 from .topology import Topology
 
 GOOD = "good"
 BAD_COLORED = "bad-colored"
 BAD_UNCOLORED = "bad-uncolored"
+_LABELS = (BAD_UNCOLORED, BAD_COLORED, GOOD)
+
+
+def _positions(ids: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Index of each ``query`` id in the sorted ``ids``, the last of equal
+    ids, or ``len(ids)`` for an id not there."""
+    m = len(ids)
+    if m == 0:
+        return np.zeros(len(query), dtype=np.intp)
+    pos = np.maximum(np.searchsorted(ids, query, side="right") - 1, 0)
+    return np.where(ids[pos] == query, pos, m)
+
+
+class _NodeArrays(NamedTuple):
+    """A snapshot's states as arrays in node-id order, each one entry longer
+    than ``ids``: the last entry, phaseless and uncolored, stands for a node
+    the snapshot lacks."""
+
+    ids: np.ndarray
+    phase: np.ndarray  # 0 where the phase is None
+    has_phase: np.ndarray
+    interval: np.ndarray  # 0 where the interval is None
+    has_interval: np.ndarray
+    colored: np.ndarray
+
+    def at(self, topology: Topology) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Positions here of the topology's nodes and of its edges' u and v ends."""
+        view = topology.arrays
+        own = _positions(self.ids, view.nodes)
+        return own, own[view.src], own[view.dst]
 
 
 @dataclass(frozen=True)
@@ -40,6 +74,20 @@ class ColoringSnapshot:
     def by_node(self) -> dict[int, NodeState]:
         return {s.node: s for s in self.states}
 
+    @cached_property
+    def _arrays(self) -> _NodeArrays:
+        states = sorted(self.states, key=attrgetter("node"))  # stable: last duplicate wins
+        phases = [s.global_phase for s in states] + [None]
+        intervals = [s.interval for s in states] + [None]
+        return _NodeArrays(
+            ids=np.array([s.node for s in states], dtype=np.int64),
+            phase=np.array([0 if p is None else p for p in phases]),
+            has_phase=np.array([p is not None for p in phases]),
+            interval=np.array([i or 0 for i in intervals]),
+            has_interval=np.array([i is not None for i in intervals]),
+            colored=np.array([s.colored for s in states] + [False], dtype=bool),
+        )
+
 
 @dataclass(frozen=True)
 class IntervalReport:
@@ -54,11 +102,6 @@ class IntervalReport:
         return not self.violations
 
 
-def _arcs_intersect(end_a, len_a, end_b, len_b, tau) -> bool:
-    # Arcs [end - len, end], closed, wrap-aware.
-    return (end_b - end_a) % tau <= len_b or (end_a - end_b) % tau <= len_a
-
-
 def validate_interval_coloring(
     snapshot: ColoringSnapshot,
     topology: Topology,
@@ -67,36 +110,30 @@ def validate_interval_coloring(
 ) -> IntervalReport:
     """Check that [p-I, p] arcs of adjacent colored nodes never overlap.
 
-    When ``eta`` and ``q`` are given the report also carries the smallest
-    normalized interval min I*(2*dmax+1)/(eta*Q), which is at least 1 when
-    every node meets the guaranteed interval floor.
+    Arcs are closed and wrap around the period.  When ``eta`` and ``q`` are
+    given the report also carries the smallest normalized interval
+    min I*(2*dmax+1)/(eta*Q), which is at least 1 when every node meets the
+    guaranteed interval floor.
     """
-    states = snapshot.by_node()
+    arrs = snapshot._arrays
+    view = topology.arrays
     tau = snapshot.tau
-    violations = []
-    pairs = 0
-    for u, v in topology.edges():
-        su, sv = states.get(u), states.get(v)
-        if su is None or sv is None:
-            continue
-        if su.global_phase is None or sv.global_phase is None:
-            continue
-        if not (su.colored and sv.colored):
-            continue
-        pairs += 1
-        if _arcs_intersect(
-            su.global_phase, su.interval or 0, sv.global_phase, sv.interval or 0, tau
-        ):
-            violations.append((u, v))
+    _, iu, iv = arrs.at(topology)
+    checked = arrs.has_phase[iu] & arrs.has_phase[iv] & arrs.colored[iu] & arrs.colored[iv]
+    iu, iv = iu[checked], iv[checked]
+    pu, pv = arrs.phase[iu], arrs.phase[iv]
+    hit = ((pv - pu) % tau <= arrs.interval[iv]) | ((pu - pv) % tau <= arrs.interval[iu])
+    violations = tuple(zip(view.u[checked][hit].tolist(), view.v[checked][hit].tolist()))
     min_norm = None
     if eta is not None and q is not None:
-        norms = [
-            s.interval * (2 * topology.max_neighborhood_degree(s.node) + 1) / (eta * q)
-            for s in snapshot.states
-            if s.colored and s.interval is not None and s.node in topology
-        ]
-        min_norm = min(norms) if norms else None
-    return IntervalReport(pairs, tuple(violations), min_norm)
+        m = len(arrs.ids)
+        where = _positions(view.nodes, arrs.ids)
+        measured = arrs.colored[:m] & arrs.has_interval[:m] & (where < len(view.nodes))
+        if measured.any():
+            dmax = view.dmax[where[measured]]
+            norms = arrs.interval[:m][measured] * (2 * dmax + 1) / (eta * q)
+            min_norm = float(norms.min())
+    return IntervalReport(int(checked.sum()), violations, min_norm)
 
 
 def symmetric_window_violations(snapshot: ColoringSnapshot, topology: Topology) -> list[tuple[int, int]]:
@@ -105,17 +142,16 @@ def symmetric_window_violations(snapshot: ColoringSnapshot, topology: Topology) 
     The continuous protocol guarantees the stronger symmetric property
     p_u not in [p_v - I_v, p_v + I_v] for stable neighbors.
     """
-    states = snapshot.by_node()
+    arrs = snapshot._arrays
+    view = topology.arrays
     tau = snapshot.tau
-    bad = []
-    for u, v in topology.edges():
-        su, sv = states.get(u), states.get(v)
-        if su is None or sv is None or su.global_phase is None or sv.global_phase is None:
-            continue
-        d = wrap_distance(su.global_phase, sv.global_phase, tau)
-        if d <= (sv.interval or 0) or d <= (su.interval or 0):
-            bad.append((u, v))
-    return bad
+    _, iu, iv = arrs.at(topology)
+    both = arrs.has_phase[iu] & arrs.has_phase[iv]
+    iu, iv = iu[both], iv[both]
+    d = (arrs.phase[iu] - arrs.phase[iv]) % tau
+    d = np.minimum(d, tau - d)  # wrap distance
+    bad = (d <= arrs.interval[iv]) | (d <= arrs.interval[iu])
+    return list(zip(view.u[both][bad].tolist(), view.v[both][bad].tolist()))
 
 
 def classify_good_bad(snapshot: ColoringSnapshot, topology: Topology) -> dict[int, str]:
@@ -125,24 +161,22 @@ def classify_good_bad(snapshot: ColoringSnapshot, topology: Topology) -> dict[in
     wrap-aware distance 1 of its own; phaseless neighbors (still in their
     first period) cannot conflict.
     """
-    states = snapshot.by_node()
-    labels: dict[int, str] = {}
+    arrs = snapshot._arrays
+    view = topology.arrays
     tau = snapshot.tau
-    for v in topology.nodes:
-        sv = states.get(v)
-        if sv is None or not sv.colored:
-            labels[v] = BAD_UNCOLORED
-            continue
-        conflict = False
-        for u in topology.neighbors(v):
-            su = states.get(u)
-            if su is None or su.global_phase is None:
-                continue
-            if wrap_distance(su.global_phase, sv.global_phase, tau) <= 1:
-                conflict = True
-                break
-        labels[v] = BAD_COLORED if conflict else GOOD
-    return labels
+    own, iu, iv = arrs.at(topology)
+    both = arrs.has_phase[iu] & arrs.has_phase[iv]
+    pu, pv = arrs.phase[iu], arrs.phase[iv]
+
+    def near(a, b):  # wrap distance from a to b at most 1, as measured from a
+        d = (a - b) % tau
+        return (d <= 1) | (tau - d <= 1)
+
+    bad = np.zeros(len(view.nodes), dtype=bool)
+    bad[view.dst[both & near(pu, pv)]] = True  # v's neighbor u clashes with v
+    bad[view.src[both & near(pv, pu)]] = True
+    codes = np.where(arrs.colored[own], np.where(bad, 1, 2), 0)
+    return dict(zip(view.nodes.tolist(), [_LABELS[c] for c in codes.tolist()]))
 
 
 def hardness_reduction(
@@ -152,14 +186,21 @@ def hardness_reduction(
 
     Colors are c_v = (p_v + theta_v) mod Q.  A valid snapshot can never
     produce two adjacent equal colors; if it does, something upstream is
-    broken, so that case raises instead of returning.
+    broken, so that case raises instead of returning, naming the first
+    such edge (u, v) in id order.
     """
     colors = {v: (local_phases[v] + offsets[v]) % q for v in local_phases}
-    for u, v in topology.edges():
-        if u in colors and v in colors and colors[u] == colors[v]:
-            raise InternalInconsistencyError(
-                f"adjacent nodes {u} and {v} share color {colors[u]}"
-            )
+    ids = np.fromiter(colors, dtype=np.int64, count=len(colors))
+    order = np.argsort(ids)
+    values = np.array([*colors.values(), 0])[np.append(order, len(ids))]  # by id, then a filler
+    view = topology.arrays
+    own = _positions(ids[order], view.nodes)
+    iu, iv = own[view.src], own[view.dst]
+    same = (iu < len(ids)) & (iv < len(ids)) & (values[iu] == values[iv])
+    first = np.flatnonzero(same)
+    if first.size:
+        u, v = int(view.u[first[0]]), int(view.v[first[0]])
+        raise InternalInconsistencyError(f"adjacent nodes {u} and {v} share color {colors[u]}")
     if len(set(colors.values())) > q:
         raise InternalInconsistencyError("more colors than slots")
     return colors
@@ -167,15 +208,10 @@ def hardness_reduction(
 
 def neighbor_phase_ties(snapshot: ColoringSnapshot, topology: Topology) -> int:
     """Adjacent pairs sharing bit-identical global phases (should be zero)."""
-    states = snapshot.by_node()
-    ties = 0
-    for u, v in topology.edges():
-        su, sv = states.get(u), states.get(v)
-        if su is None or sv is None:
-            continue
-        if su.global_phase is not None and su.global_phase == sv.global_phase:
-            ties += 1
-    return ties
+    arrs = snapshot._arrays
+    _, iu, iv = arrs.at(topology)
+    tied = arrs.has_phase[iu] & arrs.has_phase[iv] & (arrs.phase[iu] == arrs.phase[iv])
+    return int(np.count_nonzero(tied))
 
 
 def fit_log_growth(ns, values) -> tuple[float, float]:

@@ -117,6 +117,10 @@ def _sizes(args) -> list[int]:
 def _build_topology(args, n: int | None, seed_key) -> Topology:
     spec = args.graph
     gen = GENERATORS.get(spec)
+    takes = {name for name, _ in gen.fields[1:]} if gen is not None else set()
+    for flag in ("delta", "p"):
+        if getattr(args, flag) is not None and flag not in takes:
+            raise ConfigError(f"--{flag} does not apply to --graph {spec!r}")
     if gen is not None:
         # a bare generator name: --n fills the first spec field, the
         # flag named after each further field fills that field

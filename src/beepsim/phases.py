@@ -14,12 +14,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
-def wrap_distance(a, b, tau):
-    """Shortest circular distance between two phases."""
-    d = (a - b) % tau
-    return min(d, tau - d)
-
-
 def lift_onto(anchor, phase, tau):
     """Unroll ``phase`` onto the real line so it lands in [anchor, anchor+tau).
 

@@ -66,12 +66,10 @@ class _EdgeArrays:
     """
 
     def __init__(self, engine: DiscreteEngine):
-        nodes = engine.topology.nodes
+        view = engine.topology.arrays
+        nodes = view.nodes.tolist()
         self.q = engine.q
-        self.nodes = np.array(nodes, dtype=np.int64)
-        pairs = np.array(engine.topology.edges(), dtype=np.int64).reshape(-1, 2)
-        self.src = np.searchsorted(self.nodes, pairs[:, 0])
-        self.dst = np.searchsorted(self.nodes, pairs[:, 1])
+        self.nodes, self.src, self.dst = view.nodes, view.src, view.dst
         self.wake = np.array([engine.wake_slot[v] for v in nodes], dtype=np.int64)
         self.protocols = [engine.protocols[v] for v in nodes]
 
@@ -267,7 +265,10 @@ def run_jitterjump_trial(
             if not cfg.dynamic:
                 break
 
-    final_snapshot = discrete_snapshot(engine)
+    if snapshot is None or cfg.dynamic:
+        final_snapshot = discrete_snapshot(engine)
+    else:  # a static run stops at convergence, so the state has not moved
+        final_snapshot = snapshot
     final_labels = classify_good_bad(final_snapshot, engine.topology)
     if snapshot is None:
         snapshot = final_snapshot
@@ -326,9 +327,11 @@ def run_beepfirst_trial(
 
     gens = _protocol_streams(master, seed_key, topology.nodes)
 
+    view = topology.arrays
+    dmax = dict(zip(view.nodes.tolist(), view.dmax.tolist()))
+
     def factory(v: int) -> BeepFirst:
-        return BeepFirst(cfg.epsilon, topology.degree(v), topology.max_neighborhood_degree(v),
-                         gens[v])
+        return BeepFirst(cfg.epsilon, topology.degree(v), dmax[v], gens[v])
 
     engine = ContinuousEngine(topology, factory, wake)
     overruns = 0

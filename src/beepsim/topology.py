@@ -18,6 +18,7 @@ File formats (documented in the README):
 
 from __future__ import annotations
 
+import itertools
 import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -27,11 +28,29 @@ import numpy as np
 from .errors import ConfigError
 
 
+class TopologyArrays(NamedTuple):
+    """A topology as read-only int64 arrays, for whole-graph passes.
+
+    ``src``/``dst`` index ``nodes``; ``u``/``v`` are the same edges as ids,
+    u < v, in :meth:`Topology.edges` order.  ``dmax`` is the largest degree
+    in each node's closed neighborhood.
+    """
+
+    nodes: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    degree: np.ndarray
+    dmax: np.ndarray
+
+
 class Topology:
     """Mutable undirected graph without self-loops."""
 
     def __init__(self, adj: dict[int, set[int]] | None = None):
         self._adj: dict[int, set[int]] = {} if adj is None else adj
+        self._arrays: TopologyArrays | None = None
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Topology":
@@ -71,10 +90,6 @@ class Topology:
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
-    def max_neighborhood_degree(self, v: int) -> int:
-        """Largest degree within the closed 1-neighborhood of ``v``."""
-        return max([self.degree(v)] + [self.degree(u) for u in self._adj[v]])
-
     @property
     def delta(self) -> int:
         if not self._adj:
@@ -83,6 +98,37 @@ class Topology:
 
     def edges(self) -> list[tuple[int, int]]:
         return sorted((u, v) for u, nbrs in self._adj.items() for v in nbrs if u < v)
+
+    @property
+    def arrays(self) -> TopologyArrays:
+        """The graph as :class:`TopologyArrays`, built on first use and
+        dropped by every mutation."""
+        if self._arrays is None:
+            self._arrays = self._build_arrays()
+        return self._arrays
+
+    def _build_arrays(self) -> TopologyArrays:
+        adj = self._adj
+        ids = np.fromiter(adj, dtype=np.int64, count=len(adj))
+        deg = np.fromiter(map(len, adj.values()), dtype=np.int64, count=len(adj))
+        heads = np.fromiter(itertools.chain.from_iterable(adj.values()), dtype=np.int64,
+                            count=int(deg.sum()))
+        tails = np.repeat(ids, deg)
+        one_way = tails < heads
+        order = np.argsort(ids)
+        nodes = ids[order]
+        src = np.searchsorted(nodes, tails[one_way])
+        dst = np.searchsorted(nodes, heads[one_way])
+        by_edge = np.lexsort((dst, src))  # (u, v) order, as edges() sorts
+        src, dst = src[by_edge], dst[by_edge]
+        degree = deg[order]
+        dmax = degree.copy()
+        np.maximum.at(dmax, src, degree[dst])
+        np.maximum.at(dmax, dst, degree[src])
+        out = TopologyArrays(nodes, nodes[src], nodes[dst], src, dst, degree, dmax)
+        for arr in out:
+            arr.flags.writeable = False
+        return out
 
     def copy(self) -> "Topology":
         return Topology({v: set(nbrs) for v, nbrs in self._adj.items()})
@@ -95,6 +141,7 @@ class Topology:
             raise ConfigError("node ids must be nonnegative")
         if v in self._adj:
             raise ConfigError(f"node {v} already exists")
+        self._arrays = None
         self._adj[v] = set()
         for u in neighbors:
             self.add_edge(v, u)
@@ -102,6 +149,7 @@ class Topology:
     def remove_node(self, v: int) -> None:
         if v not in self._adj:
             raise ConfigError(f"cannot remove unknown node {v}")
+        self._arrays = None
         for u in self._adj.pop(v):
             self._adj[u].discard(v)
 
@@ -112,12 +160,14 @@ class Topology:
             raise ConfigError(f"edge ({u}, {v}) references an unknown node")
         if v in self._adj[u]:
             raise ConfigError(f"edge ({u}, {v}) already exists")
+        self._arrays = None
         self._adj[u].add(v)
         self._adj[v].add(u)
 
     def remove_edge(self, u: int, v: int) -> None:
         if u not in self._adj or v not in self._adj[u]:
             raise ConfigError(f"cannot remove unknown edge ({u}, {v})")
+        self._arrays = None
         self._adj[u].discard(v)
         self._adj[v].discard(u)
 
@@ -335,8 +385,10 @@ def build_wakeup(spec: str, nodes: Sequence[int], period, rng: np.random.Generat
     discrete = isinstance(period, numbers.Integral)
     if spec == "random":
         if discrete:
-            return {v: int(rng.integers(0, period)) for v in nodes}
-        return {v: float(rng.uniform(0.0, period)) for v in nodes}
+            draws = rng.integers(0, period, size=len(nodes))
+        else:
+            draws = rng.uniform(0.0, period, size=len(nodes))
+        return dict(zip(nodes, draws.tolist()))
     if spec == "simultaneous":
         wake = {v: 0 for v in nodes}
     elif spec.startswith("stagger:"):

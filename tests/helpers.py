@@ -9,6 +9,7 @@ from collections import defaultdict
 import numpy as np
 
 from beepsim import rng as rngmod
+from beepsim.analysis import BAD_COLORED, BAD_UNCOLORED, GOOD, IntervalReport
 from beepsim.beepfirst import BeepFirst, _first_fit
 from beepsim.continuous import CONTINUOUS_PERIOD, Beep, Listen, Rebase
 from beepsim.discrete import DiscreteEngine, SlotOutcome
@@ -18,6 +19,117 @@ from beepsim.jitterjump import JitterAndJump, PeriodReport, buffer_length, free_
 from beepsim.lowerbound import TwinCouplingStats
 from beepsim.phases import PhaseSet
 from beepsim.topology import _PAIRING_ATTEMPTS, Topology, cycle_of_blocks, twin_pairs
+
+
+def wrap_distance(a, b, tau):
+    """Shortest circular distance between two phases."""
+    d = (a - b) % tau
+    return min(d, tau - d)
+
+
+def max_neighborhood_degree(topology, v):
+    """Largest degree within the closed 1-neighborhood of ``v``, one
+    neighbor at a time: the oracle for ``TopologyArrays.dmax``."""
+    return max([topology.degree(v)] + [topology.degree(u) for u in topology.neighbors(v)])
+
+
+def _arcs_intersect(end_a, len_a, end_b, len_b, tau) -> bool:
+    # Arcs [end - len, end], closed, wrap-aware.
+    return (end_b - end_a) % tau <= len_b or (end_a - end_b) % tau <= len_a
+
+
+def validate_interval_coloring_reference(snapshot, topology, eta=None, q=None):
+    """One edge at a time: the oracle for ``analysis.validate_interval_coloring``."""
+    states = snapshot.by_node()
+    tau = snapshot.tau
+    violations = []
+    pairs = 0
+    for u, v in topology.edges():
+        su, sv = states.get(u), states.get(v)
+        if su is None or sv is None:
+            continue
+        if su.global_phase is None or sv.global_phase is None:
+            continue
+        if not (su.colored and sv.colored):
+            continue
+        pairs += 1
+        if _arcs_intersect(
+            su.global_phase, su.interval or 0, sv.global_phase, sv.interval or 0, tau
+        ):
+            violations.append((u, v))
+    min_norm = None
+    if eta is not None and q is not None:
+        norms = [
+            s.interval * (2 * max_neighborhood_degree(topology, s.node) + 1) / (eta * q)
+            for s in snapshot.states
+            if s.colored and s.interval is not None and s.node in topology
+        ]
+        min_norm = min(norms) if norms else None
+    return IntervalReport(pairs, tuple(violations), min_norm)
+
+
+def symmetric_window_violations_reference(snapshot, topology):
+    """One edge at a time: the oracle for ``analysis.symmetric_window_violations``."""
+    states = snapshot.by_node()
+    tau = snapshot.tau
+    bad = []
+    for u, v in topology.edges():
+        su, sv = states.get(u), states.get(v)
+        if su is None or sv is None or su.global_phase is None or sv.global_phase is None:
+            continue
+        d = wrap_distance(su.global_phase, sv.global_phase, tau)
+        if d <= (sv.interval or 0) or d <= (su.interval or 0):
+            bad.append((u, v))
+    return bad
+
+
+def classify_good_bad_reference(snapshot, topology):
+    """One node and one neighbor at a time: the oracle for
+    ``analysis.classify_good_bad``."""
+    states = snapshot.by_node()
+    labels = {}
+    tau = snapshot.tau
+    for v in topology.nodes:
+        sv = states.get(v)
+        if sv is None or not sv.colored:
+            labels[v] = BAD_UNCOLORED
+            continue
+        conflict = False
+        for u in topology.neighbors(v):
+            su = states.get(u)
+            if su is None or su.global_phase is None:
+                continue
+            if wrap_distance(su.global_phase, sv.global_phase, tau) <= 1:
+                conflict = True
+                break
+        labels[v] = BAD_COLORED if conflict else GOOD
+    return labels
+
+
+def hardness_reduction_reference(local_phases, offsets, q, topology):
+    """One edge at a time: the oracle for ``analysis.hardness_reduction``."""
+    colors = {v: (local_phases[v] + offsets[v]) % q for v in local_phases}
+    for u, v in topology.edges():
+        if u in colors and v in colors and colors[u] == colors[v]:
+            raise InternalInconsistencyError(
+                f"adjacent nodes {u} and {v} share color {colors[u]}"
+            )
+    if len(set(colors.values())) > q:
+        raise InternalInconsistencyError("more colors than slots")
+    return colors
+
+
+def neighbor_phase_ties_reference(snapshot, topology):
+    """One edge at a time: the oracle for ``analysis.neighbor_phase_ties``."""
+    states = snapshot.by_node()
+    ties = 0
+    for u, v in topology.edges():
+        su, sv = states.get(u), states.get(v)
+        if su is None or sv is None:
+            continue
+        if su.global_phase is not None and su.global_phase == sv.global_phase:
+            ties += 1
+    return ties
 
 
 def first_clear_phase(s, b, t_period):

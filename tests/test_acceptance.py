@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from helpers import collision_escape_trial
+from helpers import collision_escape_trial, max_neighborhood_degree
 
 from beepsim import rng
 from beepsim.analysis import (
@@ -110,7 +110,7 @@ def test_02_beepfirst_interval_validity(beepfirst_runs):
         if symmetric_window_violations(r.snapshot, topo):
             symmetric += 1
         for s in r.snapshot.states:
-            dmax = topo.max_neighborhood_degree(s.node)
+            dmax = max_neighborhood_degree(topo, s.node)
             if s.interval != (1.0 - EPSILON) * 1.0 / (2.0 * (dmax + 1)):
                 formula_off += 1
     gate(
@@ -156,7 +156,7 @@ def test_04_interval_floor(sweep):
             states = t.snapshot.by_node()
             for v in t.topology.nodes:
                 s = states[v]
-                dmax = t.topology.max_neighborhood_degree(v)
+                dmax = max_neighborhood_degree(t.topology, v)
                 # integer comparison: I * (2*dmax+1) * 16 >= Q, zero tolerance
                 lhs = s.interval * (2 * dmax + 1) * 16
                 worst = min(worst, lhs / t.q)

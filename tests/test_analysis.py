@@ -1,6 +1,14 @@
 """Validators, classification, and the vertex-coloring reduction."""
 
 import pytest
+from helpers import (
+    classify_good_bad_reference,
+    hardness_reduction_reference,
+    neighbor_phase_ties_reference,
+    symmetric_window_violations_reference,
+    validate_interval_coloring_reference,
+)
+from hypothesis import given, settings, strategies as st
 
 from beepsim.analysis import (
     ColoringSnapshot,
@@ -9,6 +17,7 @@ from beepsim.analysis import (
     fit_log_growth,
     hardness_reduction,
     neighbor_phase_ties,
+    symmetric_window_violations,
     validate_interval_coloring,
 )
 from beepsim.errors import InternalInconsistencyError
@@ -109,3 +118,123 @@ def test_fit_log_growth():
     assert slope == pytest.approx(2.0)
     _, flat_slope = fit_log_growth(ns, [3, 3, 3, 3])
     assert flat_slope == pytest.approx(0.0, abs=1e-12)
+
+
+# -- the array passes against their one-edge-at-a-time references ------------
+
+_GRID = [k / 16 for k in range(16)]  # float phases that touch and tie exactly
+
+
+@st.composite
+def snapshot_and_topology(draw):
+    """A topology with gaps in its ids and a snapshot that covers part of it
+    plus nodes it lacks; phases are ints mod Q or floats mod T = 1."""
+    n = draw(st.integers(0, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [e for e, keep in zip(pairs, draw(st.lists(st.booleans(), min_size=len(pairs),
+                                                        max_size=len(pairs)))) if keep]
+    topo = Topology.from_edges(n, edges)
+    if n:
+        for v in draw(st.lists(st.sampled_from(range(n)), unique=True, max_size=3)):
+            topo.remove_node(v)
+    if draw(st.booleans()):
+        topo.add_node(n + 5, [v for v in topo.nodes if v % 2])
+    kept = [v for v in topo.nodes if draw(st.integers(0, 3))]  # most topology nodes
+    ids = sorted(set(kept) | set(draw(st.lists(st.integers(0, 20), max_size=3))))
+    if draw(st.booleans()):
+        tau = draw(st.sampled_from([16, 4, 1]))
+        value = st.integers(0, tau - 1)
+        length = st.integers(0, tau - 1)
+    else:
+        tau = 1.0
+        value = st.one_of(st.sampled_from(_GRID), st.floats(0.0, 1.0, exclude_max=True))
+        length = st.one_of(st.sampled_from(_GRID[:8]), st.floats(0.0, 0.5))
+
+    def mostly(values):  # None one time in four
+        return draw(values) if draw(st.integers(0, 3)) else None
+
+    states = tuple(NodeState(v, mostly(value), mostly(length), bool(mostly(st.just(True))))
+                   for v in ids)
+    return ColoringSnapshot(tau, states), topo
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(snapshot_and_topology(), st.sampled_from([(None, None), (1 / 16, 32), (0.1, 7)]))
+def test_array_passes_match_the_loops(case, eta_q):
+    snapshot, topo = case
+    eta, q = eta_q
+    report = validate_interval_coloring(snapshot, topo, eta=eta, q=q)
+    assert report == validate_interval_coloring_reference(snapshot, topo, eta=eta, q=q)
+    assert type(report.pairs_checked) is int
+    assert all(type(x) is int for pair in report.violations for x in pair)
+    norm = report.min_normalized_interval
+    assert norm is None or type(norm) is float
+
+    window = symmetric_window_violations(snapshot, topo)
+    assert window == symmetric_window_violations_reference(snapshot, topo)
+    assert all(type(x) is int for pair in window for x in pair)
+
+    ties = neighbor_phase_ties(snapshot, topo)
+    assert ties == neighbor_phase_ties_reference(snapshot, topo)
+    assert type(ties) is int
+
+    # both runners color a node only once it holds a phase
+    colored_phased = ColoringSnapshot(snapshot.tau, tuple(
+        NodeState(s.node, s.global_phase, s.interval, s.colored and s.global_phase is not None)
+        for s in snapshot.states))
+    labels = classify_good_bad(colored_phased, topo)
+    expected = classify_good_bad_reference(colored_phased, topo)
+    assert list(labels.items()) == list(expected.items())
+    assert all(type(v) is int for v in labels)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(snapshot_and_topology(), st.data())
+def test_hardness_reduction_matches_the_loop(case, data):
+    snapshot, topo = case
+    q = snapshot.tau if isinstance(snapshot.tau, int) else 1.0
+    phases = {s.node: s.global_phase for s in snapshot.states if s.global_phase is not None}
+    offsets = {v: data.draw(st.integers(0, 2)) for v in phases}
+    try:
+        expected = hardness_reduction_reference(phases, offsets, q, topo)
+    except InternalInconsistencyError as exc:
+        with pytest.raises(InternalInconsistencyError) as got:
+            hardness_reduction(phases, offsets, q, topo)
+        assert str(got.value) == str(exc)
+    else:
+        assert hardness_reduction(phases, offsets, q, topo) == expected
+
+
+def test_array_passes_on_an_empty_graph():
+    empty = Topology.from_edges(0, [])
+    snapshot = snap(8, (1, 2, True))
+    assert validate_interval_coloring(snapshot, empty, eta=0.5, q=8) == \
+        validate_interval_coloring_reference(snapshot, empty, eta=0.5, q=8)
+    assert symmetric_window_violations(snapshot, empty) == []
+    assert neighbor_phase_ties(snapshot, empty) == 0
+    assert classify_good_bad(ColoringSnapshot(8, ()), empty) == {}
+    assert hardness_reduction({}, {}, 8, empty) == {}
+
+
+def test_classification_measures_distance_from_the_neighbor():
+    # in floats the wrap distance from a to b can round to a different side
+    # of 1 than the distance from b to a: here 1.0 from node 1 to node 0
+    # and 1.0000000000000002 from node 0 to node 1
+    topo = Topology.from_edges(2, [(0, 1)])
+    snapshot = snap(7.3, (2.805976866086028, 0.1, True), (1.8059768660860278, 0.1, True))
+    expected = {0: "bad-colored", 1: "good"}
+    assert classify_good_bad_reference(snapshot, topo) == expected
+    assert classify_good_bad(snapshot, topo) == expected
+
+
+@pytest.mark.parametrize("tau, a, b", [
+    (32, (2, 3, True), (10, 8, True)),  # arcs [31, 2] and [2, 10] share slot 2
+    (1.0, (0.125, 0.25, True), (0.375, 0.25, True)),  # [0.875, 0.125] and [0.125, 0.375]
+])
+def test_arcs_whose_ends_touch_overlap(tau, a, b):
+    topo = Topology.from_edges(2, [(0, 1)])
+    for triples in ((a, b), (b, a)):
+        snapshot = snap(tau, *triples)
+        report = validate_interval_coloring(snapshot, topo)
+        assert report.violations == ((0, 1),)
+        assert report == validate_interval_coloring_reference(snapshot, topo)

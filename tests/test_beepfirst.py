@@ -4,13 +4,19 @@ import gc
 from unittest.mock import patch
 
 import pytest
-from helpers import LoopBeepFirst, first_clear_phase, record_beeps
+from helpers import (
+    LoopBeepFirst,
+    first_clear_phase,
+    max_neighborhood_degree,
+    record_beeps,
+    wrap_distance,
+)
 from hypothesis import given, settings, strategies as st
 
 from beepsim import continuous, rng, runner
 from beepsim.beepfirst import BeepFirst
 from beepsim.config import SimConfig
-from beepsim.phases import PhaseSet, wrap_distance
+from beepsim.phases import PhaseSet
 from beepsim.runner import run_beepfirst_trial
 from beepsim.topology import Topology, clique, gnp
 
@@ -130,7 +136,7 @@ def test_interval_formula_uses_neighborhood_max_degree():
     topo = clique(5)
     result = run_beepfirst_trial(topo, cfg, seed_key=("formula",))
     for state in result.snapshot.states:
-        dmax = topo.max_neighborhood_degree(state.node)
+        dmax = max_neighborhood_degree(topo, state.node)
         assert state.interval == (1 - 0.2) * 1.0 / (2 * (dmax + 1))
 
 
@@ -152,7 +158,7 @@ def test_shared_streams_produce_identical_phases_and_a_tie():
 
     def factory(v):
         key = (37, "twin", "p") if v in (0, 1) else (37, v, "p")
-        return BeepFirst(0.1, topo.degree(v), topo.max_neighborhood_degree(v),
+        return BeepFirst(0.1, topo.degree(v), max_neighborhood_degree(topo, v),
                          rng.stream(*key))
 
     engine = ContinuousEngine(topo, factory, {v: 0.0 for v in topo.nodes})
@@ -230,7 +236,7 @@ def test_cycle_matches_loop_with_coincident_beeps(seed):
     for cls in (BeepFirst, LoopBeepFirst):
         def factory(v, cls=cls):
             key = (seed, "twin", "p") if v in (0, 1) else (seed, v, "p")
-            return cls(0.1, topo.degree(v), topo.max_neighborhood_degree(v), rng.stream(*key))
+            return cls(0.1, topo.degree(v), max_neighborhood_degree(topo, v), rng.stream(*key))
 
         engine = continuous.ContinuousEngine(topo, factory, {v: 0.0 for v in topo.nodes})
         beeps = record_beeps(engine)

@@ -312,3 +312,26 @@ def test_n_with_full_spec_or_edge_file_exits_2(tmp_path, capsys):
         assert code == 2
         assert "--n applies only to a bare generator name" in captured.err
         assert "n=12" not in captured.out
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["--graph", "clique:4", "--delta", "7", "--p", "0.5"], "delta"),
+    (["--graph", "random-regular", "--n", "8", "--delta", "3", "--p", "0.9"], "p"),
+    (["--graph", "gnp", "--n", "8", "--p", "0.5", "--delta", "3"], "delta"),
+])
+def test_graph_flag_the_graph_does_not_take_exits_2(args, flag, capsys):
+    code = run_cli(["static", *args])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"--{flag} does not apply to --graph" in captured.err
+    assert "all validators passed" not in captured.out
+
+
+def test_delta_with_edge_file_exits_2(tmp_path, capsys):
+    graph = tmp_path / "g.edges"
+    graph.write_text("0 1\n1 2\n2 0\n")
+    code = run_cli(["static", "--graph", str(graph), "--delta", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"--delta does not apply to --graph {str(graph)!r}" in captured.err
+    assert "all validators passed" not in captured.out

@@ -2,10 +2,10 @@
 
 import math
 
-from helpers import in_range
+from helpers import in_range, wrap_distance
 from hypothesis import example, given, settings, strategies as st
 
-from beepsim.phases import PhaseSet, lift_onto, wrap_distance
+from beepsim.phases import PhaseSet, lift_onto
 
 
 def make(values, tau=10):

@@ -5,14 +5,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import valid_events
+from helpers import valid_events, wrap_distance
 from hypothesis import given, settings, strategies as st
 
 from beepsim import rng as rngmod
 from beepsim import runner
 from beepsim.analysis import GOOD, classify_good_bad
 from beepsim.config import SimConfig
-from beepsim.phases import wrap_distance
 from beepsim.topology import DynamicEvent, Topology
 
 

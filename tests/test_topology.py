@@ -1,7 +1,8 @@
 """Graphs, generators, and input file parsing."""
 
+import numpy as np
 import pytest
-from helpers import gnp_reference, random_regular_reference
+from helpers import gnp_reference, max_neighborhood_degree, random_regular_reference
 
 from beepsim import rng
 from beepsim.errors import ConfigError
@@ -49,10 +50,55 @@ def test_self_loops_and_duplicates_rejected():
 
 def test_max_neighborhood_degree():
     t = star(5)
-    assert t.max_neighborhood_degree(0) == 4
-    assert t.max_neighborhood_degree(1) == 4
+    assert max_neighborhood_degree(t, 0) == 4
+    assert max_neighborhood_degree(t, 1) == 4
     isolated = Topology.from_edges(1, [])
-    assert isolated.max_neighborhood_degree(0) == 0
+    assert max_neighborhood_degree(isolated, 0) == 0
+    assert t.arrays.dmax.tolist() == [4] * 5
+    assert isolated.arrays.dmax.tolist() == [0]
+
+
+def _assert_arrays_match(t):
+    view = t.arrays
+    assert view.nodes.tolist() == list(t.nodes)
+    assert list(zip(view.u.tolist(), view.v.tolist())) == t.edges()
+    assert (view.nodes[view.src] == view.u).all() and (view.nodes[view.dst] == view.v).all()
+    assert view.degree.tolist() == [t.degree(v) for v in t.nodes]
+    assert view.dmax.tolist() == [max_neighborhood_degree(t, v) for v in t.nodes]
+    assert all(arr.dtype == np.int64 and not arr.flags.writeable for arr in view)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_arrays_match_the_adjacency_map(seed):
+    g = gnp(40, 0.15, rng.stream(seed, "arrays"))
+    _assert_arrays_match(g)
+    for v in (3, 17, 39):  # non-contiguous ids
+        g.remove_node(v)
+    g.add_node(57, [0, 1, 2])
+    _assert_arrays_match(g)
+    _assert_arrays_match(Topology.from_edges(0, []))
+    _assert_arrays_match(Topology.from_edges(3, []))
+
+
+def test_every_mutation_drops_the_arrays():
+    t = Topology.from_edges(4, [(0, 1), (1, 2)])
+    mutations = [
+        lambda g: g.add_node(9, [3]),
+        lambda g: g.remove_node(0),
+        lambda g: g.add_edge(2, 3),
+        lambda g: g.remove_edge(1, 2),
+    ]
+    for mutate in mutations:
+        before = t.arrays
+        mutate(t)
+        assert t.arrays is not before
+        _assert_arrays_match(t)
+    cached = t.arrays
+    twin = t.copy()
+    twin.add_edge(1, 9)
+    _assert_arrays_match(twin)
+    assert t.arrays is cached  # the original is untouched
+    _assert_arrays_match(t)
 
 
 def test_gnp_bounds_and_determinism():
@@ -187,3 +233,17 @@ def test_wakeup_builder_serves_the_continuous_model():
     assert all(isinstance(t, float) and 0.0 <= t < 1.0 for t in rand.values())
     assert build_wakeup("stagger:2", nodes, 1.0, rng.stream(1)) == {0: 0.0, 1: 2.0, 2: 4.0}
     assert build_wakeup("simultaneous", nodes, 1.0, rng.stream(1)) == {0: 0.0, 1: 0.0, 2: 0.0}
+
+
+@pytest.mark.parametrize("period", [1, 64, 8192, 1.0])
+def test_random_wakeup_equals_one_scalar_draw_per_node(period):
+    nodes = (0, 2, 3, 7, 11) + tuple(range(20, 200))
+    batch, scalar = rng.stream(5, "wakeup"), rng.stream(5, "wakeup")
+    wake = build_wakeup("random", nodes, period, batch)
+    if isinstance(period, int):
+        expected = {v: int(scalar.integers(0, period)) for v in nodes}
+    else:
+        expected = {v: float(scalar.uniform(0.0, period)) for v in nodes}
+    assert list(wake.items()) == list(expected.items())
+    assert all(type(t) is type(period) for t in wake.values())
+    assert batch.integers(2**62) == scalar.integers(2**62)  # the streams stay in step
