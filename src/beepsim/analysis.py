@@ -71,9 +71,6 @@ class ColoringSnapshot:
     tau: float | int
     states: tuple[NodeState, ...]
 
-    def by_node(self) -> dict[int, NodeState]:
-        return {s.node: s for s in self.states}
-
     @cached_property
     def _arrays(self) -> _NodeArrays:
         states = sorted(self.states, key=attrgetter("node"))  # stable: last duplicate wins

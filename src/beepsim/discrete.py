@@ -25,12 +25,18 @@ into phase t - (s - Q), with no set and no sort.
 Dynamic topology events are applied at global period boundaries, those
 of one period in the order given.  All bookkeeping is resolved in a fixed
 order so identical configurations produce bit-identical runs.
+
+When every node wakes at slot 0 and beeps once per period, one period is
+one window of Q slots for the whole network, and :func:`deliver_window`
+delivers it in one array pass instead of slot by slot.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
 from typing import Callable, Iterable, NamedTuple
+
+import numpy as np
 
 from .errors import ConfigError, InternalInconsistencyError
 from .topology import DynamicEvent, Topology
@@ -264,3 +270,21 @@ class DiscreteEngine:
             outcome = self.step_slot()
         self.slot = end
         return outcome
+
+
+def deliver_window(listener: np.ndarray, beeper: np.ndarray, offsets: np.ndarray,
+                   q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The phases each node hears in a window of Q slots in which node
+    ``i`` beeps once, in slot ``offsets[i]`` of the window.
+
+    ``listener`` and ``beeper`` hold both ends of every edge, each edge
+    once in each direction, as node indices.  As in :meth:`DiscreteEngine.
+    step_slot`, a node never hears its own slot and hears a slot once
+    however many neighbours beep in it.  Returns ``(owner, phase)``: the
+    heard phases, ascending by node and then by phase.
+    """
+    slot = offsets[beeper]
+    audible = slot != offsets[listener]
+    heard = np.sort(listener[audible] * q + slot[audible])
+    heard = heard[np.diff(heard, prepend=-1) != 0]
+    return heard // q, heard % q

@@ -13,6 +13,10 @@ slot every period and tracks the maximum per-period beep count over a
 moving window; if that maximum falls below 1/16 of the degree estimate,
 the estimate is rebuilt and the node gives its slot up, which lets the
 network recover larger intervals after the neighborhood shrinks.
+
+:class:`StaticJitterJumpArrays` steps the static protocol of a whole
+network whose nodes all woke at slot 0, one period at a time over arrays,
+with every node's draws unchanged.
 """
 
 from __future__ import annotations
@@ -21,8 +25,10 @@ import math
 from collections import deque
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import ProtocolViolation
-from .rng import RawDraws
+from .rng import ArrayDraws, RawDraws
 
 
 def buffer_length(eta: float, q: int, estimate: int) -> int:
@@ -56,6 +62,13 @@ def free_slots(heard, b: int, q: int, own_phase: int | None = None) -> list[int]
         reach = start + width
     free.extend(range(reach, q))
     return free
+
+
+def _no_free_slots(q: int, b: int, n_heard: int) -> ProtocolViolation:
+    return ProtocolViolation(
+        f"no free slots (Q={q}, b={b}, heard={n_heard}); "
+        "parameters are outside the supported regime"
+    )
 
 
 class PeriodReport(NamedTuple):
@@ -147,10 +160,7 @@ class JitterAndJump:
             free = free_slots(heard, b, q, own_phase=p)
             free_count = len(free)
             if not free:
-                raise ProtocolViolation(
-                    f"no free slots (Q={q}, b={b}, heard={n_heard}); "
-                    "parameters are outside the supported regime"
-                )
+                raise _no_free_slots(q, b, n_heard)
         below = self._draws.below
         if not colored:
             self.p = free[below(free_count)]
@@ -184,3 +194,136 @@ class JitterAndJump:
             self.d_star,
             window,
         )
+
+
+class _FreeGaps:
+    """:func:`free_slots` of many nodes at once, as the gaps between each
+    node's blocked runs.
+
+    ``owner`` and ``marker`` list the occupied slots of some nodes, at
+    least one each; ``b`` is indexed by node.  ``counts`` and :meth:`nth`
+    take those nodes in ascending order.  A node with m markers has m + 1
+    gaps, in slot order as :func:`free_slots` walks them: before each run
+    (the first begins where the last run's wrap past Q ends) and after the
+    last one.
+    """
+
+    def __init__(self, owner: np.ndarray, marker: np.ndarray, b: np.ndarray, q: int):
+        # sorted by node, then by run start; a repeated marker adds an empty gap
+        key = np.sort(owner * q + (marker - b[owner] - 1) % q)
+        owner, start = key // q, key % q
+        width = 2 * b[owner] + 4
+        first = np.diff(owner, prepend=-1) != 0
+        last = np.diff(owner, append=owner[-1] + 1) != 0
+        group = np.cumsum(first) - 1
+        tail = start[last]
+        prev_end = np.concatenate(([0], start[:-1] + width[:-1]))
+        at_run = np.arange(len(key)) + group  # the gap before each run
+        at_end = np.flatnonzero(last) + np.arange(len(tail)) + 1
+        begin = np.empty(len(key) + len(tail), dtype=np.int64)
+        end = np.empty_like(begin)
+        begin[at_run] = np.where(first, np.maximum(tail[group] + width - q, 0), prev_end)
+        end[at_run] = start
+        begin[at_end] = tail + width[last]
+        end[at_end] = q
+        self.begin = begin
+        self.length = np.maximum(end - begin, 0)
+        self.total = np.cumsum(self.length)
+        self._first = at_run[first]
+        self.counts = np.add.reduceat(self.length, self._first)
+
+    def nth(self, r: np.ndarray) -> np.ndarray:
+        """Each node's ``r[i]``-th free slot, counting from 0."""
+        target = self.total[self._first] - self.length[self._first] + r
+        gap = np.searchsorted(self.total, target, side="right")
+        return self.begin[gap] + target - (self.total[gap] - self.length[gap])
+
+
+class PeriodArrays(NamedTuple):
+    """:class:`PeriodReport` of every node for one period, as arrays
+    indexed by node; ``None`` where the field is ``None`` for all nodes,
+    and -1 in ``free_count`` where a node drew no slot."""
+
+    period: int
+    phase: np.ndarray | None
+    jitter: np.ndarray | None
+    interval: np.ndarray | None
+    beeps_heard: np.ndarray
+    colored: np.ndarray
+    free_count: np.ndarray
+
+
+class StaticJitterJumpArrays:
+    """The static :class:`JitterAndJump` of ``n`` nodes that all woke at
+    slot 0, stepped together: node ``i`` draws from stream ``i`` of
+    ``draws`` exactly what it would draw through :class:`RawDraws`, so
+    every state field and report equals the per-node protocol's.
+
+    ``p``, ``jitter`` and ``interval`` are ``None`` until the first period
+    that sets them, then int arrays; ``colored`` and ``d_tilde`` are
+    arrays throughout.
+    """
+
+    def __init__(self, q: int, eta: float, draws: ArrayDraws, n: int):
+        self.q = q
+        self.eta = eta
+        self._draws = draws
+        self._all = np.arange(n)
+        self.colored = np.zeros(n, dtype=bool)
+        self.p: np.ndarray | None = None
+        self.jitter: np.ndarray | None = None
+        self.d_tilde = np.ones(n, dtype=np.int64)
+        self.interval: np.ndarray | None = None
+        self.period = 0
+        self.last_report: PeriodArrays | None = None
+
+    def on_period_end(self, owner: np.ndarray, phase: np.ndarray) -> np.ndarray:
+        """Digest one finished period and return each node's beep offset.
+
+        ``owner`` and ``phase`` list the phases heard, ascending by node
+        and then by phase (see ``discrete.deliver_window``); the first
+        period is listen only for every node, so nothing is heard in it.
+        """
+        q, p, n = self.q, self.p, len(self._all)
+        n_heard = np.bincount(owner, minlength=n)
+        d_tilde = np.maximum(n_heard, 1)
+        b = np.maximum(np.floor(self.eta * q / (d_tilde + 1)).astype(np.int64), 1)
+        colored, interval = self.colored, None
+        if self.period:
+            # the window checks of JitterAndJump.on_period_end, by each
+            # heard phase's distance d back from the node's own phase
+            d = (p[owner] - phase) % q
+            gap = np.full(n, q, dtype=np.int64)
+            np.minimum.at(gap, owner, d)
+            interval = self.interval = np.maximum(gap - 1, 0)
+            b_at = b[owner]
+            in_buffer = np.bincount(owner[(b_at - d) % q <= 2 * b_at % q], minlength=n) > 0
+            near = np.bincount(owner[(1 - d) % q <= 3 % q], minlength=n) > 0
+            colored = ~in_buffer | (colored & ~near)
+        self.d_tilde, self.colored = d_tilde, colored
+
+        free_count = np.full(n, -1, dtype=np.int64)
+        redraw = np.flatnonzero(~colored)
+        if p is None:  # nothing heard and no phase held: every slot is free
+            free_count[:] = q
+            new_p = self._draws.below(self._all, free_count)
+        else:
+            new_p = p.copy()
+            if redraw.size:  # each node's markers: its heard phases and its own phase
+                mine = ~colored[owner]
+                gaps = _FreeGaps(np.concatenate((owner[mine], redraw)),
+                                 np.concatenate((phase[mine], p[redraw])), b, q)
+                free_count[redraw] = gaps.counts
+                if not gaps.counts.all():
+                    v = redraw[np.argmin(gaps.counts)]
+                    raise _no_free_slots(q, int(b[v]), int(n_heard[v]))
+                new_p[redraw] = gaps.nth(self._draws.below(redraw, gaps.counts))
+        jitter = self._draws.below(self._all, np.full(n, 2))
+
+        self.last_report = PeriodArrays(
+            self.period, p, self.jitter, interval, n_heard, colored, free_count
+        )
+        self.p, self.jitter = new_p, jitter
+        self.period += 1
+        # modular, as JitterAndJump's: no beep leaves the period's window
+        return (new_p + jitter) % q

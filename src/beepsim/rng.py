@@ -9,8 +9,9 @@ stream in id order (see ``topology.build_wakeup``), and a node re-added
 under a removed node's id gets that node's key, so it replays its draws.
 
 A key's stream is ``PCG64`` seeded by numpy's ``SeedSequence`` over the
-encoded key.  :func:`streams` computes the seed sequences of a whole batch
-of keys as uint32 array operations, with values identical to
+encoded key.  :func:`seed_words` computes the seed words of a whole batch
+of keys as array operations, from the keys' entropy rows to the hash,
+with values identical to
 ``np.random.SeedSequence(entropy).generate_state(4, np.uint64)``.
 
 A jitter-and-jump node draws through :class:`RawDraws`: it reads its
@@ -18,7 +19,9 @@ stream's raw 64-bit words, low 32-bit half first, and maps each half to
 [0, n) by Lemire's multiply-shift rejection, exactly as numpy's
 ``Generator.integers(n)`` does, so its draws equal numpy's.  It keeps the
 unused high half itself, and numpy keeps its own in the bit generator, so
-nothing else may read that node's ``Generator``.
+nothing else may read that node's ``Generator``.  :class:`ArrayDraws`
+makes the same draws for a batch of keys at once: it runs PCG64 itself
+on arrays of 128-bit states, with no ``Generator`` at all.
 """
 
 from __future__ import annotations
@@ -46,19 +49,51 @@ def _encode(part) -> int:
     raise TypeError(f"stream key parts must be int or str, got {type(part)!r}")
 
 
-def _entropy_words(key) -> list[int]:
-    """The key as SeedSequence sees its entropy tuple: each part one
-    little-endian uint32 word, or two when it is 2**32 or more, padded
-    with zero words to the pool size as the pool's first fill is."""
-    if not key:
+def _encode_column(parts: tuple) -> np.ndarray:
+    """``_encode`` of every part, as uint64: a column whose parts are all
+    one value is encoded once, and one of plain ints in a single cast
+    (an int64 that wraps keeps the 63 bits the mask keeps)."""
+    kinds, first = set(map(type, parts)), parts[0]
+    if len(kinds) == 1 and parts.count(first) == len(parts):
+        return np.full(len(parts), _encode(first), dtype=np.uint64)
+    if kinds == {int}:
+        try:
+            return np.array(parts, dtype=np.int64).view(np.uint64) & np.uint64(_MASK)
+        except OverflowError:
+            pass
+    return np.fromiter(map(_encode, parts), dtype=np.uint64, count=len(parts))
+
+
+def _entropy_rows(keys: list) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The keys as SeedSequence sees their entropy tuples, grouped by
+    length: (row indices, uint32 words) pairs.  Each part is one
+    little-endian word, or two when it is 2**32 or more, and a row is
+    padded with zero words to the pool size as the pool's first fill is."""
+    sizes = np.fromiter(map(len, keys), dtype=np.int64, count=len(keys))
+    if not sizes.all():
         raise ValueError("stream key must not be empty")
-    words = []
-    for part in key:
-        x = _encode(part)
-        words.append(x & _WORD)
-        if x > _WORD:
-            words.append(x >> 32)
-    return words + [0] * (_POOL - len(words))
+    groups = []
+    # distinct values by bincount: np.unique would import numpy.ma, about 0.7 MB
+    for size in np.flatnonzero(np.bincount(sizes)).tolist():
+        rows = np.flatnonzero(sizes == size)
+        same = keys if len(rows) == len(keys) else [keys[i] for i in rows.tolist()]
+        parts = [_encode_column(col) for col in zip(*same)]
+        wide = [col > _WORD for col in parts]
+        at = np.zeros(len(rows), dtype=np.int64)  # each row's next word
+        places = []
+        for col, two in zip(parts, wide):
+            places.append(at)
+            at = at + 1 + two
+        for count in np.flatnonzero(np.bincount(at)).tolist():
+            sel = np.flatnonzero(at == count)
+            words = np.zeros((len(sel), max(count, _POOL)), dtype=np.uint32)
+            every = np.arange(len(sel))
+            for col, two, place in zip(parts, wide, places):
+                col, two, place = col[sel], two[sel], place[sel]
+                words[every, place] = col & _WORD
+                words[every[two], place[two] + 1] = col[two] >> np.uint64(32)
+            groups.append((rows[sel], words))
+    return groups
 
 
 def _seed_states(entropy: np.ndarray) -> np.ndarray:
@@ -142,24 +177,103 @@ class RawDraws:
                 return m >> 32
 
 
+# PCG64's 128-bit LCG multiplier, as numpy's pcg64.h defines it
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+_U32, _U58, _U63 = np.uint64(32), np.uint64(58), np.uint64(63)
+
+
+def _mulhi(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of each 128-bit product a * b, from 32-bit halves."""
+    a0, a1 = a & _WORD, a >> _U32
+    b0, b1 = np.uint64(b & _WORD), np.uint64(b >> 32)
+    lo_hi, cross_a, cross_b = a0 * b1, a1 * b0, (a0 * b0) >> _U32
+    mid = cross_b + (lo_hi & _WORD) + (cross_a & _WORD)
+    return a1 * b1 + (lo_hi >> _U32) + (cross_a >> _U32) + (mid >> _U32)
+
+
+class ArrayDraws:
+    """:class:`RawDraws` for a batch of streams, one per row of
+    :func:`seed_words`, as arrays: the draws of stream ``i`` equal those
+    of ``RawDraws(Generator(PCG64(SeedSequence(key i))))``.
+
+    Each stream is numpy's PCG64 (O'Neill, "PCG: A Family of Simple Fast
+    Space-Efficient Statistically Good Algorithms for Random Number
+    Generation", 2014): a 128-bit LCG stepped before each output, whose
+    word is the XOR of the state's halves rotated right by the state's top
+    six bits, seeded as ``pcg64_set_seed`` seeds it.  Streams are named by
+    their row index, and each index may appear once per call.
+    """
+
+    def __init__(self, words: np.ndarray):
+        seed_hi, seed_lo, seq_hi, seq_lo = words.T
+        self.inc_hi = (seq_hi << np.uint64(1)) | (seq_lo >> _U63)
+        self.inc_lo = (seq_lo << np.uint64(1)) | np.uint64(1)
+        # state 0 stepped is inc; add the seed and step again
+        lo = self.inc_lo + seed_lo
+        hi = self.inc_hi + seed_hi + (lo < seed_lo)
+        self.hi, self.lo = self._step(hi, lo, self.inc_hi, self.inc_lo)
+        self.half = np.zeros(len(words), dtype=np.uint64)  # the pending high half
+        self.has_half = np.zeros(len(words), dtype=bool)
+
+    @staticmethod
+    def _step(hi, lo, inc_hi, inc_lo):
+        new_lo = lo * np.uint64(_PCG_MULT_LO)
+        new_hi = (_mulhi(lo, _PCG_MULT_LO) + lo * np.uint64(_PCG_MULT_HI)
+                  + hi * np.uint64(_PCG_MULT_LO))
+        out_lo = new_lo + inc_lo
+        return new_hi + inc_hi + (out_lo < new_lo), out_lo
+
+    def raw(self, who: np.ndarray) -> np.ndarray:
+        """The next raw 64-bit word of each stream in ``who``."""
+        hi, lo = self._step(self.hi[who], self.lo[who], self.inc_hi[who], self.inc_lo[who])
+        self.hi[who], self.lo[who] = hi, lo
+        x, rot = hi ^ lo, hi >> _U58
+        return (x >> rot) | (x << ((np.uint64(64) - rot) & _U63))
+
+    def below(self, who: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+        """``RawDraws.below(bounds[i])`` on stream ``who[i]``, for each i."""
+        bounds = np.asarray(bounds, dtype=np.uint64)
+        out = np.zeros(len(who), dtype=np.int64)
+        todo = np.flatnonzero(bounds != 1)  # a bound of 1 draws nothing
+        while todo.size:
+            streams, n = who[todo], bounds[todo]
+            half = self.half[streams]
+            pending = self.has_half[streams]
+            fresh = streams[~pending]
+            word = self.raw(fresh)
+            half[~pending] = word & _WORD
+            self.half[fresh] = word >> _U32
+            self.has_half[streams] = ~pending
+            m = half * n
+            low = m & _WORD
+            ok = (low >= n) | (low >= (np.uint64(_WORD + 1) - n) % n)
+            out[todo[ok]] = m[ok] >> _U32
+            todo = todo[~ok]  # a rejected half is redrawn
+        return out
+
+
+def seed_words(keys) -> np.ndarray:
+    """``SeedSequence(encoded key).generate_state(4, np.uint64)`` for each
+    key, as the rows of a (keys, 4) uint64 array.  Keys whose entropy has
+    the same number of words are hashed together."""
+    keys = list(keys)
+    out = np.empty((len(keys), _POOL), dtype=np.uint64)
+    if len(keys) == 1:  # for one key numpy's own pass is the cheaper one
+        if not keys[0]:
+            raise ValueError("stream key must not be empty")
+        seed = np.random.SeedSequence([_encode(part) for part in keys[0]])
+        out[0] = seed.generate_state(_POOL, np.uint64)
+    elif keys:
+        for rows, entropy in _entropy_rows(keys):
+            out[rows] = _seed_states(entropy)
+    return out
+
+
 def streams(keys) -> list[np.random.Generator]:
     """Independent generators for a batch of key tuples, in order; each
-    equals ``Generator(PCG64(SeedSequence(encoded key)))``.  Keys whose
-    entropy has the same number of words are hashed together."""
-    entropy = [_entropy_words(key) for key in keys]
-    by_length: dict[int, list[int]] = {}
-    for i, words in enumerate(entropy):
-        by_length.setdefault(len(words), []).append(i)
-    out: list = [None] * len(entropy)
-    for rows in by_length.values():
-        if len(rows) == 1:  # for one key numpy's own pass is the cheaper one
-            seed = np.random.SeedSequence(entropy[rows[0]])
-            out[rows[0]] = np.random.Generator(np.random.PCG64(seed))
-            continue
-        states = _seed_states(np.array([entropy[i] for i in rows], dtype=np.uint32))
-        for i, words in zip(rows, states):
-            out[i] = np.random.Generator(np.random.PCG64(_SeedWords(words)))
-    return out
+    equals ``Generator(PCG64(SeedSequence(encoded key)))``."""
+    return [np.random.Generator(np.random.PCG64(_SeedWords(words)))
+            for words in seed_words(keys)]
 
 
 def stream(*key) -> np.random.Generator:

@@ -1,16 +1,19 @@
 """Trial orchestration: build engines, drive protocols, collect checks.
 
-A trial owns everything it touches (topology copy, protocol streams,
-engine), so trials are independent and reproducible from their seed key
-alone.  Global-knowledge checks (degree-estimate bounds, free-slot floor,
+A trial owns everything it changes (the engine's topology copy, protocol
+streams, engine), so trials are independent and reproducible from their
+seed key alone.  Global-knowledge checks (degree-estimate bounds, free-slot floor,
 good-set monotonicity, interval validity) are gathered as counters, never
-enforced inside the protocols.
+enforced inside the protocols.  A static jitter-and-jump run whose nodes
+all wake at slot 0 steps the whole network over arrays instead of through
+the engine, with the same draws, checks and result.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -26,9 +29,9 @@ from .analysis import (
 from .beepfirst import BeepFirst
 from .config import SimConfig
 from .continuous import CONTINUOUS_PERIOD, ContinuousEngine
-from .discrete import DiscreteEngine
+from .discrete import DiscreteEngine, deliver_window
 from .errors import ConfigError, ProtocolViolation
-from .jitterjump import JitterAndJump
+from .jitterjump import JitterAndJump, StaticJitterJumpArrays
 from .topology import DynamicEvent, Topology, build_wakeup
 from .trace import TraceRow
 
@@ -43,6 +46,14 @@ def _phases_clash(a, b, q):
 
 
 def _label_for(engine: DiscreteEngine, v: int) -> str:
+    """The trace row label of ``v`` at its period boundary.
+
+    It is read while the boundary slot is being stepped, with nodes in id
+    order, so when several nodes share the boundary slot (simultaneous
+    wakeup) a lower-id neighbour is seen after its own boundary step and
+    a higher-id neighbour before it.  The label can therefore differ from
+    the end-of-slot classification that the good set uses.
+    """
     proto = engine.protocols[v]
     if proto.p is None or not proto.colored:
         return BAD_UNCOLORED
@@ -55,6 +66,15 @@ def _label_for(engine: DiscreteEngine, v: int) -> str:
         if _phases_clash((pu + engine.wake_slot[u]) % q, pv, q):
             return BAD_COLORED
     return GOOD
+
+
+def _good(src, dst, phase, has_phase, colored, q) -> np.ndarray:
+    """Per node: colored and no neighbor holding a phase clashes with it."""
+    clash = has_phase[src] & has_phase[dst] & _phases_clash(phase[src], phase[dst], q)
+    bad = np.zeros(len(phase), dtype=bool)
+    bad[src[clash]] = True
+    bad[dst[clash]] = True
+    return colored & has_phase & ~bad
 
 
 class _EdgeArrays:
@@ -77,14 +97,9 @@ class _EdgeArrays:
         """Nodes that are colored and clash with no neighbor holding a phase."""
         local = np.array([-1 if pr.p is None else pr.p for pr in self.protocols], dtype=np.int64)
         colored = np.array([pr.colored for pr in self.protocols], dtype=bool)
-        has_phase = local >= 0
         phase = (local + self.wake) % self.q
-        src, dst = self.src, self.dst
-        clash = has_phase[src] & has_phase[dst] & _phases_clash(phase[src], phase[dst], self.q)
-        bad = np.zeros(len(self.nodes), dtype=bool)
-        bad[src[clash]] = True
-        bad[dst[clash]] = True
-        return set(self.nodes[colored & has_phase & ~bad].tolist())
+        good = _good(self.src, self.dst, phase, local >= 0, colored, self.q)
+        return set(self.nodes[good].tolist())
 
 
 def discrete_snapshot(engine: DiscreteEngine) -> ColoringSnapshot:
@@ -208,6 +223,12 @@ def run_jitterjump_trial(
     runs all ``max_periods`` periods so that it sees every event.
     ``state_hook(engine, period, labels)`` is called after every global
     period boundary, for tests that want to watch intermediate state.
+
+    A static run in which every node wakes at slot 0 and no hook is given
+    steps the whole network one period at a time over arrays (see
+    :func:`_run_static_arrays`); every other run drives one
+    :class:`JitterAndJump` per node through the :class:`DiscreteEngine`.
+    Both give the same result, draw for draw.
     """
     q = cfg.resolve_q(topology.delta)
     n = topology.n
@@ -222,6 +243,8 @@ def run_jitterjump_trial(
     wake = build_wakeup(
         cfg.wakeup, topology.nodes, q, rngmod.stream(master, *seed_key, "wakeup")
     )
+    if not cfg.dynamic and state_hook is None and not any(wake.values()):
+        return _run_static_arrays(topology, cfg, q, max_periods, seed_key, wake, collect_rows)
     window = cfg.window_length(n)
     # the initial nodes' streams in one batch; a node added by an event,
     # or re-added under a removed node's id, builds its own
@@ -291,6 +314,89 @@ def run_jitterjump_trial(
         resets=total_resets,
         rows=checks.rows,
         all_good_periods=all_good_periods,
+    )
+
+
+def _boundary_labels(src, dst, before, after, colored, q) -> list[str]:
+    """Every node's :func:`_label_for` at a boundary slot shared by all
+    nodes: a lower-id neighbour is seen with its phase ``after`` the
+    boundary step, a higher-id one with its phase ``before`` it (``None``
+    when no node held one yet)."""
+    bad = np.zeros(len(colored), dtype=bool)
+    bad[dst[_phases_clash(after[src], after[dst], q)]] = True
+    if before is not None:
+        bad[src[_phases_clash(before[dst], after[src], q)]] = True
+    codes = np.where(colored, np.where(bad, 1, 2), 0).tolist()
+    return [(BAD_UNCOLORED, BAD_COLORED, GOOD)[c] for c in codes]
+
+
+def _run_static_arrays(topology, cfg, q, max_periods, seed_key, wake, collect_rows):
+    """:func:`run_jitterjump_trial` for a static run whose nodes all wake at
+    slot 0: one :class:`StaticJitterJumpArrays` step and one
+    :func:`deliver_window` per period, with the boundary checks, the good
+    set and the trace rows of the per-node run computed from the same
+    arrays.  The result holds ``topology`` itself, which nothing changes."""
+    view = topology.arrays
+    nodes = view.nodes.tolist()
+    n = len(nodes)
+    keys = [(cfg.master_seed, *seed_key, v, "protocol") for v in nodes]
+    protocol = StaticJitterJumpArrays(q, cfg.eta, rngmod.ArrayDraws(rngmod.seed_words(keys)), n)
+    src, dst = view.src, view.dst
+    listener, beeper = np.concatenate((src, dst)), np.concatenate((dst, src))
+    estimate_bound = np.maximum(2 * view.degree, 1)
+    free_floor = (1.0 - 3.0 * cfg.eta) * q
+    has_phase = np.ones(n, dtype=bool)
+    sandwich = floor = monotonic = 0
+    rows: list[TraceRow] = []
+    prev_good = np.zeros(n, dtype=bool)
+    converged_period = None
+    heard = (np.zeros(0, dtype=np.int64),) * 2  # the first period is listen only
+    for k in range(1, max_periods + 1):
+        offsets = protocol.on_period_end(*heard)
+        report = protocol.last_report
+        if report.period:
+            d_tilde = protocol.d_tilde
+            sandwich += int(np.count_nonzero((d_tilde < 1) | (d_tilde > estimate_bound)))
+        drew = report.free_count >= 0
+        floor += int(np.count_nonzero(drew & (report.free_count < free_floor)))
+        if collect_rows:
+            if report.period:
+                phase, jitter = report.phase.tolist(), report.jitter.tolist()
+                interval = report.interval.tolist()
+            else:
+                phase = jitter = interval = [None] * n
+            labels = _boundary_labels(src, dst, report.phase, protocol.p, protocol.colored, q)
+            rows += map(TraceRow, repeat(report.period), nodes, phase, jitter, interval,
+                        report.colored.tolist(), labels, report.beeps_heard.tolist())
+        good = _good(src, dst, protocol.p, has_phase, protocol.colored, q)
+        monotonic += int(np.count_nonzero(prev_good & ~good))
+        prev_good = good
+        if n and good.all():
+            converged_period = k
+            break
+        heard = deliver_window(listener, beeper, offsets, q)
+
+    intervals = [None] * n if protocol.interval is None else protocol.interval.tolist()
+    snapshot = ColoringSnapshot(q, tuple(map(
+        NodeState, nodes, protocol.p.tolist(), intervals, protocol.colored.tolist()
+    )))
+    return JitterJumpResult(
+        topology=topology,
+        q=q,
+        converged_period=converged_period,
+        periods_run=k,
+        snapshot=snapshot,
+        final_snapshot=snapshot,
+        final_labels=classify_good_bad(snapshot, topology),
+        wake=dict(wake),
+        sandwich_violations=sandwich,
+        free_floor_violations=floor,
+        monotonic_violations=monotonic,
+        beep_bound_violations=0,
+        window_observations=0,
+        resets=0,
+        rows=rows,
+        all_good_periods=[] if converged_period is None else [converged_period],
     )
 
 

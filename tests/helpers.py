@@ -21,6 +21,11 @@ from beepsim.phases import PhaseSet
 from beepsim.topology import _PAIRING_ATTEMPTS, Topology, cycle_of_blocks, twin_pairs
 
 
+def by_node(snapshot):
+    """A snapshot's states keyed by node id."""
+    return {s.node: s for s in snapshot.states}
+
+
 def wrap_distance(a, b, tau):
     """Shortest circular distance between two phases."""
     d = (a - b) % tau
@@ -40,7 +45,7 @@ def _arcs_intersect(end_a, len_a, end_b, len_b, tau) -> bool:
 
 def validate_interval_coloring_reference(snapshot, topology, eta=None, q=None):
     """One edge at a time: the oracle for ``analysis.validate_interval_coloring``."""
-    states = snapshot.by_node()
+    states = by_node(snapshot)
     tau = snapshot.tau
     violations = []
     pairs = 0
@@ -70,7 +75,7 @@ def validate_interval_coloring_reference(snapshot, topology, eta=None, q=None):
 
 def symmetric_window_violations_reference(snapshot, topology):
     """One edge at a time: the oracle for ``analysis.symmetric_window_violations``."""
-    states = snapshot.by_node()
+    states = by_node(snapshot)
     tau = snapshot.tau
     bad = []
     for u, v in topology.edges():
@@ -86,7 +91,7 @@ def symmetric_window_violations_reference(snapshot, topology):
 def classify_good_bad_reference(snapshot, topology):
     """One node and one neighbor at a time: the oracle for
     ``analysis.classify_good_bad``."""
-    states = snapshot.by_node()
+    states = by_node(snapshot)
     labels = {}
     tau = snapshot.tau
     for v in topology.nodes:
@@ -121,7 +126,7 @@ def hardness_reduction_reference(local_phases, offsets, q, topology):
 
 def neighbor_phase_ties_reference(snapshot, topology):
     """One edge at a time: the oracle for ``analysis.neighbor_phase_ties``."""
-    states = snapshot.by_node()
+    states = by_node(snapshot)
     ties = 0
     for u, v in topology.edges():
         su, sv = states.get(u), states.get(v)

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from helpers import collision_escape_trial, max_neighborhood_degree
+from helpers import by_node, collision_escape_trial, max_neighborhood_degree
 
 from beepsim import rng
 from beepsim.analysis import (
@@ -153,7 +153,7 @@ def test_04_interval_floor(sweep):
                 continue
             report = validate_interval_coloring(t.snapshot, t.topology, eta=ETA, q=t.q)
             overlaps += len(report.violations)
-            states = t.snapshot.by_node()
+            states = by_node(t.snapshot)
             for v in t.topology.nodes:
                 s = states[v]
                 dmax = max_neighborhood_degree(t.topology, v)
@@ -262,7 +262,7 @@ def test_10_hardness_reduction(sweep):
             local = {}
             offsets = {}
             for v in t.topology.nodes:
-                s = t.snapshot.by_node()[v]
+                s = by_node(t.snapshot)[v]
                 offsets[v] = t.wake[v] % t.q
                 local[v] = (s.global_phase - offsets[v]) % t.q
             colors = hardness_reduction(local, offsets, t.q, t.topology)
@@ -358,7 +358,7 @@ def test_12b_dynamic_star_churn_recovery():
     estimate_dropped = post < pre_churn
 
     report = validate_interval_coloring(res.snapshot, res.topology, eta=ETA, q=res.q)
-    hub_interval = res.snapshot.by_node()[0].interval
+    hub_interval = by_node(res.snapshot)[0].interval
     floor = ETA * res.q / (2 * 4 + 1)
     gate(
         12,

@@ -6,6 +6,7 @@ from unittest.mock import patch
 import pytest
 from helpers import (
     LoopBeepFirst,
+    by_node,
     first_clear_phase,
     max_neighborhood_degree,
     record_beeps,
@@ -84,7 +85,7 @@ def test_two_node_clique_second_settles_behind_first():
     assert result.all_stable
     p0 = result.protocols[0]
     p1 = result.protocols[1]
-    states = result.snapshot.by_node()
+    states = by_node(result.snapshot)
     first, second = (0, 1) if p0.stable_since < p1.stable_since else (1, 0)
     # the later node settles exactly its own buffer after the earlier phase
     gap = (states[second].global_phase - states[first].global_phase) % 1.0
@@ -124,7 +125,7 @@ def test_intervals_never_contain_neighbor_phase():
     topo = gnp(24, 0.2, rng.stream(19, "g"))
     result = run_beepfirst_trial(topo, cfg, seed_key=("lemma",))
     assert result.all_stable
-    states = result.snapshot.by_node()
+    states = by_node(result.snapshot)
     for u, v in topo.edges():
         du = wrap_distance(states[u].global_phase, states[v].global_phase, 1.0)
         assert du > states[v].interval

@@ -4,6 +4,7 @@ import math
 from types import SimpleNamespace
 
 import pytest
+from helpers import by_node
 
 from beepsim import rng
 from beepsim.config import SimConfig
@@ -72,7 +73,7 @@ def test_star_collapse_triggers_recolor_with_larger_interval():
     assert reset_period is not None
     assert churn < reset_period <= churn + r + 1
     assert res.restabilized_after(reset_period) is not None
-    hub = res.final_snapshot.by_node()[0]
+    hub = by_node(res.final_snapshot)[0]
     assert hub.colored
     # post-churn the hub's only neighbor keeps a full buffer clear of it
     assert hub.interval >= (1 / 16) * res.q / (2 * 1 + 1)

@@ -1,6 +1,7 @@
 """Batched stream seeding against numpy's own SeedSequence."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from beepsim import rng
@@ -87,3 +88,81 @@ def test_raw_draws_reject_as_numpy_does():
         fresh.random_raw()
         words += 1
     assert 40 < words < 1000
+
+
+def test_array_draws_words_match_numpy_random_raw():
+    keys = [(11, "raw", v, "protocol") for v in range(1200)]
+    keys += [(2**32 + 7, "raw", 2**40), (2**63 - 1, 0), ("raw",)]  # two-word and odd keys
+    draws = rng.ArrayDraws(rng.seed_words(keys))
+    every = np.arange(len(keys))
+    ours = np.stack([draws.raw(every) for _ in range(20)], axis=1)
+    for i, key in enumerate(keys):
+        ref = np.random.PCG64(numpy_seed(key))
+        assert ours[i].tolist() == ref.random_raw(20).tolist()
+        state = ref.state["state"]
+        assert state["state"] == int(draws.hi[i]) << 64 | int(draws.lo[i])
+        assert state["inc"] == int(draws.inc_hi[i]) << 64 | int(draws.inc_lo[i])
+
+
+@pytest.mark.parametrize("bound", [1, 2, 240, 2**31 + 1])
+def test_array_draws_below_matches_raw_draws(bound):
+    keys = [(5, "below", v) for v in range(300)]
+    draws = rng.ArrayDraws(rng.seed_words(keys))
+    gens = rng.streams(keys)
+    raws = [rng.RawDraws(gen) for gen in gens]
+    every = np.arange(len(keys))
+    for _ in range(6):
+        got = draws.below(every, np.full(len(keys), bound))
+        assert got.tolist() == [r.below(bound) for r in raws]
+    # six draws take three words per stream, more where a half was
+    # redrawn (about half of all halves at 2**31 + 1), none at a bound of 1
+    taken = [words_taken(gen, key) for gen, key in zip(gens, keys)]
+    if bound == 2**31 + 1:
+        assert sum(w > 3 for w in taken) > len(keys) // 2
+    else:
+        assert set(taken) == {0 if bound == 1 else 3}
+
+
+def words_taken(gen, key, limit=64):
+    """Raw words ``gen`` has taken since it was seeded from ``key``."""
+    ref = np.random.PCG64(numpy_seed(key))
+    for words in range(limit):
+        if ref.state["state"] == gen.bit_generator.state["state"]:
+            return words
+        ref.random_raw()
+    raise AssertionError("more words than the limit")
+
+
+def test_array_draws_carry_each_streams_pending_half_between_calls():
+    keys = [(9, "carry", v) for v in range(64)]
+    draws = rng.ArrayDraws(rng.seed_words(keys))
+    raws = [rng.RawDraws(gen) for gen in rng.streams(keys)]
+    every = np.arange(len(keys))
+    calls = [
+        (every[::2], 2),  # the even streams keep a pending half
+        (every, 240),  # even streams use it, odd ones take a word
+        (every[1::3], 2**31 + 1),
+        (every[::-1], 1),  # in any order, and drawing nothing
+        (every[5:40], 2),
+        (every, 2**31 + 1),
+    ]
+    for who, bound in calls:
+        got = draws.below(who, np.full(len(who), bound))
+        assert got.tolist() == [raws[i].below(bound) for i in who.tolist()]
+        pending = [r._half for r in raws]
+        assert [int(h) if has else None
+                for h, has in zip(draws.half, draws.has_half)] == pending
+
+
+def test_seed_words_match_numpy_for_every_word_layout():
+    # equal word counts with the two-word parts in different places, a
+    # masked negative, a bool, a numpy int and a part past 63 bits, in one batch
+    keys = [(2**40, 1), (1, 2**40), (1, 2), (2**40, 2**41), (-3,), (True, "x"),
+            (np.int64(5), "x"), (2**70, 1), (1, 2, 3, 4, 5, 6)]
+    expected = [numpy_seed(key).generate_state(4, np.uint64).tolist() for key in keys]
+    assert rng.seed_words(keys).tolist() == expected
+    assert [rng.seed_words([key])[0].tolist() for key in keys] == expected
+    with pytest.raises(ValueError):
+        rng.seed_words([(1,), ()])
+    with pytest.raises(TypeError):
+        rng.seed_words([(1, 2.0), (1, 2)])

@@ -1,18 +1,20 @@
-"""The runner's per-period good set against the snapshot classifier, and
-the stability of per-node draws under topology edits."""
+"""The runner's per-period good set against the snapshot classifier, the
+array path against the per-node engine, the trace's row labels, and the
+stability of per-node draws under topology edits."""
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
 import pytest
 from helpers import valid_events, wrap_distance
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from beepsim import rng as rngmod
 from beepsim import runner
-from beepsim.analysis import GOOD, classify_good_bad
+from beepsim.analysis import BAD_COLORED, GOOD, classify_good_bad
 from beepsim.config import SimConfig
-from beepsim.topology import DynamicEvent, Topology
+from beepsim.topology import DynamicEvent, Topology, random_regular
 
 
 def test_phase_clash_is_wrap_distance_at_most_one():
@@ -108,21 +110,23 @@ def topology_edits(draw):
     return before, after, set(touched), draw(st.integers(min_value=0, max_value=2**16))
 
 
-def protocol_stream_states(run, topology, cfg):
-    """Run one trial and return each node's protocol stream state at creation."""
-    states = {}
-    streams = rngmod.streams  # rng.stream goes through it too
+def protocol_seed_words(run, topology, cfg):
+    """Run one trial and return each node's protocol stream seed words,
+    which fix every draw of the stream."""
+    words = {}
+    seed_words = rngmod.seed_words  # rng.streams and the array path seed through it
 
     def recording(keys):
-        gens = streams(keys)
-        for key, gen in zip(keys, gens):
+        keys = list(keys)
+        rows = seed_words(keys)
+        for key, row in zip(keys, rows):
             if key[-1] == "protocol":
-                states[key[-2]] = gen.bit_generator.state
-        return gens
+                words[key[-2]] = row.tolist()
+        return rows
 
-    with mock.patch.object(rngmod, "streams", recording):
+    with mock.patch.object(rngmod, "seed_words", recording):
         run(topology, cfg, seed_key=("edit",))
-    return states
+    return words
 
 
 @pytest.mark.parametrize("run", [runner.run_jitterjump_trial, runner.run_beepfirst_trial])
@@ -131,8 +135,66 @@ def protocol_stream_states(run, topology, cfg):
 def test_topology_edit_leaves_untouched_nodes_draws_unchanged(run, case):
     before, after, touched, seed = case
     cfg = SimConfig(master_seed=seed, max_periods=4)
-    old = protocol_stream_states(run, before, cfg)
-    new = protocol_stream_states(run, after, cfg)
+    old = protocol_seed_words(run, before, cfg)
+    new = protocol_seed_words(run, after, cfg)
     assert set(old) == set(before.nodes) and set(new) == set(after.nodes)
     untouched = (set(before.nodes) & set(after.nodes)) - touched
     assert {v: new[v] for v in untouched} == {v: old[v] for v in untouched}
+
+
+def no_hook(engine, period, labels):
+    """A state hook that watches nothing: it sends a run to the per-node engine."""
+
+
+@st.composite
+def static_trials(draw):
+    n = draw(st.integers(min_value=0, max_value=16))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    eta, kappa = draw(st.sampled_from([(1 / 16, 64.0), (1 / 32, 128.0), (1 / 20, 90.0)]))
+    # None runs to convergence; one period never converges, as no node is
+    # colored before its second boundary
+    max_periods = draw(st.sampled_from([None, None, 1, 2, 3]))
+    cfg = SimConfig(eta=eta, kappa=kappa, master_seed=draw(st.integers(0, 2**16)),
+                    max_periods=max_periods)
+    return Topology.from_edges(n, edges), cfg
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(static_trials())
+@example((  # a colored node hears a beep inside its buffer but not next to its phase
+    Topology.from_edges(10, [(0, 1), (0, 2), (0, 5), (0, 6), (0, 7), (0, 8), (1, 2), (1, 6),
+                             (1, 8), (2, 7), (3, 6), (3, 7), (3, 8), (4, 5), (5, 7), (5, 8),
+                             (5, 9), (7, 8), (7, 9)]),
+    SimConfig(eta=1 / 32, kappa=128.0, master_seed=33106),
+))
+def test_array_path_matches_per_node_engine(case):
+    topo, cfg = case
+    arrays = runner.run_jitterjump_trial(topo, cfg, seed_key=("same",), collect_rows=True)
+    engine = runner.run_jitterjump_trial(topo, cfg, seed_key=("same",), collect_rows=True,
+                                         state_hook=no_hook)
+    assert arrays.topology.edges() == engine.topology.edges()
+    for f in dataclasses.fields(runner.JitterJumpResult):
+        if f.name != "topology":  # repr tells an int from a numpy integer
+            assert repr(getattr(arrays, f.name)) == repr(getattr(engine, f.name)), f.name
+
+
+@pytest.mark.parametrize("engine", [False, True], ids=["arrays", "engine"])
+def test_row_label_sees_lower_ids_after_the_shared_boundary_and_higher_ids_before(engine):
+    # with simultaneous wakeup every node's boundary is one slot, stepped in
+    # id order; here node 27's label at period 1 reads a higher-id
+    # neighbour's phase from before its boundary step, which clashes, while
+    # the end-of-slot classification finds node 27 good
+    seed = 29
+    topo = random_regular(64, 4, rngmod.stream(seed, "g"))
+    ends = {}
+
+    def hook(engine, period, labels):
+        ends[period] = labels
+
+    result = runner.run_jitterjump_trial(topo, SimConfig(master_seed=seed), seed_key=("x",),
+                                         collect_rows=True, state_hook=hook if engine else None)
+    (row,) = [r for r in result.rows if r.period == 1 and r.node == 27]
+    assert row.label == BAD_COLORED
+    if engine:  # the hook after the boundary at period 2 sees the end-of-slot labels
+        assert ends[2][27] == GOOD
