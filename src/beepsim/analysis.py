@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -64,26 +63,49 @@ class NodeState:
     colored: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ColoringSnapshot:
-    """Per-node (phase, interval, colored) triple plus the period length."""
+    """Every node's (phase, interval, colored) triple, as arrays, plus the
+    period length."""
 
     tau: float | int
-    states: tuple[NodeState, ...]
+    _arrays: _NodeArrays
 
-    @cached_property
-    def _arrays(self) -> _NodeArrays:
-        states = sorted(self.states, key=attrgetter("node"))  # stable: last duplicate wins
+    @classmethod
+    def from_arrays(cls, tau, ids, phase, interval, colored) -> "ColoringSnapshot":
+        """Nodes ``ids``, ascending, each holding a phase and, unless
+        ``interval`` is None, an interval."""
+        held = np.append(np.ones(len(ids), dtype=bool), False)
+        return cls(tau, _NodeArrays(
+            ids=ids,
+            phase=np.append(phase, 0),
+            has_phase=held,
+            interval=np.zeros(len(held), dtype=np.int64) if interval is None
+            else np.append(interval, 0),
+            has_interval=np.zeros_like(held) if interval is None else held,
+            colored=np.append(colored, False),
+        ))
+
+    @classmethod
+    def from_states(cls, tau, states) -> "ColoringSnapshot":
+        """From one :class:`NodeState` per node; of repeated ids the last wins."""
+        states = sorted(states, key=attrgetter("node"))  # stable: last duplicate wins
         phases = [s.global_phase for s in states] + [None]
         intervals = [s.interval for s in states] + [None]
-        return _NodeArrays(
+        return cls(tau, _NodeArrays(
             ids=np.array([s.node for s in states], dtype=np.int64),
             phase=np.array([0 if p is None else p for p in phases]),
             has_phase=np.array([p is not None for p in phases]),
             interval=np.array([i or 0 for i in intervals]),
             has_interval=np.array([i is not None for i in intervals]),
             colored=np.array([s.colored for s in states] + [False], dtype=bool),
-        )
+        ))
+
+    def global_phases(self) -> dict[int, float | int]:
+        """The global phase of every node that holds one, by node id."""
+        arrs = self._arrays
+        held = arrs.has_phase[:len(arrs.ids)]
+        return dict(zip(arrs.ids[held].tolist(), arrs.phase[:-1][held].tolist()))
 
 
 @dataclass(frozen=True)

@@ -262,8 +262,7 @@ def _validate_jitterjump(result, cfg, failures: list[str], tag: str, events=()) 
         if not events and (report.min_normalized_interval is not None
                            and report.min_normalized_interval < 1.0):
             failures.append(f"{tag}: interval below the guaranteed floor")
-        phases = {s.node: s.global_phase for s in snapshot.states
-                  if s.global_phase is not None}
+        phases = snapshot.global_phases()
         offsets = {v: 0 for v in phases}
         try:
             colors = hardness_reduction(phases, offsets, result.q, result.topology)

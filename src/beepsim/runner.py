@@ -109,7 +109,7 @@ def discrete_snapshot(engine: DiscreteEngine) -> ColoringSnapshot:
         proto = engine.protocols[v]
         phase = None if proto.p is None else (proto.p + engine.wake_slot[v]) % q
         states.append(NodeState(v, phase, proto.interval, proto.colored))
-    return ColoringSnapshot(q, tuple(states))
+    return ColoringSnapshot.from_states(q, states)
 
 
 class _BoundaryChecks:
@@ -326,6 +326,11 @@ def _boundary_labels(src, dst, before, after, colored, q) -> list[str]:
     bad[dst[_phases_clash(after[src], after[dst], q)]] = True
     if before is not None:
         bad[src[_phases_clash(before[dst], after[src], q)]] = True
+    return _label_names(colored, bad)
+
+
+def _label_names(colored, bad) -> list[str]:
+    """Per node: uncolored, colored but ``bad``, or good."""
     codes = np.where(colored, np.where(bad, 1, 2), 0).tolist()
     return [(BAD_UNCOLORED, BAD_COLORED, GOOD)[c] for c in codes]
 
@@ -334,8 +339,9 @@ def _run_static_arrays(topology, cfg, q, max_periods, seed_key, wake, collect_ro
     """:func:`run_jitterjump_trial` for a static run whose nodes all wake at
     slot 0: one :class:`StaticJitterJumpArrays` step and one
     :func:`deliver_window` per period, with the boundary checks, the good
-    set and the trace rows of the per-node run computed from the same
-    arrays.  The result holds ``topology`` itself, which nothing changes."""
+    set, the trace rows, the final labels and the snapshot of the per-node
+    run computed from the same arrays.  The result holds ``topology``
+    itself, which nothing changes."""
     view = topology.arrays
     nodes = view.nodes.tolist()
     n = len(nodes)
@@ -376,10 +382,8 @@ def _run_static_arrays(topology, cfg, q, max_periods, seed_key, wake, collect_ro
             break
         heard = deliver_window(listener, beeper, offsets, q)
 
-    intervals = [None] * n if protocol.interval is None else protocol.interval.tolist()
-    snapshot = ColoringSnapshot(q, tuple(map(
-        NodeState, nodes, protocol.p.tolist(), intervals, protocol.colored.tolist()
-    )))
+    snapshot = ColoringSnapshot.from_arrays(q, view.nodes, protocol.p, protocol.interval,
+                                            protocol.colored)
     return JitterJumpResult(
         topology=topology,
         q=q,
@@ -387,7 +391,7 @@ def _run_static_arrays(topology, cfg, q, max_periods, seed_key, wake, collect_ro
         periods_run=k,
         snapshot=snapshot,
         final_snapshot=snapshot,
-        final_labels=classify_good_bad(snapshot, topology),
+        final_labels=dict(zip(nodes, _label_names(protocol.colored, ~good))),
         wake=dict(wake),
         sandwich_violations=sandwich,
         free_floor_violations=floor,
@@ -462,7 +466,7 @@ def run_beepfirst_trial(
             phase = None
             late += 1
         states.append(NodeState(v, phase, proto.interval, proto.stable))
-    snapshot = ColoringSnapshot(t_period, tuple(states))
+    snapshot = ColoringSnapshot.from_states(t_period, states)
     all_stable = all(engine.protocols[v].stable for v in topology.nodes)
 
     rows: list[TraceRow] = []

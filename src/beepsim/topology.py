@@ -1,9 +1,10 @@
 """Undirected network topologies, generators, and the input file formats.
 
-Graphs are plain adjacency maps over integer node ids.  Generators cover
-the shapes the experiments need: G(n, p), random regular, stars, cliques,
-and the cycle-of-blocks graph whose twin vertices drive the symmetry
-experiment.
+Graphs are adjacency maps over integer node ids, or the edge arrays a
+random generator hands over until a caller walks or changes them.
+Generators cover the shapes the experiments need: G(n, p), random
+regular, stars, cliques, and the cycle-of-blocks graph whose twin
+vertices drive the symmetry experiment.
 
 File formats (documented in the README):
 
@@ -45,12 +46,32 @@ class TopologyArrays(NamedTuple):
     dmax: np.ndarray
 
 
-class Topology:
-    """Mutable undirected graph without self-loops."""
+def _view(nodes: np.ndarray, src: np.ndarray, dst: np.ndarray,
+          degree: np.ndarray) -> TopologyArrays:
+    """The read-only :class:`TopologyArrays` of sorted ``nodes``, edges as
+    index pairs in (u, v) order, and each node's degree."""
+    dmax = degree.copy()
+    np.maximum.at(dmax, src, degree[dst])
+    np.maximum.at(dmax, dst, degree[src])
+    out = TopologyArrays(nodes, nodes[src], nodes[dst], src, dst, degree, dmax)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
-    def __init__(self, adj: dict[int, set[int]] | None = None):
-        self._adj: dict[int, set[int]] = {} if adj is None else adj
-        self._arrays: TopologyArrays | None = None
+
+class Topology:
+    """Mutable undirected graph without self-loops.
+
+    It is held as an adjacency map or, as a generator hands it over, as
+    :class:`TopologyArrays` over nodes 0..n-1.  The map is built from the
+    arrays on the first neighbour walk or mutation, and every mutation
+    drops the arrays.
+    """
+
+    def __init__(self, adj: dict[int, set[int]] | None = None,
+                 arrays: TopologyArrays | None = None):
+        self._adj = {} if adj is None and arrays is None else adj
+        self._arrays = arrays
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Topology":
@@ -62,47 +83,69 @@ class Topology:
         return out
 
     @classmethod
-    def _from_simple_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Topology":
-        """:meth:`from_edges` without the per-edge checks, for generator
-        output that is a simple graph on 0..n-1 by construction."""
-        adj = {v: set() for v in range(n)}
-        for u, v in edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return cls(adj)
+    def _from_sorted_edges(cls, n: int, u: np.ndarray, v: np.ndarray) -> "Topology":
+        """The simple graph on 0..n-1 whose edges are ``u`` < ``v``, in
+        ascending (u, v) order: a generator's output, taken as it is."""
+        u, v = u.astype(np.int64, copy=False), v.astype(np.int64, copy=False)
+        degree = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
+        return cls(arrays=_view(np.arange(n, dtype=np.int64), u, v, degree))
+
+    def _adjacency(self) -> dict[int, set[int]]:
+        """The adjacency map, built from the arrays on first use; each edge
+        joins v to u's set and then u to v's, in edge order."""
+        if self._adj is None:
+            view = self._arrays
+            adj = {v: set() for v in view.nodes.tolist()}
+            for u, v in zip(view.u.tolist(), view.v.tolist()):
+                adj[u].add(v)
+                adj[v].add(u)
+            self._adj = adj
+        return self._adj
 
     # -- queries ---------------------------------------------------------
 
     @property
     def n(self) -> int:
-        return len(self._adj)
+        return len(self._arrays.nodes) if self._adj is None else len(self._adj)
 
     @property
     def nodes(self) -> tuple[int, ...]:
+        if self._adj is None:
+            return tuple(self._arrays.nodes.tolist())
         return tuple(sorted(self._adj))
 
     def __contains__(self, v: int) -> bool:
-        return v in self._adj
+        return v in (self._adjacency() if self._adj is None else self._adj)
 
     def neighbors(self, v: int) -> set[int]:
-        return self._adj[v]
+        # the engines call this per beep, so a built map costs one test
+        return (self._adjacency() if self._adj is None else self._adj)[v]
 
     def degree(self, v: int) -> int:
+        if self._adj is None:
+            if not 0 <= v < len(self._arrays.nodes):
+                raise KeyError(v)
+            return int(self._arrays.degree[v])
         return len(self._adj[v])
 
     @property
     def delta(self) -> int:
+        if self._adj is None:
+            degree = self._arrays.degree
+            return int(degree.max()) if len(degree) else 0
         if not self._adj:
             return 0
         return max(len(nbrs) for nbrs in self._adj.values())
 
     def edges(self) -> list[tuple[int, int]]:
+        if self._adj is None:
+            return list(zip(self._arrays.u.tolist(), self._arrays.v.tolist()))
         return sorted((u, v) for u, nbrs in self._adj.items() for v in nbrs if u < v)
 
     @property
     def arrays(self) -> TopologyArrays:
-        """The graph as :class:`TopologyArrays`, built on first use and
-        dropped by every mutation."""
+        """The graph as :class:`TopologyArrays`: a generator's own, or built
+        from the map on first use.  Every mutation drops them."""
         if self._arrays is None:
             self._arrays = self._build_arrays()
         return self._arrays
@@ -120,17 +163,11 @@ class Topology:
         src = np.searchsorted(nodes, tails[one_way])
         dst = np.searchsorted(nodes, heads[one_way])
         by_edge = np.lexsort((dst, src))  # (u, v) order, as edges() sorts
-        src, dst = src[by_edge], dst[by_edge]
-        degree = deg[order]
-        dmax = degree.copy()
-        np.maximum.at(dmax, src, degree[dst])
-        np.maximum.at(dmax, dst, degree[src])
-        out = TopologyArrays(nodes, nodes[src], nodes[dst], src, dst, degree, dmax)
-        for arr in out:
-            arr.flags.writeable = False
-        return out
+        return _view(nodes, src[by_edge], dst[by_edge], deg[order])
 
     def copy(self) -> "Topology":
+        if self._adj is None:  # the arrays are read-only, so the copy shares them
+            return Topology(arrays=self._arrays)
         return Topology({v: set(nbrs) for v, nbrs in self._adj.items()})
 
     # -- mutation --------------------------------------------------------
@@ -139,37 +176,41 @@ class Topology:
         v = int(v)
         if v < 0:
             raise ConfigError("node ids must be nonnegative")
-        if v in self._adj:
+        adj = self._adjacency()
+        if v in adj:
             raise ConfigError(f"node {v} already exists")
         self._arrays = None
-        self._adj[v] = set()
+        adj[v] = set()
         for u in neighbors:
             self.add_edge(v, u)
 
     def remove_node(self, v: int) -> None:
-        if v not in self._adj:
+        adj = self._adjacency()
+        if v not in adj:
             raise ConfigError(f"cannot remove unknown node {v}")
         self._arrays = None
-        for u in self._adj.pop(v):
-            self._adj[u].discard(v)
+        for u in adj.pop(v):
+            adj[u].discard(v)
 
     def add_edge(self, u: int, v: int) -> None:
         if u == v:
             raise ConfigError("self-loops are not allowed")
-        if u not in self._adj or v not in self._adj:
+        adj = self._adjacency()
+        if u not in adj or v not in adj:
             raise ConfigError(f"edge ({u}, {v}) references an unknown node")
-        if v in self._adj[u]:
+        if v in adj[u]:
             raise ConfigError(f"edge ({u}, {v}) already exists")
         self._arrays = None
-        self._adj[u].add(v)
-        self._adj[v].add(u)
+        adj[u].add(v)
+        adj[v].add(u)
 
     def remove_edge(self, u: int, v: int) -> None:
-        if u not in self._adj or v not in self._adj[u]:
+        adj = self._adjacency()
+        if u not in adj or v not in adj[u]:
             raise ConfigError(f"cannot remove unknown edge ({u}, {v})")
         self._arrays = None
-        self._adj[u].discard(v)
-        self._adj[v].discard(u)
+        adj[u].discard(v)
+        adj[v].discard(u)
 
 
 # -- generators ------------------------------------------------------------
@@ -186,7 +227,7 @@ def gnp(n: int, p: float, rng: np.random.Generator) -> Topology:
     start = np.arange(n - 1) * (2 * n - 1 - np.arange(n - 1)) // 2
     u = np.searchsorted(start, hits, side="right") - 1
     v = hits - start[u] + u + 1
-    return Topology._from_simple_edges(n, zip(u.tolist(), v.tolist()))
+    return Topology._from_sorted_edges(n, u, v)
 
 
 _PAIRING_ATTEMPTS = 5000
@@ -204,7 +245,7 @@ def random_regular(n: int, d: int, rng: np.random.Generator) -> Topology:
             continue
         keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b))  # edge u < v as u*n + v
         if (keys[1:] != keys[:-1]).all():  # no duplicate edge
-            return Topology._from_simple_edges(n, zip((keys // n).tolist(), (keys % n).tolist()))
+            return Topology._from_sorted_edges(n, keys // n, keys % n)
     raise ConfigError(f"could not sample a simple {d}-regular graph in {_PAIRING_ATTEMPTS} attempts")
 
 

@@ -9,7 +9,7 @@ from collections import defaultdict
 import numpy as np
 
 from beepsim import rng as rngmod
-from beepsim.analysis import BAD_COLORED, BAD_UNCOLORED, GOOD, IntervalReport
+from beepsim.analysis import BAD_COLORED, BAD_UNCOLORED, GOOD, IntervalReport, NodeState
 from beepsim.beepfirst import BeepFirst, _first_fit
 from beepsim.continuous import CONTINUOUS_PERIOD, Beep, Listen, Rebase
 from beepsim.discrete import DiscreteEngine, SlotOutcome
@@ -21,9 +21,23 @@ from beepsim.phases import PhaseSet
 from beepsim.topology import _PAIRING_ATTEMPTS, Topology, cycle_of_blocks, twin_pairs
 
 
+def node_states(snapshot):
+    """A snapshot's nodes as :class:`NodeState` records in id order, read
+    back from its arrays (None where a node holds no phase or interval)."""
+    arrs = snapshot._arrays
+    m = len(arrs.ids)
+
+    def held(values, mask):
+        return [x if h else None for x, h in zip(values[:m].tolist(), mask[:m].tolist())]
+
+    return [NodeState(*fields) for fields in zip(
+        arrs.ids.tolist(), held(arrs.phase, arrs.has_phase),
+        held(arrs.interval, arrs.has_interval), arrs.colored[:m].tolist())]
+
+
 def by_node(snapshot):
     """A snapshot's states keyed by node id."""
-    return {s.node: s for s in snapshot.states}
+    return {s.node: s for s in node_states(snapshot)}
 
 
 def wrap_distance(a, b, tau):
@@ -66,7 +80,7 @@ def validate_interval_coloring_reference(snapshot, topology, eta=None, q=None):
     if eta is not None and q is not None:
         norms = [
             s.interval * (2 * max_neighborhood_degree(topology, s.node) + 1) / (eta * q)
-            for s in snapshot.states
+            for s in node_states(snapshot)
             if s.colored and s.interval is not None and s.node in topology
         ]
         min_norm = min(norms) if norms else None

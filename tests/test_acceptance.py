@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from helpers import by_node, collision_escape_trial, max_neighborhood_degree
+from helpers import by_node, collision_escape_trial, max_neighborhood_degree, node_states
 
 from beepsim import rng
 from beepsim.analysis import (
@@ -109,7 +109,7 @@ def test_02_beepfirst_interval_validity(beepfirst_runs):
             overlap += 1
         if symmetric_window_violations(r.snapshot, topo):
             symmetric += 1
-        for s in r.snapshot.states:
+        for s in node_states(r.snapshot):
             dmax = max_neighborhood_degree(topo, s.node)
             if s.interval != (1.0 - EPSILON) * 1.0 / (2.0 * (dmax + 1)):
                 formula_off += 1
@@ -261,8 +261,9 @@ def test_10_hardness_reduction(sweep):
                 continue
             local = {}
             offsets = {}
+            states = by_node(t.snapshot)
             for v in t.topology.nodes:
-                s = by_node(t.snapshot)[v]
+                s = states[v]
                 offsets[v] = t.wake[v] % t.q
                 local[v] = (s.global_phase - offsets[v]) % t.q
             colors = hardness_reduction(local, offsets, t.q, t.topology)

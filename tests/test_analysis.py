@@ -1,10 +1,12 @@
 """Validators, classification, and the vertex-coloring reduction."""
 
+import numpy as np
 import pytest
 from helpers import (
     classify_good_bad_reference,
     hardness_reduction_reference,
     neighbor_phase_ties_reference,
+    node_states,
     symmetric_window_violations_reference,
     validate_interval_coloring_reference,
 )
@@ -27,7 +29,7 @@ from beepsim.topology import Topology
 def snap(tau, *triples):
     states = tuple(NodeState(i, p, i_len, colored)
                    for i, (p, i_len, colored) in enumerate(triples))
-    return ColoringSnapshot(tau, states)
+    return ColoringSnapshot.from_states(tau, states)
 
 
 def test_disjoint_intervals_pass():
@@ -155,7 +157,7 @@ def snapshot_and_topology(draw):
 
     states = tuple(NodeState(v, mostly(value), mostly(length), bool(mostly(st.just(True))))
                    for v in ids)
-    return ColoringSnapshot(tau, states), topo
+    return ColoringSnapshot.from_states(tau, states), topo
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -179,9 +181,9 @@ def test_array_passes_match_the_loops(case, eta_q):
     assert type(ties) is int
 
     # both runners color a node only once it holds a phase
-    colored_phased = ColoringSnapshot(snapshot.tau, tuple(
+    colored_phased = ColoringSnapshot.from_states(snapshot.tau, [
         NodeState(s.node, s.global_phase, s.interval, s.colored and s.global_phase is not None)
-        for s in snapshot.states))
+        for s in node_states(snapshot)])
     labels = classify_good_bad(colored_phased, topo)
     expected = classify_good_bad_reference(colored_phased, topo)
     assert list(labels.items()) == list(expected.items())
@@ -193,7 +195,7 @@ def test_array_passes_match_the_loops(case, eta_q):
 def test_hardness_reduction_matches_the_loop(case, data):
     snapshot, topo = case
     q = snapshot.tau if isinstance(snapshot.tau, int) else 1.0
-    phases = {s.node: s.global_phase for s in snapshot.states if s.global_phase is not None}
+    phases = {s.node: s.global_phase for s in node_states(snapshot) if s.global_phase is not None}
     offsets = {v: data.draw(st.integers(0, 2)) for v in phases}
     try:
         expected = hardness_reduction_reference(phases, offsets, q, topo)
@@ -212,7 +214,7 @@ def test_array_passes_on_an_empty_graph():
         validate_interval_coloring_reference(snapshot, empty, eta=0.5, q=8)
     assert symmetric_window_violations(snapshot, empty) == []
     assert neighbor_phase_ties(snapshot, empty) == 0
-    assert classify_good_bad(ColoringSnapshot(8, ()), empty) == {}
+    assert classify_good_bad(ColoringSnapshot.from_states(8, ()), empty) == {}
     assert hardness_reduction({}, {}, 8, empty) == {}
 
 
@@ -238,3 +240,58 @@ def test_arcs_whose_ends_touch_overlap(tau, a, b):
         report = validate_interval_coloring(snapshot, topo)
         assert report.violations == ((0, 1),)
         assert report == validate_interval_coloring_reference(snapshot, topo)
+
+
+# -- snapshots built from arrays and from per-node states ---------------------
+
+
+@st.composite
+def array_path_states(draw):
+    """States as the array path holds them (ascending ids, with gaps; every
+    node holding a phase; every node or none holding an interval) and a
+    topology over part of those ids plus ids the states lack."""
+    snapshot, topo = draw(snapshot_and_topology())
+    filled = st.integers(0, snapshot.tau - 1) if isinstance(snapshot.tau, int) \
+        else st.sampled_from(_GRID)
+    with_interval = draw(st.booleans())
+    states = [NodeState(s.node, draw(filled) if s.global_phase is None else s.global_phase,
+                        (s.interval or 0) if with_interval else None, s.colored)
+              for s in node_states(snapshot)]
+    return snapshot.tau, states, topo
+
+
+def _outputs(snapshot, topo):
+    return (validate_interval_coloring(snapshot, topo, eta=1 / 16, q=32),
+            symmetric_window_violations(snapshot, topo),
+            list(classify_good_bad(snapshot, topo).items()),
+            neighbor_phase_ties(snapshot, topo),
+            list(snapshot.global_phases().items()))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(array_path_states())
+def test_snapshot_from_arrays_matches_from_states(case):
+    tau, states, topo = case
+    ids = np.array([s.node for s in states], dtype=np.int64)
+    phase = np.array([s.global_phase for s in states])
+    interval = None if states and states[0].interval is None else \
+        np.array([s.interval for s in states])
+    colored = np.array([s.colored for s in states], dtype=bool)
+    from_arrays = ColoringSnapshot.from_arrays(tau, ids, phase, interval, colored)
+    from_states = ColoringSnapshot.from_states(tau, states)
+    assert _outputs(from_arrays, topo) == _outputs(from_states, topo)
+    assert node_states(from_arrays) == node_states(from_states) == states
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(snapshot_and_topology())
+def test_global_phases_skip_nodes_without_one(case):
+    snapshot, _ = case
+    expected = {s.node: s.global_phase for s in node_states(snapshot)
+                if s.global_phase is not None}
+    phases = snapshot.global_phases()
+    assert list(phases.items()) == list(expected.items())
+    assert all(type(v) is int for v in phases)
+    assert all(type(p) is type(snapshot.tau) for p in phases.values())
+    assert node_states(ColoringSnapshot.from_states(snapshot.tau, node_states(snapshot))) == \
+        node_states(snapshot)

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import valid_events, wrap_distance
+from helpers import node_states, valid_events, wrap_distance
 from hypothesis import example, given, settings, strategies as st
 
 from beepsim import rng as rngmod
@@ -174,8 +174,13 @@ def test_array_path_matches_per_node_engine(case):
     engine = runner.run_jitterjump_trial(topo, cfg, seed_key=("same",), collect_rows=True,
                                          state_hook=no_hook)
     assert arrays.topology.edges() == engine.topology.edges()
+    for name in ("snapshot", "final_snapshot"):
+        ours, theirs = getattr(arrays, name), getattr(engine, name)
+        assert repr(ours.tau) == repr(theirs.tau), name
+        assert repr(node_states(ours)) == repr(node_states(theirs)), name
     for f in dataclasses.fields(runner.JitterJumpResult):
-        if f.name != "topology":  # repr tells an int from a numpy integer
+        if f.name not in ("topology", "snapshot", "final_snapshot"):
+            # repr tells an int from a numpy integer
             assert repr(getattr(arrays, f.name)) == repr(getattr(engine, f.name)), f.name
 
 

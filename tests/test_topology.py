@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 from helpers import gnp_reference, max_neighborhood_degree, random_regular_reference
+from hypothesis import given, settings, strategies as st
 
 from beepsim import rng
+from beepsim.analysis import validate_interval_coloring
+from beepsim.config import SimConfig
 from beepsim.errors import ConfigError
+from beepsim.runner import run_jitterjump_trial
 from beepsim.topology import (
     DynamicEvent,
     Topology,
@@ -247,3 +251,93 @@ def test_random_wakeup_equals_one_scalar_draw_per_node(period):
     assert list(wake.items()) == list(expected.items())
     assert all(type(t) is type(period) for t in wake.values())
     assert batch.integers(2**62) == scalar.integers(2**62)  # the streams stay in step
+
+
+# -- generator output held as arrays, against the same edges added one by one --
+
+
+def _answers(t):
+    """Everything a topology answers without walking a neighbour set."""
+    return (t.n, t.nodes, t.delta, [t.degree(v) for v in t.nodes], t.edges(),
+            [(arr.dtype, arr.flags.writeable, arr.tolist()) for arr in t.arrays])
+
+
+def _neighbour_order(t):
+    return [list(t.neighbors(v)) for v in t.nodes]
+
+
+@st.composite
+def generated_graphs(draw):
+    """A builder of one ``gnp`` or ``random_regular`` graph, callable again
+    for a fresh copy of the same graph."""
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 30))
+        p = draw(st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]))
+        return lambda: gnp(n, p, rng.stream(seed, "diff"))
+    d = draw(st.integers(0, 4))  # the pairing model rejects most tries above
+    n = draw(st.integers(max(1, 2 * d + 2), 30))
+    n += n * d % 2
+    return lambda: random_regular(n, d, rng.stream(seed, "diff"))
+
+
+@st.composite
+def mutations(draw, n):
+    """One of the four mutations, with arguments that may be invalid."""
+    ids = st.integers(0, n + 1)
+    kind = draw(st.sampled_from(["add_node", "remove_node", "add_edge", "remove_edge"]))
+    if kind == "add_node":
+        return kind, (draw(ids), draw(st.lists(ids, unique=True, max_size=3)))
+    if kind == "remove_node":
+        return kind, (draw(ids),)
+    return kind, (draw(ids), draw(ids))
+
+
+def _apply(t, mutation):
+    """The mutation's error message, or None once it is applied."""
+    kind, args = mutation
+    try:
+        getattr(t, kind)(*args)
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(generated_graphs(), st.data())
+def test_generator_arrays_match_the_same_edges_added_one_by_one(build, data):
+    fast = build()
+    view = fast.arrays
+    edges = list(zip(view.u.tolist(), view.v.tolist()))
+    slow = Topology.from_edges(fast.n, edges)
+    assert _answers(fast) == _answers(slow)
+    assert fast._adj is None  # answered from the arrays
+    assert _neighbour_order(fast) == _neighbour_order(slow)
+    assert _answers(fast) == _answers(slow)  # and the same once the map is built
+
+    # a copy shares the arrays and builds its own map when first mutated
+    mutation = data.draw(mutations(fast.n))
+    original = build()
+    for fresh in (build(), original.copy()):
+        twin = Topology.from_edges(fast.n, edges)
+        assert _apply(fresh, mutation) == _apply(twin, mutation)
+        assert _answers(fresh) == _answers(twin)
+        assert _neighbour_order(fresh) == _neighbour_order(twin)
+    assert original._adj is None
+    assert _answers(original) == _answers(slow)
+    assert _neighbour_order(original) == _neighbour_order(slow)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: random_regular(256, 4, rng.stream(3, "lazy")),
+    lambda: gnp(64, 0.1, rng.stream(3, "lazy")),
+])
+def test_static_array_run_never_builds_the_adjacency_map(build):
+    topo = build()
+    result = run_jitterjump_trial(topo, SimConfig(master_seed=3), seed_key=("lazy",))
+    assert result.topology is topo  # the array path ran
+    assert not validate_interval_coloring(result.snapshot, topo).violations
+    twin = topo.copy()
+    assert _answers(twin) == _answers(topo)
+    assert twin.arrays is topo.arrays
+    assert topo._adj is None and twin._adj is None
