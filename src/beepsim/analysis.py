@@ -116,10 +116,6 @@ class IntervalReport:
     violations: tuple[tuple[int, int], ...]
     min_normalized_interval: float | None
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
 
 def validate_interval_coloring(
     snapshot: ColoringSnapshot,

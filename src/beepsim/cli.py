@@ -31,7 +31,12 @@ from .analysis import (
 from .ballsbins import amplification_rounds, bb_exact, bb_montecarlo
 from .config import DEFAULT_EPSILON, DEFAULT_ETA, DEFAULT_KAPPA, SimConfig
 from .errors import ConfigError, InternalInconsistencyError, ProtocolViolation
-from .lowerbound import build_lowerbound_graph, expected_retention_floor, twin_coupling_experiment
+from .lowerbound import (
+    BATCH_NODES,
+    build_lowerbound_graph,
+    expected_retention_floor,
+    twin_coupling_experiment,
+)
 from .runner import run_beepfirst_trial, run_jitterjump_trial
 from .topology import GENERATORS, Topology, load_edge_list, load_events, parse_graph_spec
 from .trace import write_csv
@@ -99,7 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_lb = osub.add_parser("lowerbound", help="twin-coupling symmetry experiment")
     p_lb.add_argument("--k", type=int, required=True, help="number of 4-node blocks")
     p_lb.add_argument("--slots", type=_at_least_one, required=True)
-    p_lb.add_argument("--trials", type=_at_least_one, required=True)
+    p_lb.add_argument("--trials", type=_at_least_one, required=True,
+                      help=f"run in batches of at most {BATCH_NODES:,} nodes, so memory "
+                           "does not grow with it")
     p_lb.add_argument("--seed", type=int, default=1)
 
     return parser

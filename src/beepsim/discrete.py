@@ -258,18 +258,14 @@ class DiscreteEngine:
             t = min(t, -(-s // self.q) * self.q)
         return min(t, end)
 
-    def run_slots(self, count: int) -> SlotOutcome | None:
+    def run_slots(self, count: int) -> None:
         """Advance ``count`` slots, calling :meth:`step_slot` on each one that
-        is not silent (a silent slot would yield an empty outcome).  Return
-        the outcome of the last slot stepped, or ``None`` if every slot was
-        silent."""
+        is not silent (a silent slot would yield an empty outcome)."""
         end = self.slot + count
-        outcome = None
         while (s := self.next_busy_slot(end)) < end:
             self.slot = s
-            outcome = self.step_slot()
+            self.step_slot()
         self.slot = end
-        return outcome
 
 
 def deliver_window(listener: np.ndarray, beeper: np.ndarray, offsets: np.ndarray,

@@ -8,15 +8,30 @@ a slot with probability at least 1/2, so symmetry between them survives
 for a logarithmic number of slots with constant probability.  This module
 measures all three effects on real protocol executions.
 
-A node's fingerprint changes only in a slot where it has a local period
-boundary, beeps or hears.  Every node wakes at slot 0, so boundaries fall
-on multiples of Q.  The experiment therefore asks the engine for the next
-busy slot and jumps to it, and compares a twin pair again only after a
-boundary slot or a slot in which one of its twins beeped or heard.  A
-silent stretch leaves every pair as it was: it is credited in bulk, each
-of its slots to retention when a pair is identical and each identical
-pair to same-state and same-action counts.  The statistics equal those
-of fingerprinting every pair in every slot.
+Every node wakes at slot 0 and the graph never changes, so the trials'
+graphs are stacked into one block-diagonal graph and run as static
+jitter-and-jump on arrays (``StaticJitterJumpArrays`` and
+``discrete.deliver_window``), one array pass per period, each node with
+the draws it would take through its own engine.  The statistics are
+taken once per period, and they equal those of comparing every twin
+pair's whole engine state in every slot:
+
+- through slot Q, where the first boundary falls, every node holds its
+  initial state, so slots [0, Q] count as identical for every pair;
+- a node's protocol state changes only at its boundaries, which fall on
+  multiples of Q.  Twins whose protocol state (phase, jitter, colored
+  flag, degree estimate, interval) is equal right after boundary kQ plan
+  the same beep, and since they share a closed neighborhood they hear the
+  same slots: they stay identical on slots [kQ+1, (k+1)Q].  Twins whose
+  protocol state differs stay apart over those slots;
+- identical twins beep in the same slot, so a pair can act differently
+  only in the boundary slot (k+1)Q that ends its stretch, when exactly
+  one twin's new offset is 0 and beeps in that slot;
+- a run cut off at ``slots`` inside a stretch is credited the part of the
+  stretch before the cut.
+
+Trials run in batches of at most ``BATCH_NODES`` nodes, so memory does not
+grow with the trial count; the statistics do not depend on the batch size.
 """
 
 from __future__ import annotations
@@ -25,14 +40,20 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate
 
+import numpy as np
+
 from . import rng as rngmod
 from .config import SimConfig
-from .discrete import DiscreteEngine
+from .discrete import deliver_window
 from .errors import ConfigError
-from .jitterjump import JitterAndJump
-from .topology import cycle_of_blocks, twin_pairs
+from .jitterjump import StaticJitterJumpArrays
+from .topology import Topology, cycle_of_blocks, twin_pairs
 
 build_lowerbound_graph = cycle_of_blocks
+
+# nodes stepped together: bounds memory and never changes a result (larger
+# batches take more memory and run no faster)
+BATCH_NODES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -74,74 +95,24 @@ def twin_coupling_experiment(
     With ``shared_randomness`` the two nodes of every twin pair draw from
     identically seeded streams, making divergence impossible for any
     protocol that ignores node identity; a divergence is reported as
-    evidence of identity leakage.  With
-    independent streams the run measures how often same-state twins take
-    the same beep/listen action, and how long at least one pair stays
-    identical.
+    evidence of identity leakage, and the pair is not observed again.
+    With independent streams the run measures how often same-state twins
+    take the same beep/listen action, and how long at least one pair
+    stays identical.
     """
     cfg = SimConfig()
     topo = build_lowerbound_graph(k)
-    pairs = twin_pairs(k)
-    twin_index = {}
-    for idx, (b, c) in enumerate(pairs):
-        twin_index[b] = idx
-        twin_index[c] = idx
     q = cfg.resolve_q(topo.delta)
-
-    divergences = 0
-    same_state = 0
-    same_action = 0
-    retained = [0] * (slots + 1)  # differences: stretches are credited in bulk
-
-    for trial in range(trials):
-        keys = [
-            (seed, trial, "twin", twin_index[v], "protocol")
-            if shared_randomness and v in twin_index
-            else (seed, trial, v, "protocol")
-            for v in topo.nodes
-        ]
-        gens = dict(zip(topo.nodes, rngmod.streams(keys)))
-        engine = DiscreteEngine(
-            topo, q, lambda v: JitterAndJump(q, cfg.eta, gens[v]), {v: 0 for v in topo.nodes}
-        )
-        alive_pairs = set(range(len(pairs)))
-        changed = alive_pairs  # pairs whose identity must be recomputed
-        identical: set[int] = set()
-        s = 0
-        while s < slots:
-            for idx in changed:
-                b, c = pairs[idx]
-                if engine.fingerprint(b) == engine.fingerprint(c):
-                    identical.add(idx)
-                else:
-                    identical.discard(idx)
-            if shared_randomness and len(identical) < len(alive_pairs):
-                divergences += len(alive_pairs) - len(identical)
-                alive_pairs = set(identical)
-            # slots s .. end-1 all start in this state: every one before the
-            # next busy slot is silent, and the busy slot, if any, is the last
-            end = min(engine.next_busy_slot(slots) + 1, slots)
-            if identical:
-                retained[s] += 1
-                retained[end] -= 1
-            outcome = engine.run_slots(end - s)
-            # identical twins act alike in every slot but a busy one that
-            # one of them beeps in and the other does not
-            same_state += len(identical) * (end - s)
-            same_action += len(identical) * (end - s)
-            s = end
-            if outcome is None:  # no state changed
-                changed = ()
-                continue
-            for idx in identical:
-                b, c = pairs[idx]
-                if (b in outcome.beeped) != (c in outcome.beeped):
-                    same_action -= 1
-            if outcome.slot % q == 0:  # every node woke at slot 0, so boundaries fall here
-                changed = alive_pairs
-            else:
-                touched = outcome.beeped | outcome.heard
-                changed = {twin_index[v] for v in touched if v in twin_index} & alive_pairs
+    retained = [0] * (slots + 1)  # differences: each stretch is credited in bulk
+    divergences = same_state = mismatches = 0
+    per_batch = max(1, BATCH_NODES // topo.n)
+    for first in range(0, trials, per_batch):
+        batch = range(first, min(first + per_batch, trials))
+        counts = _run_batch(topo, k, q, cfg.eta, batch, seed, shared_randomness, slots,
+                            retained)
+        divergences += counts[0]
+        same_state += counts[1]
+        mismatches += counts[2]
 
     return TwinCouplingStats(
         k=k,
@@ -150,9 +121,76 @@ def twin_coupling_experiment(
         shared_randomness=shared_randomness,
         divergences=divergences,
         same_state_observations=same_state,
-        same_action_matches=same_action,
+        same_action_matches=same_state - mismatches,
         retention_by_slot=tuple(r / trials for r in accumulate(retained[:slots])),
     )
+
+
+def _run_batch(topo: Topology, k: int, q: int, eta: float, batch: range, seed: int,
+               shared: bool, slots: int, retained: list[int]) -> tuple[int, int, int]:
+    """Run the trials of ``batch`` together, add each stretch's count of
+    trials holding an identical pair to the differences in ``retained``,
+    and return the batch's divergences, same-state observations and
+    same-state action mismatches.
+
+    Stretch 0 is slots [0, Q] and stretch j >= 1 is [jQ+1, (j+1)Q], each
+    cut at ``slots``; ``alike`` holds, per trial and twin pair, whether
+    the pair is identical over the current stretch.
+    """
+    n, m = topo.n, len(batch)
+    last = (slots - 1) // q  # the boundaries jQ, j = 1 .. last, fall inside the run
+    pairs = np.array(twin_pairs(k))
+    base = np.arange(m)[:, None] * n  # trial t's copy holds rows t*n .. t*n + n-1
+    b, c = base + pairs[:, 0], base + pairs[:, 1]
+    alike = np.ones((m, k), dtype=bool)
+    if last:
+        twin = {v: idx for idx, pair in enumerate(pairs.tolist()) for v in pair}
+        # cycle_of_blocks numbers its nodes 0 .. n-1, so ids are row indices
+        keys = [(seed, t, "twin", twin[v], "protocol") if shared and v in twin
+                else (seed, t, v, "protocol") for t in batch for v in range(n)]
+        draws = rngmod.ArrayDraws(rngmod.seed_words(keys))
+        protocol = StaticJitterJumpArrays(q, eta, draws, m * n)
+        view = topo.arrays
+        src, dst = (base + view.src).ravel(), (base + view.dst).ravel()
+        listener, beeper = np.concatenate((src, dst)), np.concatenate((dst, src))
+        heard = (np.zeros(0, dtype=np.int64),) * 2  # the first period is listen only
+
+    divergences = same_state = mismatches = 0
+    for j in range(last + 1):
+        start, stop = j * q + (j > 0), min((j + 1) * q + 1, slots)
+        if j:
+            offsets = protocol.on_period_end(*heard)
+            # boundary slot jQ ends stretch j-1: a pair alike through it acts
+            # differently there when exactly one twin now beeps at offset 0
+            beeps_now = offsets == 0
+            mismatches += int(np.count_nonzero(alike & (beeps_now[b] != beeps_now[c])))
+            if start >= stop:  # the run ends on this boundary slot
+                break
+            same = _alike_after_boundary(protocol, b, c)
+            if shared:  # a pair that diverged is dropped for good
+                same &= alike
+                divergences += int(np.count_nonzero(alike)) - int(np.count_nonzero(same))
+            alike = same
+            if j < last:
+                heard = deliver_window(listener, beeper, offsets, q)
+        same_state += int(np.count_nonzero(alike)) * (stop - start)
+        held = int(np.count_nonzero(alike.any(axis=1)))
+        retained[start] += held
+        retained[stop] -= held
+    return divergences, same_state, mismatches
+
+
+def _alike_after_boundary(protocol: StaticJitterJumpArrays, b: np.ndarray,
+                          c: np.ndarray) -> np.ndarray:
+    """Per twin pair (rows ``b`` and ``c``): equal protocol state right
+    after a boundary.  The buffer is a function of the degree estimate,
+    and the beep offset one of the phase and jitter."""
+    same = np.ones(b.shape, dtype=bool)
+    for row in (protocol.p, protocol.jitter, protocol.colored, protocol.d_tilde,
+                protocol.interval):
+        if row is not None:  # the interval is None after the first boundary
+            same &= row[b] == row[c]
+    return same
 
 
 def expected_retention_floor(k: int) -> tuple[int, float]:

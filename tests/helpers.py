@@ -456,16 +456,14 @@ class ReferenceEngine(DiscreteEngine):
 
     def run_slots(self, count):
         s, end = self.slot, self.slot + count
-        outcome = None
         while s < end:
             if s in self._boundaries or s in self._beeps or (
                 s % self.q == 0 and self._event_idx < len(self._events)
             ):
                 self.slot = s
-                outcome = self.step_slot()
+                self.step_slot()
             s += 1
         self.slot = s
-        return outcome
 
 
 def twin_coupling_reference(k, slots, trials, seed, shared_randomness=False):

@@ -35,7 +35,7 @@ def snap(tau, *triples):
 def test_disjoint_intervals_pass():
     topo = Topology.from_edges(2, [(0, 1)])
     report = validate_interval_coloring(snap(32, (2, 3, True), (10, 3, True)), topo)
-    assert report.ok
+    assert not report.violations
     assert report.pairs_checked == 1
 
 
@@ -49,7 +49,7 @@ def test_wrap_around_interval_overlap_detected():
     topo = Topology.from_edges(2, [(0, 1)])
     # node 0's arc [30, 1] wraps; node 1's arc [0, 4] meets it at 0..1
     report = validate_interval_coloring(snap(32, (1, 3, True), (4, 4, True)), topo)
-    assert not report.ok
+    assert report.violations
 
 
 def test_normalized_interval_metric():

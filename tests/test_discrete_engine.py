@@ -297,8 +297,8 @@ def test_run_slots_matches_stepping_every_slot(case):
     stepping, step_log = build(DiscreteEngine)
     reference, ref_log = build(ReferenceEngine)
     for k in chunks:
-        last = skipping.run_slots(k)
-        assert last == ref_skipping.run_slots(k)
+        skipping.run_slots(k)
+        ref_skipping.run_slots(k)
         assert skipping.stepped == ref_skipping.stepped
         outs = []
         for _ in range(k):
@@ -318,9 +318,9 @@ def test_run_slots_matches_stepping_every_slot(case):
             for v in reference.alive:
                 assert stepping.pending_phases(v) == reference.pending_phases(v)
                 assert stepping.fingerprint(v) == reference.fingerprint(v)
-        # run_slots returns the last slot it stepped; every later slot is silent
-        later = outs if last is None else outs[outs.index(last) + 1:]
-        assert not any(out.beeped or out.heard for out in later)
+        # every slot run_slots skipped is silent
+        stepped = set(skipping.stepped)
+        assert not any(out.beeped or out.heard for out in outs if out.slot not in stepped)
         for engine, log in ((skipping, skip_log), (stepping, step_log)):
             assert engine.slot == reference.slot
             assert engine.alive == reference.alive
