@@ -10,7 +10,9 @@ the same phase.
 
 The node must know its own degree and the maximum degree among its
 neighbors; both are supplied by the harness, the protocol never inspects
-the topology.
+the topology.  So is its start offset eps_v, uniform in [0, epsilon): the
+harness draws it from the node's own random stream, one draw per node, as
+``Generator.uniform(0.0, epsilon)`` would.
 """
 
 from __future__ import annotations
@@ -62,12 +64,11 @@ def _first_fit(s: PhaseSet, b: float, t_period: float):
 class BeepFirst:
     """Node-local protocol state; driven as a generator by the engine."""
 
-    def __init__(self, epsilon: float, degree: int, max_degree: int, rng):
+    def __init__(self, epsilon: float, degree: int, max_degree: int, eps_v: float):
         self.epsilon = float(epsilon)
         self.d = int(degree)
         self.d_max = int(max_degree)
-        self.rng = rng
-        self.eps_v: float | None = None
+        self.eps_v = float(eps_v)
         self.b: float | None = None
         self.interval: float | None = None
         self.p: float | None = None
@@ -80,7 +81,6 @@ class BeepFirst:
 
     def run(self):
         t_period = CONTINUOUS_PERIOD
-        self.eps_v = float(self.rng.uniform(0.0, self.epsilon))
         self.interval = (1.0 - self.epsilon) * t_period / (2.0 * (self.d_max + 1))
         self.b = (1.0 - self.eps_v) * t_period / (2.0 * (self.d + 1))
         yield Listen(self.eps_v)  # randomized start offset; result discarded

@@ -230,6 +230,12 @@ class ArrayDraws:
         x, rot = hi ^ lo, hi >> _U58
         return (x >> rot) | (x << ((np.uint64(64) - rot) & _U63))
 
+    def uniform(self, who: np.ndarray, high: float) -> np.ndarray:
+        """``Generator.uniform(0.0, high)`` on each stream in ``who``: a raw
+        word's top 53 bits scaled into [0, 1), as numpy's ``next_double``
+        does, and then ``0.0 + high * u``, as its ``random_uniform`` does."""
+        return 0.0 + high * ((self.raw(who) >> np.uint64(11)) * 2.0**-53)
+
     def below(self, who: np.ndarray, bounds: np.ndarray) -> np.ndarray:
         """``RawDraws.below(bounds[i])`` on stream ``who[i]``, for each i."""
         bounds = np.asarray(bounds, dtype=np.uint64)

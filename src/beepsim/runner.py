@@ -1,12 +1,14 @@
 """Trial orchestration: build engines, drive protocols, collect checks.
 
-A trial owns everything it changes (the engine's topology copy, protocol
-streams, engine), so trials are independent and reproducible from their
-seed key alone.  Global-knowledge checks (degree-estimate bounds, free-slot floor,
+A trial owns everything it changes (the discrete engine's topology copy,
+protocol streams, engine), so trials are independent and reproducible
+from their seed key alone.  Global-knowledge checks (degree-estimate bounds, free-slot floor,
 good-set monotonicity, interval validity) are gathered as counters, never
 enforced inside the protocols.  A static jitter-and-jump run whose nodes
 all wake at slot 0 steps the whole network over arrays instead of through
-the engine, with the same draws, checks and result.
+the engine, with the same draws, checks and result.  A beep-first trial
+draws every node's start offset from its protocol stream in one array
+pass.
 """
 
 from __future__ import annotations
@@ -435,13 +437,15 @@ def run_beepfirst_trial(
         cfg.wakeup, topology.nodes, t_period, rngmod.stream(master, *seed_key, "wakeup")
     )
 
-    gens = _protocol_streams(master, seed_key, topology.nodes)
-
+    # each node's start offset is the first draw of its protocol stream
     view = topology.arrays
-    dmax = dict(zip(view.nodes.tolist(), view.dmax.tolist()))
+    ids = view.nodes.tolist()
+    words = rngmod.seed_words([(master, *seed_key, v, "protocol") for v in ids])
+    eps_v = rngmod.ArrayDraws(words).uniform(np.arange(len(ids)), cfg.epsilon)
+    known = dict(zip(ids, zip(view.degree.tolist(), view.dmax.tolist(), eps_v.tolist())))
 
     def factory(v: int) -> BeepFirst:
-        return BeepFirst(cfg.epsilon, topology.degree(v), dmax[v], gens[v])
+        return BeepFirst(cfg.epsilon, *known[v])
 
     engine = ContinuousEngine(topology, factory, wake)
     overruns = 0

@@ -172,7 +172,6 @@ class LoopBeepFirst(BeepFirst):
 
     def run(self):
         t_period = CONTINUOUS_PERIOD
-        self.eps_v = float(self.rng.uniform(0.0, self.epsilon))
         self.interval = (1.0 - self.epsilon) * t_period / (2.0 * (self.d_max + 1))
         self.b = (1.0 - self.eps_v) * t_period / (2.0 * (self.d + 1))
         yield Listen(self.eps_v)
@@ -193,16 +192,30 @@ class LoopBeepFirst(BeepFirst):
 
 
 def record_beeps(engine):
-    """Log every beep ``engine`` emits from now on: wraps the engine's
-    ``emit_beep`` and returns a dict from node to its beep times in order."""
+    """Log every beep ``engine`` emits from now on; returns a dict from node
+    to its beep times in order.  Wraps the engine's ``emit_beep`` and, for
+    the beeps a fast-forward plays without it, reads the engine's new
+    stretches after each ``run_until``."""
     log = defaultdict(list)
-    emit = engine.emit_beep
+    emit, run_until = engine.emit_beep, engine.run_until
+    seen = len(engine._stretches)
 
     def emit_beep(v, t):
         log[v].append(t)
         emit(v, t)
 
+    def run_until_recorded(t_end):
+        nonlocal seen
+        try:
+            run_until(t_end)
+        finally:
+            for times, who, _ in engine._stretches[seen:]:
+                for v, t in zip(engine._ids[who].tolist(), times.tolist()):
+                    log[v].append(t)
+            seen = len(engine._stretches)
+
     engine.emit_beep = emit_beep
+    engine.run_until = run_until_recorded
     return log
 
 

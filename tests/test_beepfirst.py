@@ -23,8 +23,13 @@ from beepsim.runner import run_beepfirst_trial
 from beepsim.topology import Topology, clique, gnp
 
 
+def offset(epsilon, *key):
+    """The start offset a node draws first from the stream ``key``."""
+    return float(rng.stream(*key).uniform(0.0, epsilon))
+
+
 def test_init_formulas_isolated_node():
-    proto = BeepFirst(0.1, 0, 0, rng.stream(1, "p"))
+    proto = BeepFirst(0.1, 0, 0, offset(0.1, 1, "p"))
     gen = proto.run()
     next(gen)  # runs initialization up to the first listen
     assert proto.interval == pytest.approx(0.45)
@@ -33,11 +38,14 @@ def test_init_formulas_isolated_node():
 
 
 def test_start_offset_is_deterministic_per_stream():
-    a = BeepFirst(0.1, 2, 3, rng.stream(9, "p"))
-    b = BeepFirst(0.1, 2, 3, rng.stream(9, "p"))
-    next(a.run())
-    next(b.run())
-    assert a.eps_v == b.eps_v
+    # a trial draws each node's offset from the node's own protocol stream,
+    # so the same key gives the same offsets, and they equal numpy's draw
+    topo = gnp(12, 0.3, rng.stream(9, "g"))
+    cfg = SimConfig(master_seed=9, epsilon=0.2, wakeup="random")
+    a, b = (run_beepfirst_trial(topo, cfg, seed_key=("offset",)) for _ in range(2))
+    for v in topo.nodes:
+        assert a.protocols[v].eps_v == b.protocols[v].eps_v
+        assert a.protocols[v].eps_v == offset(0.2, 9, "offset", v, "protocol")
 
 
 def test_first_clear_phase_empty_set():
@@ -98,10 +106,9 @@ def test_stable_node_beeps_every_period_at_same_phase():
     topo = Topology.from_edges(2, [(0, 1)])
     cfg = SimConfig(master_seed=7)
     from beepsim.continuous import ContinuousEngine
-    from beepsim import rng as rngmod
 
     def factory(v):
-        return BeepFirst(0.1, 1, 1, rngmod.stream(7, "steady", v, "p"))
+        return BeepFirst(0.1, 1, 1, offset(0.1, 7, "steady", v, "p"))
 
     engine = ContinuousEngine(topo, factory, {0: 0.0, 1: 0.0})
     log = record_beeps(engine)
@@ -161,7 +168,7 @@ def test_shared_streams_produce_identical_phases_and_a_tie():
     def factory(v):
         key = (37, "twin", "p") if v in (0, 1) else (37, v, "p")
         return BeepFirst(0.1, topo.degree(v), max_neighborhood_degree(topo, v),
-                         rng.stream(*key))
+                         offset(0.1, *key))
 
     engine = ContinuousEngine(topo, factory, {v: 0.0 for v in topo.nodes})
     engine.run_until(5.0)
@@ -179,15 +186,21 @@ def test_staggered_wakeup_still_settles_within_three_periods():
     assert result.max_stable_delay < 3.0
 
 
-def trial_and_engine(topo, cfg, protocol_cls):
+def trial_and_engine(topo, cfg, protocol_cls, pauses=()):
     """``run_beepfirst_trial`` with CSV rows, driving ``protocol_cls``, the
-    engine it ran and the engine's beeps."""
+    engine it ran and the engine's beeps.  The engine's run stops at each
+    of the ``pauses`` (fractions of its end time) on the way."""
     engines = []
 
     class Recording(continuous.ContinuousEngine):
         def __init__(self, *args):
             super().__init__(*args)
             engines.append((self, record_beeps(self)))
+
+        def run_until(self, t_end):
+            for fraction in pauses:
+                super().run_until(fraction * t_end)
+            super().run_until(t_end)
 
     with patch.object(runner, "ContinuousEngine", Recording), \
             patch.object(runner, "BeepFirst", protocol_cls):
@@ -220,15 +233,16 @@ def cycle_cases(draw):
     else:
         topo = clique(draw(st.integers(min_value=1, max_value=8)))
     wakeup = draw(st.sampled_from(("simultaneous", "random", "stagger:1")))
-    return topo, SimConfig(master_seed=seed, wakeup=wakeup)
+    pauses = sorted(draw(st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=2)))
+    return topo, SimConfig(master_seed=seed, wakeup=wakeup), pauses
 
 
 @settings(max_examples=60, deadline=None)
 @given(cycle_cases())
 def test_cycle_matches_listen_listen_beep_loop(case):
-    topo, cfg = case
-    assert_same_run(topo, trial_and_engine(topo, cfg, BeepFirst),
-                    trial_and_engine(topo, cfg, LoopBeepFirst))
+    topo, cfg, pauses = case
+    assert_same_run(topo, trial_and_engine(topo, cfg, BeepFirst, pauses),
+                    trial_and_engine(topo, cfg, LoopBeepFirst, pauses))
 
 
 @pytest.mark.parametrize("seed", (37, 38, 39))
@@ -239,7 +253,7 @@ def test_cycle_matches_loop_with_coincident_beeps(seed):
     for cls in (BeepFirst, LoopBeepFirst):
         def factory(v, cls=cls):
             key = (seed, "twin", "p") if v in (0, 1) else (seed, v, "p")
-            return cls(0.1, topo.degree(v), max_neighborhood_degree(topo, v), rng.stream(*key))
+            return cls(0.1, topo.degree(v), max_neighborhood_degree(topo, v), offset(0.1, *key))
 
         engine = continuous.ContinuousEngine(topo, factory, {v: 0.0 for v in topo.nodes})
         beeps = record_beeps(engine)

@@ -6,6 +6,7 @@ sums and phases compare exactly.
 
 import pytest
 from helpers import record_beeps
+from hypothesis import given, settings, strategies as st
 
 from beepsim.continuous import CONTINUOUS_PERIOD, Beep, ContinuousEngine, Cycle, Listen, Rebase
 from beepsim.errors import ConfigError
@@ -201,3 +202,123 @@ def test_cycle_rejects_negative_durations():
     engine, _ = build(topo, {0: [Cycle(0.5, -0.25)]})
     with pytest.raises(ConfigError):
         engine.run_until(1.0)
+
+
+@pytest.mark.parametrize("wake", [0.0, 2.0**53 - 4])
+def test_cycle_that_never_advances_is_rejected(wake):
+    # at 2**53 a step of 1.0 is lost to rounding: from 2**53 - 4 the cycle
+    # advances four times, then stalls, on the heap path (node 1 listens
+    # past the end) and in the fast-forward alike
+    topo = Topology.from_edges(2, [(0, 1)])
+    start = [Cycle(0.0, 0.0)] if wake == 0.0 else [Cycle(1.0, 0.0)]
+    for scripts in ({0: start, 1: [Listen(2.0**60)]}, {0: start, 1: start}):
+        engine, _ = build(topo, scripts, wake={0: wake, 1: wake})
+        with pytest.raises(ConfigError):
+            engine.run_until(wake + 8.0)
+
+
+class CycleOrLoop:
+    """Runs ``prefix``, then "listen ``first``, listen ``second``, beep"
+    forever: as one :class:`Cycle`, or written out as a loop the engine
+    resumes at every step."""
+
+    def __init__(self, prefix, first, second, loop):
+        self.prefix, self.first, self.second, self.loop = prefix, first, second, loop
+
+    def run(self):
+        for cmd in self.prefix:
+            yield cmd
+        if not self.loop:
+            yield Cycle(self.first, self.second)
+        while True:
+            yield Listen(self.first)
+            yield Listen(self.second)
+            yield Beep()
+
+
+eighths = st.integers(min_value=0, max_value=12).map(lambda k: k / 8)
+
+
+@st.composite
+def cycling_graphs(draw):
+    """A small graph whose nodes all end up cycling, each after a beep or a
+    listen; dyadic times make coincident beeps common, 0.3 + 0.7 adds
+    float drift, and the run ends in one to three increments."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [e for e in pairs if draw(st.booleans())]
+    nodes = []
+    for _ in range(n):
+        prefix = [Listen(draw(eighths))]
+        if draw(st.booleans()):
+            prefix.append(Beep())
+        cycle = draw(st.sampled_from([(0.25, 0.75), (0.5, 0.5), (0.375, 0.125), (0.3, 0.7),
+                                      (1.0, 0.0), (0.0, 1.0), (0.75, 0.75)]))
+        nodes.append((draw(eighths), prefix, cycle))
+    ends = sorted(draw(st.lists(st.integers(min_value=0, max_value=64), min_size=0,
+                                max_size=2)))
+    return Topology.from_edges(n, edges), nodes, [k / 8 for k in ends] + [8.5]
+
+
+def cycle_or_loop_engine(topo, nodes, loop, idle=False):
+    """The engine running ``nodes``; with ``idle``, one more node without
+    edges listens forever, so the engine never fast-forwards."""
+    if idle:
+        topo = Topology.from_edges(topo.n + 1, topo.edges())
+
+    def factory(v):
+        if v == len(nodes):
+            return Script([])
+        _, prefix, (first, second) = nodes[v]
+        return CycleOrLoop(prefix, first, second, loop)
+
+    engine = ContinuousEngine(topo, factory, {v: wake for v, (wake, _, _) in enumerate(nodes)})
+    return engine, record_beeps(engine)
+
+
+def node_state(engine, v):
+    node = engine._nodes[v]
+    pending = [entry for entry in engine._heap if entry[2] == v]
+    return node.last_beep, node.win_start, node.win_end, node.cycle, pending
+
+
+@settings(max_examples=150, deadline=None)
+@given(cycling_graphs())
+def test_fast_forward_matches_the_listen_listen_beep_loop(case):
+    topo, nodes, ends = case
+    (cyc, cyc_beeps), (ref, ref_beeps), (heap, _) = (
+        cycle_or_loop_engine(topo, nodes, loop, idle)
+        for loop, idle in ((False, False), (True, False), (False, True)))
+    for t_end in ends:
+        for engine in (cyc, ref, heap):
+            engine.run_until(t_end)
+        assert cyc_beeps == ref_beeps
+        assert cyc.tie_collisions == ref.tie_collisions
+        assert cyc.now == ref.now
+        for v in topo.nodes:
+            assert cyc.heard_log(v) == ref.heard_log(v)
+            # each node's last beep, window and heap entry as the heap path leaves them
+            assert node_state(cyc, v) == node_state(heap, v)
+    assert cyc._stretches  # the cycling engine did fast-forward
+    assert not ref._stretches and not heap._stretches
+
+
+def test_fast_forward_starts_amid_coincident_beeps():
+    # node 0 settles last, at t=0.5, with its beep tied to node 2's; then
+    # nodes 1 and 2 keep beeping at the same instants inside the stretch
+    topo = Topology.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    nodes = [(0.0, [Listen(0.5), Beep()], (0.5, 0.5)),
+             (0.0, [Listen(0.25)], (0.5, 0.75)),
+             (0.0, [Listen(0.0), Beep()], (0.25, 0.25)),
+             (0.0, [Listen(0.0)], (0.25, 1.0))]
+    (cyc, cyc_beeps), (ref, ref_beeps) = (cycle_or_loop_engine(topo, nodes, loop)
+                                          for loop in (False, True))
+    for t_end in (0.5, 3.0, 5.25):
+        cyc.run_until(t_end)
+        ref.run_until(t_end)
+    assert cyc_beeps == ref_beeps
+    assert cyc.tie_collisions == ref.tie_collisions >= 4
+    assert [cyc.heard_log(v) for v in topo.nodes] == [ref.heard_log(v) for v in topo.nodes]
+    # node 2's beep at 0.5 came after node 0 settled, and node 0 missed it
+    assert cyc._stretches[0][0][0] == 0.5
+    assert 0.5 not in cyc.heard_log(0)

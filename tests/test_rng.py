@@ -166,3 +166,12 @@ def test_seed_words_match_numpy_for_every_word_layout():
         rng.seed_words([(1,), ()])
     with pytest.raises(TypeError):
         rng.seed_words([(1, 2.0), (1, 2)])
+
+
+def test_array_draws_uniform_matches_numpy_uniform():
+    # a beep-first trial draws each node's start offset this way
+    keys = [(m, "trial", t, v, "protocol") for m in (1, 12345) for t in range(3)
+            for v in range(150)]
+    for epsilon in (0.1, 1 / 3, 0.9):
+        got = rng.ArrayDraws(rng.seed_words(keys)).uniform(np.arange(len(keys)), epsilon)
+        assert got.tolist() == [rng.stream(*key).uniform(0.0, epsilon) for key in keys]
