@@ -39,7 +39,7 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InternalInconsistencyError
-from .topology import DynamicEvent, Topology
+from .topology import DynamicEvent, Topology, link
 
 
 class SlotOutcome(NamedTuple):
@@ -57,7 +57,8 @@ class DiscreteEngine:
     ``on_period_end(heard: tuple[int, ...]) -> tuple[int, ...]`` where the
     returned tuple holds beep offsets in [0, Q] for the next local period.
     Node ids are harness bookkeeping only; they are never passed to the
-    protocol beyond stream derivation inside the factory.
+    protocol beyond stream derivation inside the factory.  ``adj`` is the
+    graph as events leave it, the only adjacency map that changes.
     """
 
     def __init__(
@@ -71,7 +72,8 @@ class DiscreteEngine:
     ):
         if q < 1:
             raise ConfigError("Q must be positive")
-        self.topology = topology.copy()
+        self.adj = topology.adjacency()
+        self._topology: Topology | None = topology
         self.q = int(q)
         self.slot = 0
         self.observer = observer
@@ -87,7 +89,7 @@ class DiscreteEngine:
         self._due: list[int] = []  # heap over the keys of _boundaries and _beeps
         self._events = sorted(events, key=lambda e: e.at_period)  # stable: file order
         self._event_idx = 0
-        for v in self.topology.nodes:
+        for v in self.adj:
             self._admit(v, wake_slots.get(v, 0))
 
     # -- membership ------------------------------------------------------
@@ -130,6 +132,13 @@ class DiscreteEngine:
 
     # -- queries ---------------------------------------------------------
 
+    @property
+    def topology(self) -> Topology:
+        """The graph as it stands, rebuilt from :attr:`adj` after events."""
+        if self._topology is None:
+            self._topology = Topology.from_adjacency(self.adj)
+        return self._topology
+
     def pending_phases(self, v: int) -> tuple[int, ...]:
         """Phases heard so far in the current local period of ``v``."""
         wake, q = self.wake_slot[v], self.q
@@ -156,20 +165,33 @@ class DiscreteEngine:
             self._event_idx += 1
 
     def _apply(self, ev: DynamicEvent) -> None:
-        kind = ev.kind
+        kind, adj = ev.kind, self.adj
+        self._topology = None
         if kind == "add_node":
-            v, neighbors = ev.nodes[0], ev.nodes[1:]
-            self.topology.add_node(v, neighbors)
+            v = int(ev.nodes[0])
+            if v < 0:
+                raise ConfigError("node ids must be nonnegative")
+            if v in adj:
+                raise ConfigError(f"node {v} already exists")
+            adj[v] = set()
+            for u in ev.nodes[1:]:
+                link(adj, v, u)
             self._admit(v, self.slot)
         elif kind == "remove_node":
-            self.topology.remove_node(ev.nodes[0])
-            self._retire(ev.nodes[0])
+            v = ev.nodes[0]
+            if v not in adj:
+                raise ConfigError(f"cannot remove unknown node {v}")
+            for u in adj.pop(v):
+                adj[u].discard(v)
+            self._retire(v)
         elif kind == "add_edge":
-            self.topology.add_edge(*ev.nodes)
-        elif kind == "remove_edge":
-            self.topology.remove_edge(*ev.nodes)
-        else:  # pragma: no cover - DynamicEvent validates kinds
-            raise InternalInconsistencyError(f"unhandled event kind {kind}")
+            link(adj, *ev.nodes)
+        else:  # remove_edge: DynamicEvent admits no other kind
+            u, v = ev.nodes
+            if u not in adj or v not in adj[u]:
+                raise ConfigError(f"cannot remove unknown edge ({u}, {v})")
+            adj[u].discard(v)
+            adj[v].discard(u)
 
     # -- main loop -------------------------------------------------------
 
@@ -181,7 +203,7 @@ class DiscreteEngine:
         heard, scheduled, wake_slot = self._heard, self._scheduled, self.wake_slot
 
         # every node met here is alive: _retire takes a removed node out of
-        # its boundary and beep lists, and out of the topology
+        # its boundary and beep lists, and _apply out of the map
         due = self._boundaries.pop(s, None)
         if due:
             due.sort()
@@ -222,12 +244,12 @@ class DiscreteEngine:
             self.slot = s + 1
             return SlotOutcome(s, frozenset(), frozenset())
         beepers = frozenset(beepers)
-        neighbors = self.topology.neighbors
+        adj = self.adj
         sleepers = s < self._last_wake  # some node may not be awake yet
         heard_now = []
         for u in beepers:
             scheduled[u].discard(s)
-            for v in neighbors(u):
+            for v in adj[u]:
                 slots = heard[v]
                 if (slots and slots[-1] == s) or v in beepers:
                     continue

@@ -1,14 +1,14 @@
 """Trial orchestration: build engines, drive protocols, collect checks.
 
-A trial owns everything it changes (the discrete engine's topology copy,
-protocol streams, engine), so trials are independent and reproducible
-from their seed key alone.  Global-knowledge checks (degree-estimate bounds, free-slot floor,
-good-set monotonicity, interval validity) are gathered as counters, never
-enforced inside the protocols.  A static jitter-and-jump run whose nodes
-all wake at slot 0 steps the whole network over arrays instead of through
-the engine, with the same draws, checks and result.  A beep-first trial
-draws every node's start offset from its protocol stream in one array
-pass.
+A trial owns everything it changes (protocol streams and the engine,
+whose adjacency map is the only graph that events change), so trials are
+independent and reproducible from their seed key alone.  Global-knowledge
+checks (degree-estimate bounds, free-slot floor, good-set monotonicity,
+interval validity) are gathered as counters, never enforced inside the
+protocols.  A static jitter-and-jump run whose nodes all wake at slot 0
+steps the whole network over arrays instead of through the engine, with
+the same draws, checks and result.  A beep-first trial draws every node's
+start offset from its protocol stream in one array pass.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def _label_for(engine: DiscreteEngine, v: int) -> str:
         return BAD_UNCOLORED
     q = engine.q
     pv = (proto.p + engine.wake_slot[v]) % q
-    for u in engine.topology.neighbors(v):
+    for u in engine.adj[v]:
         pu = engine.protocols[u].p
         if pu is None:
             continue
@@ -129,15 +129,14 @@ class _BoundaryChecks:
         self.rows: list[TraceRow] = []
         self._degree_at_boundary: dict[int, int] = {}
         # a static topology never changes, so its degree bounds are fixed
-        self._estimate_bound = None if dynamic else {
-            v: max(2 * topology.degree(v), 1) for v in topology.nodes
-        }
+        self._estimate_bound = None if dynamic else dict(
+            zip(topology.nodes, np.maximum(2 * topology.arrays.degree, 1).tolist()))
 
     def on_period_boundary(self, engine: DiscreteEngine, v: int, slot: int) -> None:
         proto = engine.protocols[v]
         report = proto.last_report
         if self.dynamic:
-            degree = engine.topology.degree(v)
+            degree = len(engine.adj[v])
             # events land on global period boundaries, so during the local
             # period that just ended the degree was this one or the previous
             previous = self._degree_at_boundary.get(v, degree)
@@ -217,20 +216,17 @@ def run_jitterjump_trial(
     seed_key: tuple = (),
     events: tuple[DynamicEvent, ...] = (),
     collect_rows: bool = False,
-    state_hook=None,
 ) -> JitterJumpResult:
     """Run the slot-claiming protocol on one topology.
 
     A static run stops at convergence; a dynamic run (``cfg.dynamic``)
     runs all ``max_periods`` periods so that it sees every event.
-    ``state_hook(engine, period, labels)`` is called after every global
-    period boundary, for tests that want to watch intermediate state.
 
-    A static run in which every node wakes at slot 0 and no hook is given
-    steps the whole network one period at a time over arrays (see
+    A static run in which every node wakes at slot 0 steps the whole
+    network one period at a time over arrays (see
     :func:`_run_static_arrays`); every other run drives one
-    :class:`JitterAndJump` per node through the :class:`DiscreteEngine`.
-    Both give the same result, draw for draw.
+    :class:`JitterAndJump` per node through the :class:`DiscreteEngine`
+    (see :func:`_run_engine`).  Both give the same result, draw for draw.
     """
     q = cfg.resolve_q(topology.delta)
     n = topology.n
@@ -245,9 +241,16 @@ def run_jitterjump_trial(
     wake = build_wakeup(
         cfg.wakeup, topology.nodes, q, rngmod.stream(master, *seed_key, "wakeup")
     )
-    if not cfg.dynamic and state_hook is None and not any(wake.values()):
+    if not cfg.dynamic and not any(wake.values()):
         return _run_static_arrays(topology, cfg, q, max_periods, seed_key, wake, collect_rows)
-    window = cfg.window_length(n)
+    return _run_engine(topology, cfg, q, max_periods, seed_key, wake, collect_rows, events)
+
+
+def _run_engine(topology, cfg, q, max_periods, seed_key, wake, collect_rows, events):
+    """:func:`run_jitterjump_trial` on the :class:`DiscreteEngine`, one
+    :class:`JitterAndJump` per node, for any wakeup and any events."""
+    master = cfg.master_seed
+    window = cfg.window_length(topology.n)
     # the initial nodes' streams in one batch; a node added by an event,
     # or re-added under a removed node's id, builds its own
     initial = _protocol_streams(master, seed_key, topology.nodes)
@@ -280,8 +283,6 @@ def run_jitterjump_trial(
         lost = (prev_good & engine.alive) - good
         monotonic_violations += len(lost)
         prev_good = good
-        if state_hook is not None:
-            state_hook(engine, k, classify_good_bad(discrete_snapshot(engine), engine.topology))
         if good == engine.alive and engine.alive:
             all_good_periods.append(k)
             if converged_period is None:

@@ -1,7 +1,8 @@
 """Undirected network topologies, generators, and the input file formats.
 
-Graphs are adjacency maps over integer node ids, or the edge arrays a
-random generator hands over until a caller walks or changes them.
+A graph is a read-only value held as arrays over integer node ids; only
+the discrete engine, which applies the dynamic model's events, keeps an
+adjacency map that changes.
 Generators cover the shapes the experiments need: G(n, p), random
 regular, stars, cliques, and the cycle-of-blocks graph whose twin
 vertices drive the symmetry experiment.
@@ -59,28 +60,35 @@ def _view(nodes: np.ndarray, src: np.ndarray, dst: np.ndarray,
     return out
 
 
+def link(adj: dict[int, set[int]], u: int, v: int) -> None:
+    """Join ``u`` and ``v`` in the adjacency map ``adj``; a self-loop, an
+    endpoint ``adj`` lacks or an edge it holds is a :class:`ConfigError`."""
+    if u == v:
+        raise ConfigError("self-loops are not allowed")
+    if u not in adj or v not in adj:
+        raise ConfigError(f"edge ({u}, {v}) references an unknown node")
+    if v in adj[u]:
+        raise ConfigError(f"edge ({u}, {v}) already exists")
+    adj[u].add(v)
+    adj[v].add(u)
+
+
+@dataclass(frozen=True, eq=False)
 class Topology:
-    """Mutable undirected graph without self-loops.
+    """Undirected graph without self-loops: a read-only value held as
+    :class:`TopologyArrays`.  Nothing changes it; the dynamic model's
+    events change the discrete engine's own adjacency map."""
 
-    It is held as an adjacency map or, as a generator hands it over, as
-    :class:`TopologyArrays` over nodes 0..n-1.  The map is built from the
-    arrays on the first neighbour walk or mutation, and every mutation
-    drops the arrays.
-    """
-
-    def __init__(self, adj: dict[int, set[int]] | None = None,
-                 arrays: TopologyArrays | None = None):
-        self._adj = {} if adj is None and arrays is None else adj
-        self._arrays = arrays
+    arrays: TopologyArrays
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Topology":
         """Nodes 0..n-1 joined by ``edges``; an endpoint outside that range,
         a self-loop or a repeated edge is a :class:`ConfigError`."""
-        out = cls({v: set() for v in range(n)})
+        adj = {v: set() for v in range(n)}
         for u, v in edges:
-            out.add_edge(u, v)
-        return out
+            link(adj, u, v)
+        return cls.from_adjacency(adj)
 
     @classmethod
     def _from_sorted_edges(cls, n: int, u: np.ndarray, v: np.ndarray) -> "Topology":
@@ -88,70 +96,11 @@ class Topology:
         ascending (u, v) order: a generator's output, taken as it is."""
         u, v = u.astype(np.int64, copy=False), v.astype(np.int64, copy=False)
         degree = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
-        return cls(arrays=_view(np.arange(n, dtype=np.int64), u, v, degree))
+        return cls(_view(np.arange(n, dtype=np.int64), u, v, degree))
 
-    def _adjacency(self) -> dict[int, set[int]]:
-        """The adjacency map, built from the arrays on first use; each edge
-        joins v to u's set and then u to v's, in edge order."""
-        if self._adj is None:
-            view = self._arrays
-            adj = {v: set() for v in view.nodes.tolist()}
-            for u, v in zip(view.u.tolist(), view.v.tolist()):
-                adj[u].add(v)
-                adj[v].add(u)
-            self._adj = adj
-        return self._adj
-
-    # -- queries ---------------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        return len(self._arrays.nodes) if self._adj is None else len(self._adj)
-
-    @property
-    def nodes(self) -> tuple[int, ...]:
-        if self._adj is None:
-            return tuple(self._arrays.nodes.tolist())
-        return tuple(sorted(self._adj))
-
-    def __contains__(self, v: int) -> bool:
-        return v in (self._adjacency() if self._adj is None else self._adj)
-
-    def neighbors(self, v: int) -> set[int]:
-        # the engines call this per beep, so a built map costs one test
-        return (self._adjacency() if self._adj is None else self._adj)[v]
-
-    def degree(self, v: int) -> int:
-        if self._adj is None:
-            if not 0 <= v < len(self._arrays.nodes):
-                raise KeyError(v)
-            return int(self._arrays.degree[v])
-        return len(self._adj[v])
-
-    @property
-    def delta(self) -> int:
-        if self._adj is None:
-            degree = self._arrays.degree
-            return int(degree.max()) if len(degree) else 0
-        if not self._adj:
-            return 0
-        return max(len(nbrs) for nbrs in self._adj.values())
-
-    def edges(self) -> list[tuple[int, int]]:
-        if self._adj is None:
-            return list(zip(self._arrays.u.tolist(), self._arrays.v.tolist()))
-        return sorted((u, v) for u, nbrs in self._adj.items() for v in nbrs if u < v)
-
-    @property
-    def arrays(self) -> TopologyArrays:
-        """The graph as :class:`TopologyArrays`: a generator's own, or built
-        from the map on first use.  Every mutation drops them."""
-        if self._arrays is None:
-            self._arrays = self._build_arrays()
-        return self._arrays
-
-    def _build_arrays(self) -> TopologyArrays:
-        adj = self._adj
+    @classmethod
+    def from_adjacency(cls, adj: dict[int, set[int]]) -> "Topology":
+        """The graph of a symmetric adjacency map over any node ids."""
         ids = np.fromiter(adj, dtype=np.int64, count=len(adj))
         deg = np.fromiter(map(len, adj.values()), dtype=np.int64, count=len(adj))
         heads = np.fromiter(itertools.chain.from_iterable(adj.values()), dtype=np.int64,
@@ -162,55 +111,41 @@ class Topology:
         nodes = ids[order]
         src = np.searchsorted(nodes, tails[one_way])
         dst = np.searchsorted(nodes, heads[one_way])
-        by_edge = np.lexsort((dst, src))  # (u, v) order, as edges() sorts
-        return _view(nodes, src[by_edge], dst[by_edge], deg[order])
+        by_edge = np.lexsort((dst, src))  # (u, v) order, as edges() lists them
+        return cls(_view(nodes, src[by_edge], dst[by_edge], deg[order]))
 
-    def copy(self) -> "Topology":
-        if self._adj is None:  # the arrays are read-only, so the copy shares them
-            return Topology(arrays=self._arrays)
-        return Topology({v: set(nbrs) for v, nbrs in self._adj.items()})
+    def adjacency(self) -> dict[int, set[int]]:
+        """A fresh adjacency map, built in edge order: each edge joins v to
+        u's set and then u to v's."""
+        view = self.arrays
+        adj = {v: set() for v in view.nodes.tolist()}
+        for u, v in zip(view.u.tolist(), view.v.tolist()):
+            adj[u].add(v)
+            adj[v].add(u)
+        return adj
 
-    # -- mutation --------------------------------------------------------
+    @property
+    def n(self) -> int:
+        return len(self.arrays.nodes)
 
-    def add_node(self, v: int, neighbors: Iterable[int] = ()) -> None:
-        v = int(v)
-        if v < 0:
-            raise ConfigError("node ids must be nonnegative")
-        adj = self._adjacency()
-        if v in adj:
-            raise ConfigError(f"node {v} already exists")
-        self._arrays = None
-        adj[v] = set()
-        for u in neighbors:
-            self.add_edge(v, u)
+    @property
+    def nodes(self) -> tuple[int, ...]:
+        return tuple(self.arrays.nodes.tolist())
 
-    def remove_node(self, v: int) -> None:
-        adj = self._adjacency()
-        if v not in adj:
-            raise ConfigError(f"cannot remove unknown node {v}")
-        self._arrays = None
-        for u in adj.pop(v):
-            adj[u].discard(v)
+    def degree(self, v: int) -> int:
+        nodes = self.arrays.nodes
+        i = int(np.searchsorted(nodes, v))
+        if i == len(nodes) or nodes[i] != v:
+            raise KeyError(v)
+        return int(self.arrays.degree[i])
 
-    def add_edge(self, u: int, v: int) -> None:
-        if u == v:
-            raise ConfigError("self-loops are not allowed")
-        adj = self._adjacency()
-        if u not in adj or v not in adj:
-            raise ConfigError(f"edge ({u}, {v}) references an unknown node")
-        if v in adj[u]:
-            raise ConfigError(f"edge ({u}, {v}) already exists")
-        self._arrays = None
-        adj[u].add(v)
-        adj[v].add(u)
+    @property
+    def delta(self) -> int:
+        degree = self.arrays.degree
+        return int(degree.max()) if len(degree) else 0
 
-    def remove_edge(self, u: int, v: int) -> None:
-        adj = self._adjacency()
-        if u not in adj or v not in adj[u]:
-            raise ConfigError(f"cannot remove unknown edge ({u}, {v})")
-        self._arrays = None
-        adj[u].discard(v)
-        adj[v].discard(u)
+    def edges(self) -> list[tuple[int, int]]:
+        return list(zip(self.arrays.u.tolist(), self.arrays.v.tolist()))
 
 
 # -- generators ------------------------------------------------------------

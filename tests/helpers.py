@@ -5,10 +5,14 @@
 """
 
 from collections import defaultdict
+from contextlib import contextmanager
+from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 
 from beepsim import rng as rngmod
+from beepsim import runner
 from beepsim.analysis import BAD_COLORED, BAD_UNCOLORED, GOOD, IntervalReport, NodeState
 from beepsim.beepfirst import BeepFirst, _first_fit
 from beepsim.continuous import CONTINUOUS_PERIOD, Beep, Listen, Rebase
@@ -18,7 +22,10 @@ from beepsim.config import SimConfig
 from beepsim.jitterjump import JitterAndJump, PeriodReport, buffer_length, free_slots
 from beepsim.lowerbound import TwinCouplingStats
 from beepsim.phases import PhaseSet
-from beepsim.topology import _PAIRING_ATTEMPTS, Topology, cycle_of_blocks, twin_pairs
+from beepsim.topology import _PAIRING_ATTEMPTS, Topology, cycle_of_blocks, link, twin_pairs
+
+# a Topology never changes, so one map per graph serves every reference below
+adjacency_of = lru_cache(maxsize=16)(Topology.adjacency)
 
 
 def node_states(snapshot):
@@ -49,7 +56,8 @@ def wrap_distance(a, b, tau):
 def max_neighborhood_degree(topology, v):
     """Largest degree within the closed 1-neighborhood of ``v``, one
     neighbor at a time: the oracle for ``TopologyArrays.dmax``."""
-    return max([topology.degree(v)] + [topology.degree(u) for u in topology.neighbors(v)])
+    adj = adjacency_of(topology)
+    return max([len(adj[v])] + [len(adj[u]) for u in adj[v]])
 
 
 def _arcs_intersect(end_a, len_a, end_b, len_b, tau) -> bool:
@@ -81,7 +89,7 @@ def validate_interval_coloring_reference(snapshot, topology, eta=None, q=None):
         norms = [
             s.interval * (2 * max_neighborhood_degree(topology, s.node) + 1) / (eta * q)
             for s in node_states(snapshot)
-            if s.colored and s.interval is not None and s.node in topology
+            if s.colored and s.interval is not None and s.node in adjacency_of(topology)
         ]
         min_norm = min(norms) if norms else None
     return IntervalReport(pairs, tuple(violations), min_norm)
@@ -114,7 +122,7 @@ def classify_good_bad_reference(snapshot, topology):
             labels[v] = BAD_UNCOLORED
             continue
         conflict = False
-        for u in topology.neighbors(v):
+        for u in adjacency_of(topology)[v]:
             su = states.get(u)
             if su is None or su.global_phase is None:
                 continue
@@ -392,26 +400,83 @@ def random_regular_reference(n, d, rng):
     raise ConfigError(f"could not sample a simple {d}-regular graph in {_PAIRING_ATTEMPTS} attempts")
 
 
+def apply_event(adj, ev):
+    """Apply one event to a plain adjacency map, with the engine's checks
+    spelled out (the edge checks are ``topology.link``'s)."""
+    if ev.kind == "add_node":
+        v = ev.nodes[0]
+        if v < 0 or v in adj:
+            raise ConfigError(f"cannot add node {v}")
+        adj[v] = set()
+        for u in ev.nodes[1:]:
+            link(adj, v, u)
+    elif ev.kind == "remove_node":
+        if ev.nodes[0] not in adj:
+            raise ConfigError(f"cannot remove unknown node {ev.nodes[0]}")
+        for u in adj.pop(ev.nodes[0]):
+            adj[u].discard(ev.nodes[0])
+    elif ev.kind == "add_edge":
+        link(adj, *ev.nodes)
+    else:
+        u, v = ev.nodes
+        if u not in adj or v not in adj[u]:
+            raise ConfigError(f"cannot remove unknown edge ({u}, {v})")
+        adj[u].discard(v)
+        adj[v].discard(u)
+
+
 def valid_events(topo, candidates):
     """Keep the candidate events that apply cleanly, in period then list order."""
-    shadow = topo.copy()
+    shadow = topo.adjacency()
     kept = []
     for ev in sorted(candidates, key=lambda e: e.at_period):
-        trial = shadow.copy()  # a failing add_node leaves its node half added
+        trial = {v: set(nbrs) for v, nbrs in shadow.items()}  # a failing event may half apply
         try:
-            if ev.kind == "add_node":
-                trial.add_node(ev.nodes[0], ev.nodes[1:])
-            elif ev.kind == "remove_node":
-                trial.remove_node(ev.nodes[0])
-            elif ev.kind == "add_edge":
-                trial.add_edge(*ev.nodes)
-            else:
-                trial.remove_edge(*ev.nodes)
+            apply_event(trial, ev)
         except ConfigError:
             continue
         shadow = trial
         kept.append(ev)
     return tuple(kept)
+
+
+@contextmanager
+def watch_boundaries(fn):
+    """Call ``fn(engine, v, slot)`` at every per-node period boundary of the
+    runs inside the block, right after the runner's own checks there."""
+    checks = runner._BoundaryChecks.on_period_boundary
+
+    def watched(self, engine, v, slot):
+        checks(self, engine, v, slot)
+        fn(engine, v, slot)
+
+    with mock.patch.object(runner._BoundaryChecks, "on_period_boundary", watched):
+        yield
+
+
+@contextmanager
+def capture_engines():
+    """Yield a list that collects every :class:`DiscreteEngine` the runner
+    builds inside the block."""
+    built = []
+
+    class Captured(runner.DiscreteEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    with mock.patch.object(runner, "DiscreteEngine", Captured):
+        yield built
+
+
+def run_on_engine(topology, cfg, **kwargs):
+    """``run_jitterjump_trial`` with a static run whose nodes all wake at
+    slot 0 sent to the per-node engine path instead of the array path."""
+    def engine_path(*args):
+        return runner._run_engine(*args, ())
+
+    with mock.patch.object(runner, "_run_static_arrays", engine_path):
+        return runner.run_jitterjump_trial(topology, cfg, **kwargs)
 
 
 class ReferenceEngine(DiscreteEngine):
@@ -458,7 +523,7 @@ class ReferenceEngine(DiscreteEngine):
             self._scheduled[v].discard(s)
         heard_now: set[int] = set()
         for u in sorted(beepers):
-            for v in self.topology.neighbors(u):
+            for v in self.adj[u]:
                 if v in beepers or v not in self.alive or s < self.wake_slot[v]:
                     continue
                 self._heard[v].add((s - self.wake_slot[v]) % self.q)

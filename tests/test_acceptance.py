@@ -14,7 +14,13 @@ import math
 from fractions import Fraction
 
 import pytest
-from helpers import by_node, collision_escape_trial, max_neighborhood_degree, node_states
+from helpers import (
+    by_node,
+    collision_escape_trial,
+    max_neighborhood_degree,
+    node_states,
+    watch_boundaries,
+)
 
 from beepsim import rng
 from beepsim.analysis import (
@@ -344,16 +350,12 @@ def test_12b_dynamic_star_churn_recovery():
     events = tuple(DynamicEvent(churn_period, "remove_node", (v,)) for v in range(1, 61))
     hub_estimate: dict[int, int] = {}
 
-    def hook(engine, period, labels):
-        hub_estimate[period] = engine.protocols[0].d_tilde
+    def watch(engine, v, slot):
+        if v == 0:  # the hub's boundaries fall on global ones
+            hub_estimate[slot // engine.q] = engine.protocols[0].d_tilde
 
-    res = run_jitterjump_trial(
-        star(n),
-        cfg,
-        seed_key=("star", 0),
-        events=events,
-        state_hook=hook,
-    )
+    with watch_boundaries(watch):
+        res = run_jitterjump_trial(star(n), cfg, seed_key=("star", 0), events=events)
     pre_churn = hub_estimate[churn_period]
     post = min(hub_estimate[p] for p in range(churn_period + 1, churn_period + r + 2))
     estimate_dropped = post < pre_churn

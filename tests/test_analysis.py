@@ -135,12 +135,16 @@ def snapshot_and_topology(draw):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = [e for e, keep in zip(pairs, draw(st.lists(st.booleans(), min_size=len(pairs),
                                                         max_size=len(pairs)))) if keep]
-    topo = Topology.from_edges(n, edges)
+    adj = Topology.from_edges(n, edges).adjacency()
     if n:
         for v in draw(st.lists(st.sampled_from(range(n)), unique=True, max_size=3)):
-            topo.remove_node(v)
+            for u in adj.pop(v):
+                adj[u].discard(v)
     if draw(st.booleans()):
-        topo.add_node(n + 5, [v for v in topo.nodes if v % 2])
+        adj[n + 5] = {v for v in adj if v % 2}
+        for v in adj[n + 5]:
+            adj[v].add(n + 5)
+    topo = Topology.from_adjacency(adj)
     kept = [v for v in topo.nodes if draw(st.integers(0, 3))]  # most topology nodes
     ids = sorted(set(kept) | set(draw(st.lists(st.integers(0, 20), max_size=3))))
     if draw(st.booleans()):

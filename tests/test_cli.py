@@ -151,6 +151,27 @@ def test_dynamic_event_after_the_last_period_exits_2(tmp_path, capsys):
     assert "event at period 100 comes after the last period 40" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("event,message", [
+    ("3 remove_node 99", "cannot remove unknown node 99"),
+    ("3 add_edge 0 0", "self-loops are not allowed"),
+    ("3 add_edge 0 1", "edge (0, 1) already exists"),
+    ("3 add_edge 0 9", "edge (0, 9) references an unknown node"),
+    ("3 remove_edge 0 9", "cannot remove unknown edge (0, 9)"),
+    ("3 add_node 2", "node 2 already exists"),
+    ("3 add_node -1", "node ids must be nonnegative"),
+    ("3 add_node 7 7", "self-loops are not allowed"),
+    ("3 add_node 7 0 0", "edge (7, 0) already exists"),
+    ("3 add_node 8 42", "edge (8, 42) references an unknown node"),
+])
+def test_dynamic_bad_event_exits_2_with_its_message(tmp_path, capsys, event, message):
+    events = tmp_path / "events.txt"
+    events.write_text(event + "\n")
+    code = run_cli(["dynamic", "--graph", "clique:4", "--max-periods", "8",
+                    "--events", str(events)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_dynamic_event_at_the_last_period_is_applied(tmp_path):
     events = tmp_path / "events.txt"
     events.write_text("40 remove_node 3\n")

@@ -172,7 +172,7 @@ def test_events_in_one_period_apply_in_file_order():
     events = parse_events("5 add_node 70 0\n5 add_edge 70 1\n")
     engine, _ = make_engine(topo, events=events)
     engine.run_slots(8 * 6 + 1)
-    assert engine.topology.neighbors(70) == {0, 1}
+    assert engine.adj[70] == {0, 1}
     assert engine.wake_slot[70] == 40
 
 
@@ -183,7 +183,7 @@ def test_node_removed_and_readded_in_one_period_starts_afresh():
     engine, protos = make_engine(topo, offsets={1: (8,)}, events=events)
     engine.run_slots(8 * 5 + 1)
     assert engine.wake_slot[1] == 16
-    assert engine.topology.neighbors(1) == {0}
+    assert engine.adj[1] == {0}
     # the re-added node neither fires the old node's beep nor runs twice
     hub = protos[0].heard_periods
     assert hub[2] == ()
@@ -311,7 +311,7 @@ def test_run_slots_matches_stepping_every_slot(case):
             expected = {
                 v for v in stepping.alive
                 if out.slot >= stepping.wake_slot[v] and v not in out.beeped
-                and stepping.topology.neighbors(v) & out.beeped
+                and stepping.adj[v] & out.beeped
             }
             assert out.heard == expected
             assert stepping.alive == reference.alive

@@ -327,34 +327,20 @@ def test_degree_estimate_lower_bounds_uncolored_neighbors():
     n = 18
     hits = 0
     total = 0
+    adj = clique(n).adjacency()
     for t in range(120):
-        observations = []
-
-        def hook(engine, period, labels, _obs=observations):
-            if period != 1:
-                return
-            uncolored = {
-                v for v in engine.alive if not engine.protocols[v].colored
-            }
-            for v in engine.alive:
-                conflicted = sum(1 for u in engine.topology.neighbors(v) if u in uncolored)
-                _obs.append((v, conflicted))
-
-        states = {}
-
-        def hook2(engine, period, labels):
-            hook(engine, period, labels)
-            if period == 2:
-                for v in engine.alive:
-                    states[v] = engine.protocols[v].d_tilde
-
-        run_jitterjump_trial(
-            clique(n), cfg, seed_key=("estimate", t), state_hook=hook2,
-        )
-        for v, conflicted in observations:
+        # each boundary after the first writes one row per node: the period-0
+        # row says who stayed uncolored, and the static estimate drawn at the
+        # next boundary is max(beeps heard, 1) of the period-1 row
+        rows = run_jitterjump_trial(clique(n), cfg, seed_key=("estimate", t),
+                                    collect_rows=True).rows
+        uncolored = {r.node for r in rows if r.period == 0 and not r.colored}
+        estimate = {r.node: max(r.beeps_heard, 1) for r in rows if r.period == 1}
+        for v in adj:
+            conflicted = len(adj[v] & uncolored)
             if conflicted >= 12:
                 total += 1
-                if states[v] >= conflicted / 4:
+                if estimate[v] >= conflicted / 4:
                     hits += 1
     assert total > 200
     sigma = math.sqrt(0.25 / total)

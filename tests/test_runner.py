@@ -7,7 +7,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import node_states, valid_events, wrap_distance
+from helpers import (
+    apply_event,
+    capture_engines,
+    node_states,
+    run_on_engine,
+    valid_events,
+    wrap_distance,
+)
 from hypothesis import example, given, settings, strategies as st
 
 from beepsim import rng as rngmod
@@ -63,21 +70,18 @@ def test_array_good_set_matches_classifier_every_period(case):
     good_set = runner._EdgeArrays.good_set
 
     def recording_good_set(self):
+        # called once per period, after its last slot
         computed.append(good_set(self))
-        return computed[-1]
-
-    periods = []
-
-    def hook(engine, period, labels):
-        periods.append(period)
+        (engine,) = engines
+        labels = classify_good_bad(runner.discrete_snapshot(engine), engine.topology)
         assert computed[-1] == {v for v, label in labels.items() if label == GOOD}
         # the trace's per-node labels apply the same rule
         assert {v: runner._label_for(engine, v) for v in engine.alive} == labels
+        return computed[-1]
 
-    with mock.patch.object(runner._EdgeArrays, "good_set", recording_good_set):
-        result = runner.run_jitterjump_trial(topo, cfg, seed_key=("good",), events=events,
-                                             state_hook=hook)
-    assert periods == list(range(1, result.periods_run + 1))
+    with capture_engines() as engines, \
+            mock.patch.object(runner._EdgeArrays, "good_set", recording_good_set):
+        result = run_on_engine(topo, cfg, seed_key=("good",), events=events)
     assert len(computed) == result.periods_run
     final_good = {v for v, label in result.final_labels.items() if label == GOOD}
     assert final_good == computed[-1]
@@ -91,23 +95,23 @@ def topology_edits(draw):
     edges = draw(st.lists(st.sampled_from(pairs), unique=True))
     absent = [e for e in pairs if e not in edges]
     before = Topology.from_edges(n, edges)
-    after = before.copy()
     kinds = ["add_node", "remove_node"]
     kinds += ["add_edge"] * bool(absent) + ["remove_edge"] * bool(edges)
     kind = draw(st.sampled_from(kinds))
     if kind == "add_edge":
         touched = draw(st.sampled_from(absent))
-        after.add_edge(*touched)
     elif kind == "remove_edge":
         touched = draw(st.sampled_from(edges))
-        after.remove_edge(*touched)
     elif kind == "add_node":
-        touched = (n,)
-        after.add_node(n, draw(st.lists(st.integers(min_value=0, max_value=n - 1), unique=True)))
+        touched = (n, *draw(st.lists(st.integers(min_value=0, max_value=n - 1), unique=True)))
     else:
         touched = (draw(st.integers(min_value=0, max_value=n - 1)),)
-        after.remove_node(touched[0])
-    return before, after, set(touched), draw(st.integers(min_value=0, max_value=2**16))
+    after = before.adjacency()
+    apply_event(after, DynamicEvent(0, kind, touched))
+    if kind == "add_node":
+        touched = touched[:1]
+    return (before, Topology.from_adjacency(after), set(touched),
+            draw(st.integers(min_value=0, max_value=2**16)))
 
 
 def protocol_seed_words(run, topology, cfg):
@@ -142,10 +146,6 @@ def test_topology_edit_leaves_untouched_nodes_draws_unchanged(run, case):
     assert {v: new[v] for v in untouched} == {v: old[v] for v in untouched}
 
 
-def no_hook(engine, period, labels):
-    """A state hook that watches nothing: it sends a run to the per-node engine."""
-
-
 @st.composite
 def static_trials(draw):
     n = draw(st.integers(min_value=0, max_value=16))
@@ -171,8 +171,7 @@ def static_trials(draw):
 def test_array_path_matches_per_node_engine(case):
     topo, cfg = case
     arrays = runner.run_jitterjump_trial(topo, cfg, seed_key=("same",), collect_rows=True)
-    engine = runner.run_jitterjump_trial(topo, cfg, seed_key=("same",), collect_rows=True,
-                                         state_hook=no_hook)
+    engine = run_on_engine(topo, cfg, seed_key=("same",), collect_rows=True)
     assert arrays.topology.edges() == engine.topology.edges()
     for name in ("snapshot", "final_snapshot"):
         ours, theirs = getattr(arrays, name), getattr(engine, name)
@@ -192,14 +191,10 @@ def test_row_label_sees_lower_ids_after_the_shared_boundary_and_higher_ids_befor
     # the end-of-slot classification finds node 27 good
     seed = 29
     topo = random_regular(64, 4, rngmod.stream(seed, "g"))
-    ends = {}
-
-    def hook(engine, period, labels):
-        ends[period] = labels
-
-    result = runner.run_jitterjump_trial(topo, SimConfig(master_seed=seed), seed_key=("x",),
-                                         collect_rows=True, state_hook=hook if engine else None)
+    run = run_on_engine if engine else runner.run_jitterjump_trial
+    # two periods: the final labels are those of the end of the row's slot
+    result = run(topo, SimConfig(master_seed=seed, max_periods=2), seed_key=("x",),
+                 collect_rows=True)
     (row,) = [r for r in result.rows if r.period == 1 and r.node == 27]
     assert row.label == BAD_COLORED
-    if engine:  # the hook after the boundary at period 2 sees the end-of-slot labels
-        assert ends[2][27] == GOOD
+    assert result.final_labels[27] == GOOD

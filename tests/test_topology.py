@@ -1,13 +1,17 @@
 """Graphs, generators, and input file parsing."""
 
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
-from helpers import gnp_reference, max_neighborhood_degree, random_regular_reference
+from helpers import apply_event, gnp_reference, max_neighborhood_degree, random_regular_reference
 from hypothesis import given, settings, strategies as st
 
 from beepsim import rng
 from beepsim.analysis import validate_interval_coloring
 from beepsim.config import SimConfig
+from beepsim.discrete import DiscreteEngine
 from beepsim.errors import ConfigError
 from beepsim.runner import run_jitterjump_trial
 from beepsim.topology import (
@@ -17,6 +21,7 @@ from beepsim.topology import (
     clique,
     cycle_of_blocks,
     gnp,
+    link,
     parse_edge_list,
     parse_events,
     parse_graph_spec,
@@ -27,27 +32,18 @@ from beepsim.topology import (
 )
 
 
-def test_basic_mutation_and_queries():
-    t = Topology.from_edges(4, [(0, 1), (1, 2)])
-    assert t.n == 4
-    assert t.delta == 2
-    assert t.degree(3) == 0
-    assert 0 in t.neighbors(1)
-    t.add_edge(2, 3)
-    t.remove_edge(0, 1)
-    assert 1 not in t.neighbors(0)
-    t.remove_node(1)
-    assert t.nodes == (0, 2, 3)
-
-
 def test_self_loops_and_duplicates_rejected():
-    t = Topology.from_edges(3, [(0, 1)])
-    with pytest.raises(ConfigError):
-        t.add_edge(1, 1)
-    with pytest.raises(ConfigError):
-        t.add_edge(0, 1)
-    with pytest.raises(ConfigError):
-        t.remove_edge(0, 2)
+    adj = Topology.from_edges(3, [(0, 1)]).adjacency()
+    with pytest.raises(ConfigError, match="self-loops"):
+        link(adj, 1, 1)
+    with pytest.raises(ConfigError, match=r"edge \(1, 0\) already exists"):
+        link(adj, 1, 0)
+    link(adj, 2, 1)
+    assert adj == {0: {1}, 1: {0, 2}, 2: {1}}
+    with pytest.raises(ConfigError, match="self-loops"):
+        Topology.from_edges(3, [(2, 2)])
+    with pytest.raises(ConfigError, match="already exists"):
+        Topology.from_edges(3, [(0, 1), (1, 0)])
     with pytest.raises(ConfigError, match="unknown node"):
         Topology.from_edges(3, [(0, 5)])  # endpoints must lie in range(n)
 
@@ -62,47 +58,75 @@ def test_max_neighborhood_degree():
     assert isolated.arrays.dmax.tolist() == [0]
 
 
-def _assert_arrays_match(t):
+def _assert_arrays_match(t, adj):
+    """``t`` holds the graph of the adjacency map ``adj``, one node and one
+    neighbour at a time."""
+    ids = sorted(adj)
     view = t.arrays
-    assert view.nodes.tolist() == list(t.nodes)
+    assert view.nodes.tolist() == ids == list(t.nodes) and t.n == len(ids)
+    assert t.edges() == sorted((u, v) for u in ids for v in adj[u] if u < v)
     assert list(zip(view.u.tolist(), view.v.tolist())) == t.edges()
     assert (view.nodes[view.src] == view.u).all() and (view.nodes[view.dst] == view.v).all()
-    assert view.degree.tolist() == [t.degree(v) for v in t.nodes]
-    assert view.dmax.tolist() == [max_neighborhood_degree(t, v) for v in t.nodes]
+    assert view.degree.tolist() == [len(adj[v]) for v in ids] == [t.degree(v) for v in ids]
+    assert t.delta == max(map(len, adj.values()), default=0)
+    dmax = [max([len(adj[v])] + [len(adj[u]) for u in adj[v]]) for v in ids]
+    assert view.dmax.tolist() == dmax == [max_neighborhood_degree(t, v) for v in ids]
     assert all(arr.dtype == np.int64 and not arr.flags.writeable for arr in view)
+    assert t.adjacency() == adj and t.adjacency() is not t.adjacency()
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_arrays_match_the_adjacency_map(seed):
     g = gnp(40, 0.15, rng.stream(seed, "arrays"))
-    _assert_arrays_match(g)
+    adj = g.adjacency()
+    _assert_arrays_match(g, adj)
     for v in (3, 17, 39):  # non-contiguous ids
-        g.remove_node(v)
-    g.add_node(57, [0, 1, 2])
-    _assert_arrays_match(g)
-    _assert_arrays_match(Topology.from_edges(0, []))
-    _assert_arrays_match(Topology.from_edges(3, []))
+        for u in adj.pop(v):
+            adj[u].discard(v)
+    adj[57] = set()
+    for u in (2, 0, 1):
+        link(adj, 57, u)
+    t = Topology.from_adjacency(adj)
+    _assert_arrays_match(t, adj)
+    assert t.degree(57) == 3
+    for unknown in (3, 39, 58, -1):
+        with pytest.raises(KeyError):
+            t.degree(unknown)
+    _assert_arrays_match(Topology.from_edges(0, []), {})
+    _assert_arrays_match(Topology.from_edges(3, []), {0: set(), 1: set(), 2: set()})
+    _assert_arrays_match(Topology.from_adjacency({}), {})
+
+
+QUIET = SimpleNamespace(on_period_end=lambda heard: ())
+
+
+def _engine(t, q=8, events=()):
+    """A :class:`DiscreteEngine` of silent nodes on ``t``, all awake at slot 0."""
+    return DiscreteEngine(t, q, lambda v: QUIET, {v: 0 for v in t.nodes}, events=events)
 
 
 def test_every_mutation_drops_the_arrays():
+    # the engine rebuilds its topology after each event it applies to its
+    # own map, and the topology it was given stays as it was
     t = Topology.from_edges(4, [(0, 1), (1, 2)])
-    mutations = [
-        lambda g: g.add_node(9, [3]),
-        lambda g: g.remove_node(0),
-        lambda g: g.add_edge(2, 3),
-        lambda g: g.remove_edge(1, 2),
-    ]
-    for mutate in mutations:
-        before = t.arrays
-        mutate(t)
-        assert t.arrays is not before
-        _assert_arrays_match(t)
-    cached = t.arrays
-    twin = t.copy()
-    twin.add_edge(1, 9)
-    _assert_arrays_match(twin)
-    assert t.arrays is cached  # the original is untouched
-    _assert_arrays_match(t)
+    given_arrays = t.arrays
+    before = [arr.tolist() for arr in given_arrays]
+    events = parse_events("1 add_node 9 3\n2 remove_node 0\n3 add_edge 2 3\n"
+                          "4 remove_edge 1 2\n")
+    engine = _engine(t, events=events)
+    engine.run_slots(1)
+    assert engine.topology is t
+    expected = t.adjacency()
+    for ev in events:
+        old = engine.topology
+        engine.run_slots(8)  # its last slot is the boundary that applies ev
+        apply_event(expected, ev)
+        assert engine.adj == expected
+        assert engine.topology is not old
+        assert engine.topology is engine.topology  # built once per change
+        _assert_arrays_match(engine.topology, expected)
+    assert t.arrays is given_arrays
+    assert [arr.tolist() for arr in t.arrays] == before
 
 
 def test_gnp_bounds_and_determinism():
@@ -120,9 +144,9 @@ def test_random_regular_is_regular():
 
 
 def same_graph(fast, slow):
-    """Equal node sets, and each node's neighbors in the same iteration order."""
+    """Equal nodes and edges, in the same order."""
     assert fast.nodes == slow.nodes
-    assert all(list(fast.neighbors(v)) == list(slow.neighbors(v)) for v in fast.nodes)
+    assert fast.edges() == slow.edges()
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -166,9 +190,10 @@ def test_cycle_of_blocks_counts():
 def test_cycle_of_blocks_twins_share_closed_neighborhood():
     k = 5
     g = cycle_of_blocks(k)
+    adj = g.adjacency()
     for b, c in twin_pairs(k):
-        closed_b = g.neighbors(b) | {b}
-        closed_c = g.neighbors(c) | {c}
+        closed_b = adj[b] | {b}
+        closed_c = adj[c] | {c}
         assert closed_b == closed_c
         block = b // 4
         assert closed_b == {4 * block, 4 * block + 1, 4 * block + 2, 4 * block + 3}
@@ -257,13 +282,11 @@ def test_random_wakeup_equals_one_scalar_draw_per_node(period):
 
 
 def _answers(t):
-    """Everything a topology answers without walking a neighbour set."""
+    """Everything a topology answers, and its adjacency map with each
+    node's neighbours in iteration order."""
     return (t.n, t.nodes, t.delta, [t.degree(v) for v in t.nodes], t.edges(),
-            [(arr.dtype, arr.flags.writeable, arr.tolist()) for arr in t.arrays])
-
-
-def _neighbour_order(t):
-    return [list(t.neighbors(v)) for v in t.nodes]
+            [(arr.dtype, arr.flags.writeable, arr.tolist()) for arr in t.arrays],
+            [(v, list(nbrs)) for v, nbrs in t.adjacency().items()])
 
 
 @st.composite
@@ -282,25 +305,29 @@ def generated_graphs(draw):
 
 
 @st.composite
-def mutations(draw, n):
-    """One of the four mutations, with arguments that may be invalid."""
+def events(draw, n):
+    """One event of each of the four kinds at period 1, with arguments that
+    may be invalid."""
     ids = st.integers(0, n + 1)
     kind = draw(st.sampled_from(["add_node", "remove_node", "add_edge", "remove_edge"]))
     if kind == "add_node":
-        return kind, (draw(ids), draw(st.lists(ids, unique=True, max_size=3)))
-    if kind == "remove_node":
-        return kind, (draw(ids),)
-    return kind, (draw(ids), draw(ids))
+        nodes = (draw(ids), *draw(st.lists(ids, unique=True, max_size=3)))
+    elif kind == "remove_node":
+        nodes = (draw(ids),)
+    else:
+        nodes = (draw(ids), draw(ids))
+    return DynamicEvent(1, kind, nodes)
 
 
-def _apply(t, mutation):
-    """The mutation's error message, or None once it is applied."""
-    kind, args = mutation
+def _applied(t, ev):
+    """The error the engine reports for ``ev`` on ``t``, or else the
+    engine's map and topology once it is applied."""
+    engine = _engine(t, events=(ev,))
     try:
-        getattr(t, kind)(*args)
+        engine.run_slots(8 + 1)
     except ConfigError as exc:
         return str(exc)
-    return None
+    return engine.adj, _answers(engine.topology)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -311,21 +338,21 @@ def test_generator_arrays_match_the_same_edges_added_one_by_one(build, data):
     edges = list(zip(view.u.tolist(), view.v.tolist()))
     slow = Topology.from_edges(fast.n, edges)
     assert _answers(fast) == _answers(slow)
-    assert fast._adj is None  # answered from the arrays
-    assert _neighbour_order(fast) == _neighbour_order(slow)
-    assert _answers(fast) == _answers(slow)  # and the same once the map is built
 
-    # a copy shares the arrays and builds its own map when first mutated
-    mutation = data.draw(mutations(fast.n))
-    original = build()
-    for fresh in (build(), original.copy()):
-        twin = Topology.from_edges(fast.n, edges)
-        assert _apply(fresh, mutation) == _apply(twin, mutation)
-        assert _answers(fresh) == _answers(twin)
-        assert _neighbour_order(fresh) == _neighbour_order(twin)
-    assert original._adj is None
-    assert _answers(original) == _answers(slow)
-    assert _neighbour_order(original) == _neighbour_order(slow)
+    # the engine applies an event to its own map alike on either graph,
+    # and leaves the graph it was given as it was
+    ev = data.draw(events(fast.n))
+    outcome = _applied(fast, ev)
+    assert outcome == _applied(slow, ev)
+    expected = fast.adjacency()
+    try:
+        apply_event(expected, ev)
+    except ConfigError:
+        assert isinstance(outcome, str)
+    else:
+        assert outcome[0] == expected
+        assert outcome[1] == _answers(Topology.from_adjacency(expected))
+    assert _answers(fast) == _answers(build()) == _answers(slow)
 
 
 @pytest.mark.parametrize("build", [
@@ -334,10 +361,23 @@ def test_generator_arrays_match_the_same_edges_added_one_by_one(build, data):
 ])
 def test_static_array_run_never_builds_the_adjacency_map(build):
     topo = build()
-    result = run_jitterjump_trial(topo, SimConfig(master_seed=3), seed_key=("lazy",))
+    with mock.patch.object(Topology, "adjacency", side_effect=AssertionError("map built")):
+        result = run_jitterjump_trial(topo, SimConfig(master_seed=3), seed_key=("lazy",))
     assert result.topology is topo  # the array path ran
     assert not validate_interval_coloring(result.snapshot, topo).violations
-    twin = topo.copy()
-    assert _answers(twin) == _answers(topo)
-    assert twin.arrays is topo.arrays
-    assert topo._adj is None and twin._adj is None
+
+
+def test_dynamic_run_leaves_its_input_topology_unchanged():
+    topo = star(17)
+    given_arrays = topo.arrays
+    before = _answers(topo)
+    evs = parse_events("3 remove_node 5\n3 add_edge 1 2\n6 add_node 40 0 1\n"
+                       "6 remove_edge 0 7\n")
+    cfg = SimConfig(master_seed=8, dynamic=True, r=4, max_periods=10)
+    result = run_jitterjump_trial(topo, cfg, seed_key=("value",), events=evs)
+    assert topo.arrays is given_arrays and _answers(topo) == before
+    expected = topo.adjacency()
+    for ev in evs:
+        apply_event(expected, ev)
+    assert _answers(result.topology) == _answers(Topology.from_adjacency(expected))
+    assert result.topology.nodes == tuple(sorted(expected))
