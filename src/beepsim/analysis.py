@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -21,7 +20,23 @@ from .topology import Topology
 GOOD = "good"
 BAD_COLORED = "bad-colored"
 BAD_UNCOLORED = "bad-uncolored"
-_LABELS = (BAD_UNCOLORED, BAD_COLORED, GOOD)
+
+
+def phases_clash(a, b, tau):
+    """The good/bad rule: phase ``a`` clashes with phase ``b`` when the wrap
+    distance from ``a`` to ``b``, as measured from ``a``, is at most 1.
+
+    For integer phases the rule is symmetric; in floats the two directions
+    can round to different sides of 1.  Takes numbers or numpy arrays alike.
+    """
+    d = (a - b) % tau
+    return (d <= 1) | (tau - d <= 1)
+
+
+def label_names(colored, bad) -> list[str]:
+    """Per node: uncolored, colored but ``bad`` (a neighbour clashes), or good."""
+    codes = np.where(colored, np.where(bad, 1, 2), 0).tolist()
+    return [(BAD_UNCOLORED, BAD_COLORED, GOOD)[c] for c in codes]
 
 
 def _positions(ids: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -53,16 +68,6 @@ class _NodeArrays(NamedTuple):
         return own, own[view.src], own[view.dst]
 
 
-@dataclass(frozen=True)
-class NodeState:
-    """Externally observed state of one node."""
-
-    node: int
-    global_phase: float | int | None
-    interval: float | int | None
-    colored: bool
-
-
 @dataclass(frozen=True, eq=False)
 class ColoringSnapshot:
     """Every node's (phase, interval, colored) triple, as arrays, plus the
@@ -72,33 +77,18 @@ class ColoringSnapshot:
     _arrays: _NodeArrays
 
     @classmethod
-    def from_arrays(cls, tau, ids, phase, interval, colored) -> "ColoringSnapshot":
-        """Nodes ``ids``, ascending, each holding a phase and, unless
-        ``interval`` is None, an interval."""
-        held = np.append(np.ones(len(ids), dtype=bool), False)
+    def from_arrays(cls, tau, ids, phase, has_phase, interval, has_interval,
+                    colored) -> "ColoringSnapshot":
+        """Nodes ``ids``, ascending, each holding its ``phase`` where
+        ``has_phase`` and its ``interval`` where ``has_interval``; the values
+        elsewhere are ignored."""
         return cls(tau, _NodeArrays(
             ids=ids,
-            phase=np.append(phase, 0),
-            has_phase=held,
-            interval=np.zeros(len(held), dtype=np.int64) if interval is None
-            else np.append(interval, 0),
-            has_interval=np.zeros_like(held) if interval is None else held,
+            phase=np.append(np.where(has_phase, phase, 0), 0),
+            has_phase=np.append(has_phase, False),
+            interval=np.append(np.where(has_interval, interval, 0), 0),
+            has_interval=np.append(has_interval, False),
             colored=np.append(colored, False),
-        ))
-
-    @classmethod
-    def from_states(cls, tau, states) -> "ColoringSnapshot":
-        """From one :class:`NodeState` per node; of repeated ids the last wins."""
-        states = sorted(states, key=attrgetter("node"))  # stable: last duplicate wins
-        phases = [s.global_phase for s in states] + [None]
-        intervals = [s.interval for s in states] + [None]
-        return cls(tau, _NodeArrays(
-            ids=np.array([s.node for s in states], dtype=np.int64),
-            phase=np.array([0 if p is None else p for p in phases]),
-            has_phase=np.array([p is not None for p in phases]),
-            interval=np.array([i or 0 for i in intervals]),
-            has_interval=np.array([i is not None for i in intervals]),
-            colored=np.array([s.colored for s in states] + [False], dtype=bool),
         ))
 
     def global_phases(self) -> dict[int, float | int]:
@@ -182,16 +172,10 @@ def classify_good_bad(snapshot: ColoringSnapshot, topology: Topology) -> dict[in
     own, iu, iv = arrs.at(topology)
     both = arrs.has_phase[iu] & arrs.has_phase[iv]
     pu, pv = arrs.phase[iu], arrs.phase[iv]
-
-    def near(a, b):  # wrap distance from a to b at most 1, as measured from a
-        d = (a - b) % tau
-        return (d <= 1) | (tau - d <= 1)
-
     bad = np.zeros(len(view.nodes), dtype=bool)
-    bad[view.dst[both & near(pu, pv)]] = True  # v's neighbor u clashes with v
-    bad[view.src[both & near(pv, pu)]] = True
-    codes = np.where(arrs.colored[own], np.where(bad, 1, 2), 0)
-    return dict(zip(view.nodes.tolist(), [_LABELS[c] for c in codes.tolist()]))
+    bad[view.dst[both & phases_clash(pu, pv, tau)]] = True  # v's neighbor u clashes with v
+    bad[view.src[both & phases_clash(pv, pu, tau)]] = True
+    return dict(zip(view.nodes.tolist(), label_names(arrs.colored[own], bad)))
 
 
 def hardness_reduction(

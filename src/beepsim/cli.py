@@ -181,47 +181,63 @@ def _config(args, dynamic: bool = False, r: int | None = None) -> SimConfig:
     )
 
 
-def _run_jitterjump_campaign(args, events=(), dynamic=False, r=None) -> int:
-    sizes = _sizes(args) or [None]
-    cfg = _config(args, dynamic=dynamic, r=r)
+def _campaign(args, sizes: list[int], summary: dict, run_trial, check) -> list[str]:
+    """Run ``args.trials`` trials at each size (of the one graph the flags
+    give when ``sizes`` is empty): build the topology, ``run_trial(topology,
+    seed_key)``, ``check(result, failures, tag)`` for the trial's summary
+    entry, then write its CSV.  Fills ``summary`` and returns the failures."""
+    sizes = sizes or [None]
+    summary.update(trials_per_size=args.trials, seed=args.seed, sizes=[])
     failures: list[str] = []
-    summary: dict = {"protocol": "jitterjump", "dynamic": dynamic, "trials_per_size": args.trials,
-                     "seed": args.seed, "sizes": []}
     trial_counter = 0
-    medians = []
-    used_sizes = []
     for n in sizes:
-        conv_periods = []
         size_entry = {"n": n, "trials": []}
         for t in range(args.trials):
-            topo = _build_topology(args, n, ("trial", trial_counter))
-            result = run_jitterjump_trial(
-                topo, cfg, seed_key=("trial", trial_counter), events=tuple(events),
-                collect_rows=args.out is not None,
-            )
-            trial_entry = _validate_jitterjump(result, cfg, failures,
-                                               f"{_size_label(n)} trial={t}", events=events)
+            seed_key = ("trial", trial_counter)
+            result = run_trial(_build_topology(args, n, seed_key), seed_key)
+            size_entry["trials"].append(check(result, failures, f"{_size_label(n)} trial={t}"))
             if args.out:
                 write_csv(_out_path(args.out, trial_counter, args.trials * len(sizes)),
                           result.rows)
-            size_entry["trials"].append(trial_entry)
-            if result.converged:
-                conv_periods.append(result.converged_period)
             trial_counter += 1
-        if conv_periods:
-            conv_periods.sort()
-            med = conv_periods[len(conv_periods) // 2]
-            size_entry["median_convergence_period"] = med
-            size_entry["max_convergence_period"] = max(conv_periods)
-            if n is not None:
-                medians.append(med)
-                used_sizes.append(n)
         summary["sizes"].append(size_entry)
+    return failures
+
+
+def _convergence_summary(summary: dict) -> None:
+    """Each size's median and max convergence period over its converged
+    trials, and the C*ln(n) fit of the medians once two sizes have one."""
+    medians, used_sizes = [], []
+    for size_entry in summary["sizes"]:
+        periods = sorted(entry["converged_period"] for entry in size_entry["trials"]
+                         if entry["converged_period"] is not None)
+        if periods:
+            med = periods[len(periods) // 2]
+            size_entry["median_convergence_period"] = med
+            size_entry["max_convergence_period"] = periods[-1]
+            if size_entry["n"] is not None:
+                medians.append(med)
+                used_sizes.append(size_entry["n"])
     if len(used_sizes) >= 2:
-        c_fit, slope = fit_log_growth(used_sizes, medians)
-        summary["log_fit_constant"] = c_fit
-        summary["log_fit_slope"] = slope
-    summary["failures"] = failures
+        summary["log_fit_constant"], summary["log_fit_slope"] = \
+            fit_log_growth(used_sizes, medians)
+
+
+def _run_jitterjump_campaign(args, events=(), dynamic=False, r=None) -> int:
+    sizes = _sizes(args)
+    cfg = _config(args, dynamic=dynamic, r=r)
+    events = tuple(events)
+
+    def run_trial(topology, seed_key):
+        return run_jitterjump_trial(topology, cfg, seed_key=seed_key, events=events,
+                                    collect_rows=args.out is not None)
+
+    def check(result, failures, tag):
+        return _validate_jitterjump(result, cfg, failures, tag, events=events)
+
+    summary = {"protocol": "jitterjump", "dynamic": dynamic}
+    failures = _campaign(args, sizes, summary, run_trial, check)
+    _convergence_summary(summary)
     return _finish(args, summary, failures)
 
 
@@ -280,50 +296,44 @@ def _validate_jitterjump(result, cfg, failures: list[str], tag: str, events=()) 
 
 
 def _run_beepfirst_campaign(args) -> int:
-    sizes = _sizes(args) or [None]
+    sizes = _sizes(args)
     _reject_flags(args, ("eta", "kappa", "max-periods"), "beepfirst")
     epsilon = DEFAULT_EPSILON if args.epsilon is None else args.epsilon
     cfg = SimConfig(epsilon=epsilon, master_seed=args.seed, wakeup=args.wakeup)
-    failures: list[str] = []
-    summary: dict = {"protocol": "beepfirst", "trials_per_size": args.trials,
-                     "seed": args.seed, "sizes": []}
-    trial_counter = 0
-    for n in sizes:
-        size_entry = {"n": n, "trials": []}
-        for t in range(args.trials):
-            topo = _build_topology(args, n, ("trial", trial_counter))
-            result = run_beepfirst_trial(topo, cfg, seed_key=("trial", trial_counter),
-                                         collect_rows=args.out is not None)
-            tag = f"{_size_label(n)} trial={t}"
-            if not result.all_stable:
-                failures.append(f"{tag}: not all nodes reached a stable phase")
-            if result.late_nodes:
-                failures.append(f"{tag}: {result.late_nodes} nodes settled after 3 periods")
-            if result.search_overruns:
-                failures.append(f"{tag}: search phase outlived one period")
-            ties = result.tie_collisions + neighbor_phase_ties(result.snapshot, topo)
-            if ties:
-                failures.append(f"{tag}: {ties} floating-point phase ties")
-            report = validate_interval_coloring(result.snapshot, topo)
-            if report.violations:
-                failures.append(f"{tag}: overlapping intervals {report.violations[:3]}")
-            if symmetric_window_violations(result.snapshot, topo):
-                failures.append(f"{tag}: neighbor phase inside a symmetric interval")
-            size_entry["trials"].append({
-                "all_stable": result.all_stable,
-                "max_stable_delay_periods": result.max_stable_delay,  # T = 1
-                "tie_collisions": result.tie_collisions,
-            })
-            if args.out:
-                write_csv(_out_path(args.out, trial_counter, args.trials * len(sizes)),
-                          result.rows)
-            trial_counter += 1
-        summary["sizes"].append(size_entry)
-    summary["failures"] = failures
-    return _finish(args, summary, failures)
+
+    def run_trial(topology, seed_key):
+        return run_beepfirst_trial(topology, cfg, seed_key=seed_key,
+                                   collect_rows=args.out is not None)
+
+    summary = {"protocol": "beepfirst"}
+    return _finish(args, summary, _campaign(args, sizes, summary, run_trial, _validate_beepfirst))
+
+
+def _validate_beepfirst(result, failures: list[str], tag: str) -> dict:
+    topo = result.topology
+    if not result.all_stable:
+        failures.append(f"{tag}: not all nodes reached a stable phase")
+    if result.late_nodes:
+        failures.append(f"{tag}: {result.late_nodes} nodes settled after 3 periods")
+    if result.search_overruns:
+        failures.append(f"{tag}: search phase outlived one period")
+    ties = result.tie_collisions + neighbor_phase_ties(result.snapshot, topo)
+    if ties:
+        failures.append(f"{tag}: {ties} floating-point phase ties")
+    report = validate_interval_coloring(result.snapshot, topo)
+    if report.violations:
+        failures.append(f"{tag}: overlapping intervals {report.violations[:3]}")
+    if symmetric_window_violations(result.snapshot, topo):
+        failures.append(f"{tag}: neighbor phase inside a symmetric interval")
+    return {
+        "all_stable": result.all_stable,
+        "max_stable_delay_periods": result.max_stable_delay,  # T = 1
+        "tie_collisions": result.tie_collisions,
+    }
 
 
 def _finish(args, summary: dict, failures: list[str]) -> int:
+    summary["failures"] = failures
     if args.json:
         print(json.dumps(summary, sort_keys=True, default=str))
     else:

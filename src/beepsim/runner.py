@@ -25,8 +25,9 @@ from .analysis import (
     BAD_UNCOLORED,
     GOOD,
     ColoringSnapshot,
-    NodeState,
     classify_good_bad,
+    label_names,
+    phases_clash,
 )
 from .beepfirst import BeepFirst
 from .config import SimConfig
@@ -38,13 +39,6 @@ from .topology import DynamicEvent, Topology, build_wakeup
 from .trace import TraceRow
 
 BEEPFIRST_HORIZON_PERIODS = 4  # a beep-first trial runs this long past the last wake
-
-
-def _phases_clash(a, b, q):
-    """The good/bad rule: two global phases clash when they lie within wrap
-    distance 1 of each other.  Takes ints or numpy arrays alike."""
-    d = (a - b) % q
-    return (d <= 1) | (d >= q - 1)
 
 
 def _label_for(engine: DiscreteEngine, v: int) -> str:
@@ -65,14 +59,15 @@ def _label_for(engine: DiscreteEngine, v: int) -> str:
         pu = engine.protocols[u].p
         if pu is None:
             continue
-        if _phases_clash((pu + engine.wake_slot[u]) % q, pv, q):
+        if phases_clash((pu + engine.wake_slot[u]) % q, pv, q):
             return BAD_COLORED
     return GOOD
 
 
 def _good(src, dst, phase, has_phase, colored, q) -> np.ndarray:
-    """Per node: colored and no neighbor holding a phase clashes with it."""
-    clash = has_phase[src] & has_phase[dst] & _phases_clash(phase[src], phase[dst], q)
+    """Per node: colored and no neighbor holding a phase clashes with it
+    (the rule is symmetric for integer phases, so once per edge)."""
+    clash = has_phase[src] & has_phase[dst] & phases_clash(phase[src], phase[dst], q)
     bad = np.zeros(len(phase), dtype=bool)
     bad[src[clash]] = True
     bad[dst[clash]] = True
@@ -80,7 +75,8 @@ def _good(src, dst, phase, has_phase, colored, q) -> np.ndarray:
 
 
 class _EdgeArrays:
-    """The engine's nodes and edges as index arrays, for whole-graph passes.
+    """The engine's nodes, edges and protocols as arrays, for whole-graph
+    passes.
 
     Valid until the next topology event: the caller rebuilds it after a
     period in which events were applied (node ids, wake slots and protocol
@@ -95,23 +91,26 @@ class _EdgeArrays:
         self.wake = np.array([engine.wake_slot[v] for v in nodes], dtype=np.int64)
         self.protocols = [engine.protocols[v] for v in nodes]
 
-    def good_set(self) -> set[int]:
-        """Nodes that are colored and clash with no neighbor holding a phase."""
+    def phases(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each node's global phase, whether it holds one, and its colored flag."""
         local = np.array([-1 if pr.p is None else pr.p for pr in self.protocols], dtype=np.int64)
         colored = np.array([pr.colored for pr in self.protocols], dtype=bool)
-        phase = (local + self.wake) % self.q
-        good = _good(self.src, self.dst, phase, local >= 0, colored, self.q)
+        return (local + self.wake) % self.q, local >= 0, colored
+
+    def good_set(self) -> set[int]:
+        """Nodes that are colored and clash with no neighbor holding a phase."""
+        good = _good(self.src, self.dst, *self.phases(), self.q)
         return set(self.nodes[good].tolist())
 
 
 def discrete_snapshot(engine: DiscreteEngine) -> ColoringSnapshot:
-    states = []
-    q = engine.q
-    for v in sorted(engine.alive):
-        proto = engine.protocols[v]
-        phase = None if proto.p is None else (proto.p + engine.wake_slot[v]) % q
-        states.append(NodeState(v, phase, proto.interval, proto.colored))
-    return ColoringSnapshot.from_states(q, states)
+    """Every node's global phase, interval and colored flag, read from its protocol."""
+    arrays = _EdgeArrays(engine)
+    phase, has_phase, colored = arrays.phases()
+    interval = np.array([-1 if pr.interval is None else pr.interval for pr in arrays.protocols],
+                        dtype=np.int64)
+    return ColoringSnapshot.from_arrays(engine.q, arrays.nodes, phase, has_phase,
+                                        interval, interval >= 0, colored)
 
 
 class _BoundaryChecks:
@@ -326,16 +325,10 @@ def _boundary_labels(src, dst, before, after, colored, q) -> list[str]:
     boundary step, a higher-id one with its phase ``before`` it (``None``
     when no node held one yet)."""
     bad = np.zeros(len(colored), dtype=bool)
-    bad[dst[_phases_clash(after[src], after[dst], q)]] = True
+    bad[dst[phases_clash(after[src], after[dst], q)]] = True
     if before is not None:
-        bad[src[_phases_clash(before[dst], after[src], q)]] = True
-    return _label_names(colored, bad)
-
-
-def _label_names(colored, bad) -> list[str]:
-    """Per node: uncolored, colored but ``bad``, or good."""
-    codes = np.where(colored, np.where(bad, 1, 2), 0).tolist()
-    return [(BAD_UNCOLORED, BAD_COLORED, GOOD)[c] for c in codes]
+        bad[src[phases_clash(before[dst], after[src], q)]] = True
+    return label_names(colored, bad)
 
 
 def _run_static_arrays(topology, cfg, q, max_periods, seed_key, wake, collect_rows):
@@ -385,8 +378,11 @@ def _run_static_arrays(topology, cfg, q, max_periods, seed_key, wake, collect_ro
             break
         heard = deliver_window(listener, beeper, offsets, q)
 
-    snapshot = ColoringSnapshot.from_arrays(q, view.nodes, protocol.p, protocol.interval,
-                                            protocol.colored)
+    interval = protocol.interval  # None after the first period only
+    snapshot = ColoringSnapshot.from_arrays(
+        q, view.nodes, protocol.p, has_phase,
+        np.zeros(n, dtype=np.int64) if interval is None else interval,
+        np.full(n, interval is not None), protocol.colored)
     return JitterJumpResult(
         topology=topology,
         q=q,
@@ -394,7 +390,7 @@ def _run_static_arrays(topology, cfg, q, max_periods, seed_key, wake, collect_ro
         periods_run=k,
         snapshot=snapshot,
         final_snapshot=snapshot,
-        final_labels=dict(zip(nodes, _label_names(protocol.colored, ~good))),
+        final_labels=dict(zip(nodes, label_names(protocol.colored, ~good))),
         wake=dict(wake),
         sandwich_violations=sandwich,
         free_floor_violations=floor,
@@ -455,29 +451,21 @@ def run_beepfirst_trial(
     except ProtocolViolation:
         overruns = 1
 
-    states = []
-    late = 0
-    max_delay = 0.0
-    for v in sorted(topology.nodes):
-        proto = engine.protocols[v]
-        theta = engine.theta(v)
-        if proto.stable:
-            phase = (proto.p + theta) % t_period
-            delay = proto.stable_since - wake[v]
-            max_delay = max(max_delay, delay)
-            if delay >= 3.0 * t_period:
-                late += 1
-        else:
-            phase = None
-            late += 1
-        states.append(NodeState(v, phase, proto.interval, proto.stable))
-    snapshot = ColoringSnapshot.from_states(t_period, states)
-    all_stable = all(engine.protocols[v].stable for v in topology.nodes)
+    protos = [engine.protocols[v] for v in ids]
+    stable = np.array([pr.stable for pr in protos], dtype=bool)
+    phase = np.array([(pr.p + engine.theta(v)) % t_period if pr.stable else 0.0
+                      for v, pr in zip(ids, protos)])
+    interval = np.array([math.nan if pr.interval is None else pr.interval for pr in protos])
+    snapshot = ColoringSnapshot.from_arrays(t_period, view.nodes, phase, stable,
+                                            interval, ~np.isnan(interval), stable)
+    delays = [pr.stable_since - wake[v] for v, pr in zip(ids, protos) if pr.stable]
+    # late: unsettled, or settled three periods or more after waking
+    late = len(ids) - len(delays) + sum(d >= 3.0 * t_period for d in delays)
+    all_stable = len(delays) == len(ids)
 
     rows: list[TraceRow] = []
     if collect_rows:
-        for v in sorted(topology.nodes):
-            proto = engine.protocols[v]
+        for v, proto in zip(ids, protos):
             node_origin = engine._nodes[v].origin
             heard = engine.heard_log(v)
             for k in range(BEEPFIRST_HORIZON_PERIODS):
@@ -506,7 +494,7 @@ def run_beepfirst_trial(
         tie_collisions=engine.tie_collisions,
         snapshot=snapshot,
         wake=wake,
-        max_stable_delay=max_delay,
+        max_stable_delay=max([0.0, *delays]),
         protocols=dict(engine.protocols),
         rows=rows,
     )

@@ -6,14 +6,16 @@
 
 from collections import defaultdict
 from contextlib import contextmanager
+from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from unittest import mock
 
 import numpy as np
 
 from beepsim import rng as rngmod
 from beepsim import runner
-from beepsim.analysis import BAD_COLORED, BAD_UNCOLORED, GOOD, IntervalReport, NodeState
+from beepsim.analysis import BAD_COLORED, BAD_UNCOLORED, GOOD, ColoringSnapshot, IntervalReport
 from beepsim.beepfirst import BeepFirst, _first_fit
 from beepsim.continuous import CONTINUOUS_PERIOD, Beep, Listen, Rebase
 from beepsim.discrete import DiscreteEngine, SlotOutcome
@@ -26,6 +28,54 @@ from beepsim.topology import _PAIRING_ATTEMPTS, Topology, cycle_of_blocks, link,
 
 # a Topology never changes, so one map per graph serves every reference below
 adjacency_of = lru_cache(maxsize=16)(Topology.adjacency)
+
+
+@dataclass(frozen=True)
+class NodeState:
+    """Externally observed state of one node: the reference reading of a
+    snapshot, one record per node."""
+
+    node: int
+    global_phase: float | int | None
+    interval: float | int | None
+    colored: bool
+
+
+def snapshot_of(tau, states):
+    """A snapshot of one :class:`NodeState` per node (None where a node holds
+    no phase or interval); of repeated ids the last wins."""
+    states = sorted(states, key=attrgetter("node"))  # stable: last duplicate wins
+
+    def held(values):
+        return (np.array([0 if x is None else x for x in values]),
+                np.array([x is not None for x in values], dtype=bool))
+
+    return ColoringSnapshot.from_arrays(
+        tau, np.array([s.node for s in states], dtype=np.int64),
+        *held([s.global_phase for s in states]), *held([s.interval for s in states]),
+        np.array([s.colored for s in states], dtype=bool))
+
+
+def protocol_states(engine):
+    """Every alive node's state read from its protocol, one node at a time:
+    the reference for ``runner.discrete_snapshot``."""
+    states = []
+    for v in sorted(engine.alive):
+        proto = engine.protocols[v]
+        phase = None if proto.p is None else (proto.p + engine.wake_slot[v]) % engine.q
+        states.append(NodeState(v, phase, proto.interval, proto.colored))
+    return states
+
+
+def beepfirst_states(engine):
+    """Every node's state read from its :class:`BeepFirst`, one node at a
+    time: the reference for the snapshot of ``runner.run_beepfirst_trial``."""
+    states = []
+    for v in sorted(engine.protocols):
+        proto = engine.protocols[v]
+        phase = (proto.p + engine.theta(v)) % CONTINUOUS_PERIOD if proto.stable else None
+        states.append(NodeState(v, phase, proto.interval, proto.stable))
+    return states
 
 
 def node_states(snapshot):
@@ -455,17 +505,18 @@ def watch_boundaries(fn):
 
 
 @contextmanager
-def capture_engines():
-    """Yield a list that collects every :class:`DiscreteEngine` the runner
-    builds inside the block."""
+def capture_engines(name="DiscreteEngine"):
+    """Yield a list that collects every engine of class ``runner.<name>``
+    (``DiscreteEngine`` or ``ContinuousEngine``) the runner builds inside
+    the block."""
     built = []
 
-    class Captured(runner.DiscreteEngine):
+    class Captured(getattr(runner, name)):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             built.append(self)
 
-    with mock.patch.object(runner, "DiscreteEngine", Captured):
+    with mock.patch.object(runner, name, Captured):
         yield built
 
 

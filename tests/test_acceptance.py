@@ -335,13 +335,14 @@ def test_12a_dynamic_no_spurious_resets():
 def test_12b_dynamic_star_churn_recovery():
     """Hub of a 65-node star after 60 spokes leave at period 30.
 
-    The degree drops 64 -> 4, exactly the 16x factor of the rebuild
-    threshold.  The moving-window maximum settles at 2*4 = 8 beeps while
-    the stored estimate saturates at 2*64 = 128, and the strict test
-    8 < 128/16 never fires, so the estimate cannot drop at exactly a 16x
-    degree reduction (one more removed spoke would make it certain).
-    The gate asserts the stated scenario regardless; see the analysis
-    above for why the first clause cannot hold.
+    The degree drops 64 -> 4, the 16x factor of the rebuild threshold.
+    Measured at the hub's boundaries, the stored estimate is 127 before
+    and after the churn, and the moving-window maximum falls from 125 to
+    2*4 = 8 beeps at period 37, seven periods after it.  The strict test
+    8 < 127/16 = 7.94 is false, so the estimate does not drop: the
+    threshold lies just below the window maximum (one more removed spoke,
+    a window maximum of 6, would pass it).  The gate asserts the stated
+    scenario regardless, and prints ``estimate 127 -> 127``.
     """
     n = 65
     churn_period = 30

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 from helpers import (
+    NodeState,
     classify_good_bad_reference,
     hardness_reduction_reference,
     neighbor_phase_ties_reference,
     node_states,
+    snapshot_of,
     symmetric_window_violations_reference,
     validate_interval_coloring_reference,
 )
@@ -14,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 
 from beepsim.analysis import (
     ColoringSnapshot,
-    NodeState,
     classify_good_bad,
     fit_log_growth,
     hardness_reduction,
@@ -29,7 +30,7 @@ from beepsim.topology import Topology
 def snap(tau, *triples):
     states = tuple(NodeState(i, p, i_len, colored)
                    for i, (p, i_len, colored) in enumerate(triples))
-    return ColoringSnapshot.from_states(tau, states)
+    return snapshot_of(tau, states)
 
 
 def test_disjoint_intervals_pass():
@@ -161,7 +162,7 @@ def snapshot_and_topology(draw):
 
     states = tuple(NodeState(v, mostly(value), mostly(length), bool(mostly(st.just(True))))
                    for v in ids)
-    return ColoringSnapshot.from_states(tau, states), topo
+    return snapshot_of(tau, states), topo
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -185,7 +186,7 @@ def test_array_passes_match_the_loops(case, eta_q):
     assert type(ties) is int
 
     # both runners color a node only once it holds a phase
-    colored_phased = ColoringSnapshot.from_states(snapshot.tau, [
+    colored_phased = snapshot_of(snapshot.tau, [
         NodeState(s.node, s.global_phase, s.interval, s.colored and s.global_phase is not None)
         for s in node_states(snapshot)])
     labels = classify_good_bad(colored_phased, topo)
@@ -218,7 +219,7 @@ def test_array_passes_on_an_empty_graph():
         validate_interval_coloring_reference(snapshot, empty, eta=0.5, q=8)
     assert symmetric_window_violations(snapshot, empty) == []
     assert neighbor_phase_ties(snapshot, empty) == 0
-    assert classify_good_bad(ColoringSnapshot.from_states(8, ()), empty) == {}
+    assert classify_good_bad(snapshot_of(8, ()), empty) == {}
     assert hardness_reduction({}, {}, 8, empty) == {}
 
 
@@ -246,22 +247,7 @@ def test_arcs_whose_ends_touch_overlap(tau, a, b):
         assert report == validate_interval_coloring_reference(snapshot, topo)
 
 
-# -- snapshots built from arrays and from per-node states ---------------------
-
-
-@st.composite
-def array_path_states(draw):
-    """States as the array path holds them (ascending ids, with gaps; every
-    node holding a phase; every node or none holding an interval) and a
-    topology over part of those ids plus ids the states lack."""
-    snapshot, topo = draw(snapshot_and_topology())
-    filled = st.integers(0, snapshot.tau - 1) if isinstance(snapshot.tau, int) \
-        else st.sampled_from(_GRID)
-    with_interval = draw(st.booleans())
-    states = [NodeState(s.node, draw(filled) if s.global_phase is None else s.global_phase,
-                        (s.interval or 0) if with_interval else None, s.colored)
-              for s in node_states(snapshot)]
-    return snapshot.tau, states, topo
+# -- snapshots built from masked arrays against per-node records --------------
 
 
 def _outputs(snapshot, topo):
@@ -273,18 +259,26 @@ def _outputs(snapshot, topo):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(array_path_states())
-def test_snapshot_from_arrays_matches_from_states(case):
-    tau, states, topo = case
-    ids = np.array([s.node for s in states], dtype=np.int64)
-    phase = np.array([s.global_phase for s in states])
-    interval = None if states and states[0].interval is None else \
-        np.array([s.interval for s in states])
-    colored = np.array([s.colored for s in states], dtype=bool)
-    from_arrays = ColoringSnapshot.from_arrays(tau, ids, phase, interval, colored)
-    from_states = ColoringSnapshot.from_states(tau, states)
-    assert _outputs(from_arrays, topo) == _outputs(from_states, topo)
-    assert node_states(from_arrays) == node_states(from_states) == states
+@given(snapshot_and_topology(), st.data())
+def test_masked_arrays_read_back_as_the_records(case, data):
+    # records with None phases and intervals; the arrays hold an arbitrary
+    # value wherever a mask says a node holds none, which must not show
+    snapshot, topo = case
+    states = node_states(snapshot)
+    tau = snapshot.tau
+    junk = st.integers(-3, 40) if isinstance(tau, int) else st.floats(-2.0, 2.0)
+
+    def masked(values):
+        mask = np.array([x is not None for x in values], dtype=bool)
+        filled = [data.draw(junk) if x is None else x for x in values]
+        return np.array(filled, dtype=type(tau) if filled else float), mask
+
+    masked_snapshot = ColoringSnapshot.from_arrays(
+        tau, np.array([s.node for s in states], dtype=np.int64),
+        *masked([s.global_phase for s in states]), *masked([s.interval for s in states]),
+        np.array([s.colored for s in states], dtype=bool))
+    assert node_states(masked_snapshot) == states
+    assert _outputs(masked_snapshot, topo) == _outputs(snapshot, topo)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -297,5 +291,5 @@ def test_global_phases_skip_nodes_without_one(case):
     assert list(phases.items()) == list(expected.items())
     assert all(type(v) is int for v in phases)
     assert all(type(p) is type(snapshot.tau) for p in phases.values())
-    assert node_states(ColoringSnapshot.from_states(snapshot.tau, node_states(snapshot))) == \
+    assert node_states(snapshot_of(snapshot.tau, node_states(snapshot))) == \
         node_states(snapshot)

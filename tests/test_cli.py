@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -356,3 +357,32 @@ def test_delta_with_edge_file_exits_2(tmp_path, capsys):
     assert code == 2
     assert f"--delta does not apply to --graph {str(graph)!r}" in captured.err
     assert "all validators passed" not in captured.out
+
+
+# -- stdout pins: exact text and JSON summaries of five campaigns -------------
+
+STDOUT_PINS = Path(__file__).parent / "data" / "cli_stdout.json"
+STAR17_EVENTS = Path(__file__).parent / "data" / "golden" / "star17.events"
+
+PINNED_RUNS = {
+    # a two-size sweep on the array path: medians and the log fit
+    "sweep": ["static", "--graph", "random-regular", "--n", "16,32", "--delta", "4",
+              "--trials", "2", "--seed", "3"],
+    # the same sweep on the per-node engine, with its overlap failures
+    "sweep_random": ["static", "--graph", "random-regular", "--n", "16,32", "--delta", "4",
+                     "--trials", "2", "--seed", "3", "--wakeup", "random"],
+    "dyn_star17": ["dynamic", "--graph", "star:17", "--events", str(STAR17_EVENTS),
+                   "--r", "4", "--max-periods", "24", "--wakeup", "random", "--seed", "7"],
+    "beepfirst": ["static", "--protocol", "beepfirst", "--graph", "gnp:16:0.2", "--trials", "2"],
+    "fail": ["static", "--graph", "random-regular", "--n", "16", "--delta", "4",
+             "--max-periods", "1", "--seed", "3"],
+}
+
+
+@pytest.mark.parametrize("mode", ["text", "json"])
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_stdout_is_pinned(name, mode, capsys):
+    expected = json.loads(STDOUT_PINS.read_text())[name][mode]
+    code = run_cli(PINNED_RUNS[name] + (["--json"] if mode == "json" else []))
+    assert capsys.readouterr().out == expected["stdout"]
+    assert code == expected["exit"]

@@ -1,6 +1,7 @@
-"""The runner's per-period good set against the snapshot classifier, the
-array path against the per-node engine, the trace's row labels, and the
-stability of per-node draws under topology edits."""
+"""The runner's per-period good set against the snapshot classifier, its
+snapshots against the protocols, the array path against the per-node
+engine, the trace's row labels, and the stability of per-node draws under
+topology edits."""
 
 import dataclasses
 from unittest import mock
@@ -9,8 +10,10 @@ import numpy as np
 import pytest
 from helpers import (
     apply_event,
+    beepfirst_states,
     capture_engines,
     node_states,
+    protocol_states,
     run_on_engine,
     valid_events,
     wrap_distance,
@@ -19,7 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from beepsim import rng as rngmod
 from beepsim import runner
-from beepsim.analysis import BAD_COLORED, GOOD, classify_good_bad
+from beepsim.analysis import BAD_COLORED, GOOD, classify_good_bad, phases_clash
 from beepsim.config import SimConfig
 from beepsim.topology import DynamicEvent, Topology, random_regular
 
@@ -28,9 +31,9 @@ def test_phase_clash_is_wrap_distance_at_most_one():
     for q in (1, 2, 3, 4, 7, 64):
         a, b = np.meshgrid(np.arange(q), np.arange(q))
         expected = np.vectorize(lambda x, y: wrap_distance(x, y, q) <= 1)(a, b)
-        assert (runner._phases_clash(a, b, q) == expected).all()
+        assert (phases_clash(a, b, q) == expected).all()
         for x, y in zip(a.ravel().tolist(), b.ravel().tolist()):
-            assert runner._phases_clash(x, y, q) == (wrap_distance(x, y, q) <= 1)
+            assert phases_clash(x, y, q) == (wrap_distance(x, y, q) <= 1)
 
 
 @st.composite
@@ -86,6 +89,44 @@ def test_array_good_set_matches_classifier_every_period(case):
     final_good = {v for v, label in result.final_labels.items() if label == GOOD}
     assert final_good == computed[-1]
     assert result.final_labels == classify_good_bad(result.final_snapshot, result.topology)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(trial_cases())
+def test_engine_snapshot_reads_every_protocol_every_period(case):
+    topo, wakeup, dynamic, candidates, seed = case
+    events = valid_events(topo, candidates)
+    cfg = SimConfig(kappa=128.0, master_seed=seed, wakeup=wakeup, max_periods=10,
+                    dynamic=dynamic)
+    checked = []
+    good_set = runner._EdgeArrays.good_set
+
+    def checking_good_set(self):
+        # called once per period, after its last slot
+        (engine,) = engines
+        assert node_states(runner.discrete_snapshot(engine)) == protocol_states(engine)
+        checked.append(engine.slot)
+        return good_set(self)
+
+    with capture_engines() as engines, \
+            mock.patch.object(runner._EdgeArrays, "good_set", checking_good_set):
+        result = run_on_engine(topo, cfg, seed_key=("snap",), events=events)
+    assert len(checked) == result.periods_run
+    assert node_states(result.final_snapshot) == protocol_states(engines[0])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(trial_cases())
+def test_beepfirst_snapshot_reads_every_protocol(case):
+    topo, wakeup, _, _, seed = case
+    with capture_engines("ContinuousEngine") as engines:
+        result = runner.run_beepfirst_trial(topo, SimConfig(master_seed=seed, wakeup=wakeup),
+                                            seed_key=("snap",))
+    (engine,) = engines
+    states = beepfirst_states(engine)
+    assert node_states(result.snapshot) == states
+    assert result.all_stable == all(s.colored for s in states)
+    assert all(type(s.global_phase) is float for s in node_states(result.snapshot) if s.colored)
 
 
 @st.composite
