@@ -26,6 +26,10 @@ Dynamic topology events are applied at global period boundaries, those
 of one period in the order given.  All bookkeeping is resolved in a fixed
 order so identical configurations produce bit-identical runs.
 
+The engine calls nothing back at a boundary: a node's protocol state
+changes only at its own boundaries, one in any Q consecutive slots, so a
+harness reads the protocols between calls to ``run_slots``.
+
 When every node wakes at slot 0 and beeps once per period, one period is
 one window of Q slots for the whole network, and :func:`deliver_window`
 delivers it in one array pass instead of slot by slot.
@@ -68,7 +72,6 @@ class DiscreteEngine:
         protocol_factory: Callable[[int], object],
         wake_slots: dict[int, int],
         events: Iterable[DynamicEvent] = (),
-        observer=None,
     ):
         if q < 1:
             raise ConfigError("Q must be positive")
@@ -76,7 +79,6 @@ class DiscreteEngine:
         self._topology: Topology | None = topology
         self.q = int(q)
         self.slot = 0
-        self.observer = observer
         self._factory = protocol_factory
         self.protocols: dict[int, object] = {}
         self.wake_slot: dict[int, int] = {}
@@ -207,7 +209,7 @@ class DiscreteEngine:
         due = self._boundaries.pop(s, None)
         if due:
             due.sort()
-            beeps, protocols, observer = self._beeps, self.protocols, self.observer
+            beeps, protocols = self._beeps, self.protocols
             heap = self._due
             start = s - q  # the local period ending here began at slot s - Q
             for v in due:
@@ -228,8 +230,6 @@ class DiscreteEngine:
                         else:
                             at.append(v)
                         scheduled[v].add(t)
-                if observer is not None:
-                    observer.on_period_boundary(self, v, s)
             after = self._boundaries.get(s + q)
             if after is None:
                 self._boundaries[s + q] = due  # never an empty list

@@ -240,17 +240,20 @@ class _FreeGaps:
 
 
 class PeriodArrays(NamedTuple):
-    """:class:`PeriodReport` of every node for one period, as arrays
-    indexed by node; ``None`` where the field is ``None`` for all nodes,
-    and -1 in ``free_count`` where a node drew no slot."""
+    """:class:`PeriodReport` of many nodes as arrays indexed alike;
+    ``period`` is one int when all share it, ``None`` stands where the
+    field is ``None`` for all nodes, -1 in ``free_count`` where a node drew
+    no slot, and ``reset`` is ``None`` for the static protocol, which
+    never resets."""
 
-    period: int
+    period: int | np.ndarray
     phase: np.ndarray | None
     jitter: np.ndarray | None
     interval: np.ndarray | None
     beeps_heard: np.ndarray
     colored: np.ndarray
     free_count: np.ndarray
+    reset: np.ndarray | None = None
 
 
 class StaticJitterJumpArrays:

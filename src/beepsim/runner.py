@@ -7,61 +7,32 @@ checks (degree-estimate bounds, free-slot floor, good-set monotonicity,
 interval validity) are gathered as counters, never enforced inside the
 protocols.  A static jitter-and-jump run whose nodes all wake at slot 0
 steps the whole network over arrays instead of through the engine, with
-the same draws, checks and result.  A beep-first trial draws every node's
-start offset from its protocol stream in one array pass.
+the same draws, checks and result; both paths hand every period's
+boundaries to one array pass, :meth:`_BoundaryChecks.on_period_boundary`.
+A beep-first trial draws every node's start offset from its protocol
+stream in one array pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
 from . import rng as rngmod
-from .analysis import (
-    BAD_COLORED,
-    BAD_UNCOLORED,
-    GOOD,
-    ColoringSnapshot,
-    classify_good_bad,
-    label_names,
-    phases_clash,
-)
+from .analysis import ColoringSnapshot, classify_good_bad, label_names, phases_clash
 from .beepfirst import BeepFirst
 from .config import SimConfig
 from .continuous import CONTINUOUS_PERIOD, ContinuousEngine
 from .discrete import DiscreteEngine, deliver_window
 from .errors import ConfigError, ProtocolViolation
-from .jitterjump import JitterAndJump, StaticJitterJumpArrays
-from .topology import DynamicEvent, Topology, build_wakeup
+from .jitterjump import JitterAndJump, PeriodArrays, StaticJitterJumpArrays
+from .topology import DynamicEvent, Topology, TopologyArrays, build_wakeup
 from .trace import TraceRow
 
 BEEPFIRST_HORIZON_PERIODS = 4  # a beep-first trial runs this long past the last wake
-
-
-def _label_for(engine: DiscreteEngine, v: int) -> str:
-    """The trace row label of ``v`` at its period boundary.
-
-    It is read while the boundary slot is being stepped, with nodes in id
-    order, so when several nodes share the boundary slot (simultaneous
-    wakeup) a lower-id neighbour is seen after its own boundary step and
-    a higher-id neighbour before it.  The label can therefore differ from
-    the end-of-slot classification that the good set uses.
-    """
-    proto = engine.protocols[v]
-    if proto.p is None or not proto.colored:
-        return BAD_UNCOLORED
-    q = engine.q
-    pv = (proto.p + engine.wake_slot[v]) % q
-    for u in engine.adj[v]:
-        pu = engine.protocols[u].p
-        if pu is None:
-            continue
-        if phases_clash((pu + engine.wake_slot[u]) % q, pv, q):
-            return BAD_COLORED
-    return GOOD
 
 
 def _good(src, dst, phase, has_phase, colored, q) -> np.ndarray:
@@ -74,50 +45,70 @@ def _good(src, dst, phase, has_phase, colored, q) -> np.ndarray:
     return colored & has_phase & ~bad
 
 
-class _EdgeArrays:
-    """The engine's nodes, edges and protocols as arrays, for whole-graph
-    passes.
+class _Read(NamedTuple):
+    """The engine's nodes as they stand, in id order: the graph, and each
+    node's wake slot, protocol, global phase (-1 where it holds none) and
+    colored flag."""
 
-    Valid until the next topology event: the caller rebuilds it after a
-    period in which events were applied (node ids, wake slots and protocol
-    objects change only then).
-    """
+    topology: Topology
+    wake: np.ndarray
+    protocols: list
+    phase: np.ndarray
+    colored: np.ndarray
 
-    def __init__(self, engine: DiscreteEngine):
-        view = engine.topology.arrays
-        nodes = view.nodes.tolist()
-        self.q = engine.q
-        self.nodes, self.src, self.dst = view.nodes, view.src, view.dst
-        self.wake = np.array([engine.wake_slot[v] for v in nodes], dtype=np.int64)
-        self.protocols = [engine.protocols[v] for v in nodes]
 
-    def phases(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each node's global phase, whether it holds one, and its colored flag."""
-        local = np.array([-1 if pr.p is None else pr.p for pr in self.protocols], dtype=np.int64)
-        colored = np.array([pr.colored for pr in self.protocols], dtype=bool)
-        return (local + self.wake) % self.q, local >= 0, colored
-
-    def good_set(self) -> set[int]:
-        """Nodes that are colored and clash with no neighbor holding a phase."""
-        good = _good(self.src, self.dst, *self.phases(), self.q)
-        return set(self.nodes[good].tolist())
+def _read(engine: DiscreteEngine) -> _Read:
+    """Every protocol of ``engine`` read once into arrays."""
+    topology = engine.topology
+    nodes = topology.arrays.nodes.tolist()
+    protocols = [engine.protocols[v] for v in nodes]
+    wake = np.array([engine.wake_slot[v] for v in nodes], dtype=np.int64)
+    local = np.array([-1 if pr.p is None else pr.p for pr in protocols], dtype=np.int64)
+    colored = np.array([pr.colored for pr in protocols], dtype=bool)
+    phase = np.where(local < 0, -1, (local + wake) % engine.q)
+    return _Read(topology, wake, protocols, phase, colored)
 
 
 def discrete_snapshot(engine: DiscreteEngine) -> ColoringSnapshot:
     """Every node's global phase, interval and colored flag, read from its protocol."""
-    arrays = _EdgeArrays(engine)
-    phase, has_phase, colored = arrays.phases()
-    interval = np.array([-1 if pr.interval is None else pr.interval for pr in arrays.protocols],
+    read = _read(engine)
+    interval = np.array([-1 if pr.interval is None else pr.interval for pr in read.protocols],
                         dtype=np.int64)
-    return ColoringSnapshot.from_arrays(engine.q, arrays.nodes, phase, has_phase,
-                                        interval, interval >= 0, colored)
+    return ColoringSnapshot.from_arrays(engine.q, read.topology.arrays.nodes, read.phase,
+                                        read.phase >= 0, interval, interval >= 0, read.colored)
+
+
+def _reported(read: _Read, q: int, start: int, width: int) -> tuple:
+    """The arguments of :meth:`_BoundaryChecks.on_period_boundary` for the
+    engine's boundaries in slots [start, start + width), ``width`` at most
+    Q, read once every node has passed its boundary there.
+
+    A node's state changes only at its own boundaries, one per Q slots,
+    so each node then holds what its boundary there left, report
+    included.  A node reports there exactly when it woke before
+    ``start``; one that wakes inside only starts listening.
+    """
+    gap = (read.wake - start) % q  # a node's boundary falls in slot start + gap
+    at = np.flatnonzero((read.wake < start) & (gap < width))
+    order = at[np.argsort(gap[at], kind="stable")]  # by slot, then by id
+    protocols = [read.protocols[i] for i in order.tolist()]
+    columns = zip(*[pr.last_report for pr in protocols]) if protocols else \
+        [()] * len(PeriodArrays._fields)
+    period, phase, jitter, interval, heard, colored, free_count, reset = (
+        np.array([-1 if x is None else x for x in col], dtype=np.int64) for col in columns)
+    report = PeriodArrays(period, phase, jitter, interval, heard, colored.astype(bool),
+                          free_count, reset.astype(bool))
+    d_tilde = np.array([pr.d_tilde for pr in protocols], dtype=np.int64)
+    before = np.where(period > 0, (phase + read.wake[order]) % q, -1)
+    return read.topology, order, report, before, read.phase, read.colored, d_tilde
 
 
 class _BoundaryChecks:
-    """Per-boundary bookkeeping shared by the static and dynamic runners."""
+    """The boundary checks, trace rows and row labels of a trial, one
+    stretch of at most Q slots at a time, for both discrete runners."""
 
-    def __init__(self, eta: float, q: int, topology: Topology, dynamic: bool,
-                 collect_rows: bool):
+    def __init__(self, eta: float, q: int, dynamic: bool, collect_rows: bool):
+        self.q = q
         self.dynamic = dynamic
         self.collect_rows = collect_rows
         self.free_floor = (1.0 - 3.0 * eta) * q
@@ -125,49 +116,73 @@ class _BoundaryChecks:
         self.free_floor_violations = 0
         self.beep_bound_violations = 0
         self.window_observations = 0
+        self.resets = 0
         self.rows: list[TraceRow] = []
-        self._degree_at_boundary: dict[int, int] = {}
-        # a static topology never changes, so its degree bounds are fixed
-        self._estimate_bound = None if dynamic else dict(
-            zip(topology.nodes, np.maximum(2 * topology.arrays.degree, 1).tolist()))
+        self._last: TopologyArrays | None = None  # the graph of the previous stretch
 
-    def on_period_boundary(self, engine: DiscreteEngine, v: int, slot: int) -> None:
-        proto = engine.protocols[v]
-        report = proto.last_report
+    def on_period_boundary(self, topology: Topology, order: np.ndarray, report: PeriodArrays,
+                           before, after: np.ndarray, colored: np.ndarray,
+                           d_tilde: np.ndarray) -> None:
+        """Check the boundaries at which the nodes ``order`` reported in one
+        stretch, in which the graph was ``topology``.
+
+        ``order`` indexes ``topology.arrays.nodes`` in the order of the
+        boundaries, by slot and then by id; ``report``, ``d_tilde`` and
+        ``before``, each node's global phase before its boundary (-1 where
+        it held none, or ``None`` when none of them did), follow it.
+        ``after`` and ``colored`` hold every node's global phase (-1 where
+        it holds none) and colored flag after the stretch.
+        """
+        view = topology.arrays
+        degree = view.degree[order]
         if self.dynamic:
-            degree = len(engine.adj[v])
             # events land on global period boundaries, so during the local
-            # period that just ended the degree was this one or the previous
-            previous = self._degree_at_boundary.get(v, degree)
-            self._degree_at_boundary[v] = degree
-            if report is None:
-                return
+            # period that just ended the degree was this one or the one of
+            # the stretch before
+            last, self._last = self._last, view
+            previous = degree if last is None or last is view else \
+                last.degree[np.searchsorted(last.nodes, view.nodes[order])]
             # two beeps per node per period: the static floor constant does
             # not apply, only the per-period beep bound
-            self.window_observations += 1
-            if report.beeps_heard > 4 * max(previous, degree):
-                self.beep_bound_violations += 1
-        elif report is None:
-            return
+            self.window_observations += len(order)
+            over = report.beeps_heard > 4 * np.maximum(previous, degree)
+            self.beep_bound_violations += int(np.count_nonzero(over))
+            self.resets += int(np.count_nonzero(report.reset))
         else:
-            if report.period and not 1 <= proto.d_tilde <= self._estimate_bound[v]:
-                self.sandwich_violations += 1
-            free_count = report.free_count
-            if free_count is not None and free_count < self.free_floor:
-                self.free_floor_violations += 1
+            off = (report.period > 0) & ((d_tilde < 1) | (d_tilde > np.maximum(2 * degree, 1)))
+            self.sandwich_violations += int(np.count_nonzero(off))
+            short = (report.free_count >= 0) & (report.free_count < self.free_floor)
+            self.free_floor_violations += int(np.count_nonzero(short))
         if self.collect_rows:
-            self.rows.append(
-                TraceRow(
-                    period=report.period,
-                    node=v,
-                    phase=report.phase,
-                    jitter=report.jitter,
-                    interval=report.interval,
-                    colored=report.colored,
-                    label=_label_for(engine, v),
-                    beeps_heard=report.beeps_heard,
-                )
-            )
+            self.rows += self._rows(view, order, report, before, after, colored)
+
+    def _rows(self, view, order, report, before, after, colored) -> list[TraceRow]:
+        """The trace rows of the boundaries: at each one, a neighbour shows
+        the phase it holds ``after`` its own boundary in the stretch when
+        that came earlier, and its phase ``before`` it otherwise."""
+        n = len(view.nodes)
+        rank = np.full(n, -1)  # the nodes that do not report hold one phase throughout
+        rank[order] = np.arange(len(order))
+        held = after.copy()
+        held[order] = -1 if before is None else before
+        listener = np.concatenate((view.src, view.dst))
+        other = np.concatenate((view.dst, view.src))
+        shown = np.where(rank[other] < rank[listener], after[other], held[other])
+        # a colored node holds a phase, and an uncolored one is never good
+        clash = (shown >= 0) & phases_clash(shown, after[listener], self.q)
+        bad = np.zeros(n, dtype=bool)
+        bad[listener[clash]] = True
+        period = np.broadcast_to(report.period, order.shape).tolist()
+
+        def values(field):  # None before a node's first phase draw
+            if field is None:
+                return [None] * len(period)
+            return [x if k else None for k, x in zip(period, field.tolist())]
+
+        return list(map(TraceRow, period, view.nodes[order].tolist(), values(report.phase),
+                        values(report.jitter), values(report.interval),
+                        report.colored.tolist(), label_names(colored[order], bad[order]),
+                        report.beeps_heard.tolist()))
 
 
 @dataclass
@@ -181,7 +196,6 @@ class JitterJumpResult:
     snapshot: ColoringSnapshot | None
     final_snapshot: ColoringSnapshot | None
     final_labels: dict[int, str] | None
-    wake: dict[int, int]
     sandwich_violations: int
     free_floor_violations: int
     monotonic_violations: int
@@ -241,13 +255,18 @@ def run_jitterjump_trial(
         cfg.wakeup, topology.nodes, q, rngmod.stream(master, *seed_key, "wakeup")
     )
     if not cfg.dynamic and not any(wake.values()):
-        return _run_static_arrays(topology, cfg, q, max_periods, seed_key, wake, collect_rows)
+        return _run_static_arrays(topology, cfg, q, max_periods, seed_key, collect_rows)
     return _run_engine(topology, cfg, q, max_periods, seed_key, wake, collect_rows, events)
 
 
 def _run_engine(topology, cfg, q, max_periods, seed_key, wake, collect_rows, events):
     """:func:`run_jitterjump_trial` on the :class:`DiscreteEngine`, one
-    :class:`JitterAndJump` per node, for any wakeup and any events."""
+    :class:`JitterAndJump` per node, for any wakeup and any events.
+
+    Each period runs to its last slot but one, when every node has passed
+    its boundary of the period's stretch of Q slots, for the boundary
+    checks; then its last slot, which applies the next period's events,
+    for the good set."""
     master = cfg.master_seed
     window = cfg.window_length(topology.n)
     # the initial nodes' streams in one batch; a node added by an event,
@@ -260,25 +279,24 @@ def _run_engine(topology, cfg, q, max_periods, seed_key, wake, collect_rows, eve
             gen = rngmod.stream(master, *seed_key, v, "protocol")
         return JitterAndJump(q, cfg.eta, gen, dynamic=cfg.dynamic, window=window)
 
-    checks = _BoundaryChecks(cfg.eta, q, topology, cfg.dynamic, collect_rows)
-    engine = DiscreteEngine(topology, q, factory, wake, events=events, observer=checks)
+    checks = _BoundaryChecks(cfg.eta, q, cfg.dynamic, collect_rows)
+    engine = DiscreteEngine(topology, q, factory, wake, events=events)
 
     monotonic_violations = 0
     prev_good: set[int] = set()
     converged_period = None
     snapshot = None
     all_good_periods: list[int] = []
-    event_periods = {ev.at_period for ev in events}
 
     engine.run_slots(1)  # wake processing and the events of period 0 at slot 0
-    edge_arrays = _EdgeArrays(engine)
-    periods_run = 0
     for k in range(1, max_periods + 1):
-        engine.run_slots(q)  # its last slot, kQ, applies the events of period k
-        periods_run = k
-        if k in event_periods:
-            edge_arrays = _EdgeArrays(engine)
-        good = edge_arrays.good_set()
+        engine.run_slots(q - 1)
+        checks.on_period_boundary(*_reported(_read(engine), q, (k - 1) * q, q))
+        engine.run_slots(1)  # slot kQ applies the events of period k
+        read = _read(engine)
+        view = read.topology.arrays
+        good = set(view.nodes[_good(view.src, view.dst, read.phase, read.phase >= 0,
+                                    read.colored, q)].tolist())
         lost = (prev_good & engine.alive) - good
         monotonic_violations += len(lost)
         prev_good = good
@@ -289,6 +307,7 @@ def _run_engine(topology, cfg, q, max_periods, seed_key, wake, collect_rows, eve
                 snapshot = discrete_snapshot(engine)
             if not cfg.dynamic:
                 break
+    checks.on_period_boundary(*_reported(read, q, k * q, 1))  # the boundaries at slot kQ
 
     if snapshot is None or cfg.dynamic:
         final_snapshot = discrete_snapshot(engine)
@@ -298,40 +317,26 @@ def _run_engine(topology, cfg, q, max_periods, seed_key, wake, collect_rows, eve
     if snapshot is None:
         snapshot = final_snapshot
 
-    total_resets = sum(engine.protocols[v].resets for v in engine.alive)
     return JitterJumpResult(
         topology=engine.topology,
         q=q,
         converged_period=converged_period,
-        periods_run=periods_run,
+        periods_run=k,
         snapshot=snapshot,
         final_snapshot=final_snapshot,
         final_labels=final_labels,
-        wake=dict(engine.wake_slot),
         sandwich_violations=checks.sandwich_violations,
         free_floor_violations=checks.free_floor_violations,
         monotonic_violations=monotonic_violations,
         beep_bound_violations=checks.beep_bound_violations,
         window_observations=checks.window_observations,
-        resets=total_resets,
+        resets=checks.resets,
         rows=checks.rows,
         all_good_periods=all_good_periods,
     )
 
 
-def _boundary_labels(src, dst, before, after, colored, q) -> list[str]:
-    """Every node's :func:`_label_for` at a boundary slot shared by all
-    nodes: a lower-id neighbour is seen with its phase ``after`` the
-    boundary step, a higher-id one with its phase ``before`` it (``None``
-    when no node held one yet)."""
-    bad = np.zeros(len(colored), dtype=bool)
-    bad[dst[phases_clash(after[src], after[dst], q)]] = True
-    if before is not None:
-        bad[src[phases_clash(before[dst], after[src], q)]] = True
-    return label_names(colored, bad)
-
-
-def _run_static_arrays(topology, cfg, q, max_periods, seed_key, wake, collect_rows):
+def _run_static_arrays(topology, cfg, q, max_periods, seed_key, collect_rows):
     """:func:`run_jitterjump_trial` for a static run whose nodes all wake at
     slot 0: one :class:`StaticJitterJumpArrays` step and one
     :func:`deliver_window` per period, with the boundary checks, the good
@@ -341,35 +346,22 @@ def _run_static_arrays(topology, cfg, q, max_periods, seed_key, wake, collect_ro
     view = topology.arrays
     nodes = view.nodes.tolist()
     n = len(nodes)
+    everyone = np.arange(n)  # every boundary falls in one slot, taken in id order
     keys = [(cfg.master_seed, *seed_key, v, "protocol") for v in nodes]
     protocol = StaticJitterJumpArrays(q, cfg.eta, rngmod.ArrayDraws(rngmod.seed_words(keys)), n)
     src, dst = view.src, view.dst
     listener, beeper = np.concatenate((src, dst)), np.concatenate((dst, src))
-    estimate_bound = np.maximum(2 * view.degree, 1)
-    free_floor = (1.0 - 3.0 * cfg.eta) * q
+    checks = _BoundaryChecks(cfg.eta, q, False, collect_rows)
     has_phase = np.ones(n, dtype=bool)
-    sandwich = floor = monotonic = 0
-    rows: list[TraceRow] = []
+    monotonic = 0
     prev_good = np.zeros(n, dtype=bool)
     converged_period = None
     heard = (np.zeros(0, dtype=np.int64),) * 2  # the first period is listen only
     for k in range(1, max_periods + 1):
         offsets = protocol.on_period_end(*heard)
         report = protocol.last_report
-        if report.period:
-            d_tilde = protocol.d_tilde
-            sandwich += int(np.count_nonzero((d_tilde < 1) | (d_tilde > estimate_bound)))
-        drew = report.free_count >= 0
-        floor += int(np.count_nonzero(drew & (report.free_count < free_floor)))
-        if collect_rows:
-            if report.period:
-                phase, jitter = report.phase.tolist(), report.jitter.tolist()
-                interval = report.interval.tolist()
-            else:
-                phase = jitter = interval = [None] * n
-            labels = _boundary_labels(src, dst, report.phase, protocol.p, protocol.colored, q)
-            rows += map(TraceRow, repeat(report.period), nodes, phase, jitter, interval,
-                        report.colored.tolist(), labels, report.beeps_heard.tolist())
+        checks.on_period_boundary(topology, everyone, report, report.phase, protocol.p,
+                                  protocol.colored, protocol.d_tilde)
         good = _good(src, dst, protocol.p, has_phase, protocol.colored, q)
         monotonic += int(np.count_nonzero(prev_good & ~good))
         prev_good = good
@@ -391,14 +383,13 @@ def _run_static_arrays(topology, cfg, q, max_periods, seed_key, wake, collect_ro
         snapshot=snapshot,
         final_snapshot=snapshot,
         final_labels=dict(zip(nodes, label_names(protocol.colored, ~good))),
-        wake=dict(wake),
-        sandwich_violations=sandwich,
-        free_floor_violations=floor,
+        sandwich_violations=checks.sandwich_violations,
+        free_floor_violations=checks.free_floor_violations,
         monotonic_violations=monotonic,
         beep_bound_violations=0,
         window_observations=0,
         resets=0,
-        rows=rows,
+        rows=checks.rows,
         all_good_periods=[] if converged_period is None else [converged_period],
     )
 
@@ -416,9 +407,7 @@ class BeepFirstResult:
     search_overruns: int
     tie_collisions: int
     snapshot: ColoringSnapshot
-    wake: dict[int, float]
     max_stable_delay: float
-    protocols: dict[int, BeepFirst]
     rows: list[TraceRow] = field(default_factory=list)
 
 
@@ -493,8 +482,6 @@ def run_beepfirst_trial(
         search_overruns=overruns,
         tie_collisions=engine.tie_collisions,
         snapshot=snapshot,
-        wake=wake,
         max_stable_delay=max([0.0, *delays]),
-        protocols=dict(engine.protocols),
         rows=rows,
     )

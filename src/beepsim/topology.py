@@ -11,8 +11,8 @@ File formats (documented in the README):
 
 * edge list   -- one ``u v`` pair per line, 0-based ids; blank lines and
   ``#`` comments ignored.
-* wakeup      -- one ``node time`` pair per line: a slot, or a time in
-  units of T in the continuous model.
+* wakeup      -- one ``node time`` pair per line, nonnegative integers: a
+  slot, or a whole number of periods T in the continuous model.
 * events      -- one event per line: ``<period> add_edge u v``,
   ``<period> remove_edge u v``, ``<period> remove_node v``,
   ``<period> add_node v n1 n2 ...``.

@@ -24,7 +24,15 @@ from beepsim.config import SimConfig
 from beepsim.jitterjump import JitterAndJump, PeriodReport, buffer_length, free_slots
 from beepsim.lowerbound import TwinCouplingStats
 from beepsim.phases import PhaseSet
-from beepsim.topology import _PAIRING_ATTEMPTS, Topology, cycle_of_blocks, link, twin_pairs
+from beepsim.topology import (
+    _PAIRING_ATTEMPTS,
+    Topology,
+    build_wakeup,
+    cycle_of_blocks,
+    link,
+    twin_pairs,
+)
+from beepsim.trace import TraceRow
 
 # a Topology never changes, so one map per graph serves every reference below
 adjacency_of = lru_cache(maxsize=16)(Topology.adjacency)
@@ -492,15 +500,28 @@ def valid_events(topo, candidates):
 
 @contextmanager
 def watch_boundaries(fn):
-    """Call ``fn(engine, v, slot)`` at every per-node period boundary of the
-    runs inside the block, right after the runner's own checks there."""
+    """Call ``fn(engine, v, slot)`` once per per-node period boundary of the
+    engine runs inside the block, in (slot, id) order, right after the
+    runner's boundary pass that covers it: every node then holds the state
+    its boundary left."""
     checks = runner._BoundaryChecks.on_period_boundary
+    watched_to = {}  # engine -> the first slot whose boundaries fn has not seen
 
-    def watched(self, engine, v, slot):
-        checks(self, engine, v, slot)
-        fn(engine, v, slot)
+    def watched(self, *args):
+        checks(self, *args)
+        engine = engines[-1]
+        start, end, q = watched_to.get(engine, 0), engine.slot, engine.q
+        watched_to[engine] = end
+        due = []
+        for v in engine.alive:
+            wake = engine.wake_slot[v]
+            first = wake if wake >= start else start + (wake - start) % q
+            due += [(s, v) for s in range(first, end, q)]
+        for s, v in sorted(due):
+            fn(engine, v, s)
 
-    with mock.patch.object(runner._BoundaryChecks, "on_period_boundary", watched):
+    with capture_engines() as engines, \
+            mock.patch.object(runner._BoundaryChecks, "on_period_boundary", watched):
         yield
 
 
@@ -523,8 +544,10 @@ def capture_engines(name="DiscreteEngine"):
 def run_on_engine(topology, cfg, **kwargs):
     """``run_jitterjump_trial`` with a static run whose nodes all wake at
     slot 0 sent to the per-node engine path instead of the array path."""
-    def engine_path(*args):
-        return runner._run_engine(*args, ())
+    def engine_path(topology, cfg, q, max_periods, seed_key, collect_rows):
+        wake = dict.fromkeys(topology.nodes, 0)
+        return runner._run_engine(topology, cfg, q, max_periods, seed_key, wake,
+                                  collect_rows, ())
 
     with mock.patch.object(runner, "_run_static_arrays", engine_path):
         return runner.run_jitterjump_trial(topology, cfg, **kwargs)
@@ -534,7 +557,14 @@ class ReferenceEngine(DiscreteEngine):
     """The engine with its slot step written out one node and one beeper at a
     time, beepers in id order, each node's heard phases kept as a set, and
     every slot of a run tested for work in turn: the oracle for
-    ``DiscreteEngine.step_slot``, ``pending_phases`` and ``run_slots``."""
+    ``DiscreteEngine.step_slot``, ``pending_phases`` and ``run_slots``.
+
+    ``observer.on_period_boundary(engine, v, slot)``, when given, runs at
+    every node's every boundary, right after the node's boundary step."""
+
+    def __init__(self, *args, observer=None, **kwargs):
+        self.observer = observer
+        super().__init__(*args, **kwargs)
 
     def _admit(self, v, wake):
         super()._admit(v, wake)
@@ -593,6 +623,93 @@ class ReferenceEngine(DiscreteEngine):
                 self.step_slot()
             s += 1
         self.slot = s
+
+
+def label_for(engine, v):
+    """The trace row label of ``v`` read from the protocols as they stand:
+    the oracle, one node at a time, for the labels of
+    ``runner._BoundaryChecks.on_period_boundary``.
+
+    Read while the boundary slot is being stepped, with nodes in id order,
+    a lower-id neighbour sharing the slot is seen after its own boundary
+    step and a higher-id one before it."""
+    proto = engine.protocols[v]
+    if proto.p is None or not proto.colored:
+        return BAD_UNCOLORED
+    q = engine.q
+    pv = (proto.p + engine.wake_slot[v]) % q
+    for u in engine.adj[v]:
+        pu = engine.protocols[u].p
+        if pu is None:
+            continue
+        if wrap_distance((pu + engine.wake_slot[u]) % q, pv, q) <= 1:
+            return BAD_COLORED
+    return GOOD
+
+
+class BoundaryChecks:
+    """``runner._BoundaryChecks`` one boundary at a time, as
+    :class:`ReferenceEngine`'s observer: its oracle."""
+
+    def __init__(self, eta, q, topology, dynamic, collect_rows):
+        self.dynamic = dynamic
+        self.collect_rows = collect_rows
+        self.free_floor = (1.0 - 3.0 * eta) * q
+        self.sandwich_violations = 0
+        self.free_floor_violations = 0
+        self.beep_bound_violations = 0
+        self.window_observations = 0
+        self.rows = []
+        self._degree_at_boundary = {}
+        self._estimate_bound = {v: max(2 * topology.degree(v), 1) for v in topology.nodes}
+
+    def on_period_boundary(self, engine, v, slot):
+        proto = engine.protocols[v]
+        report = proto.last_report
+        if self.dynamic:
+            degree = len(engine.adj[v])
+            # events land on global period boundaries, so during the local
+            # period that just ended the degree was this one or the previous
+            previous = self._degree_at_boundary.get(v, degree)
+            self._degree_at_boundary[v] = degree
+            if report is None:
+                return
+            self.window_observations += 1
+            if report.beeps_heard > 4 * max(previous, degree):
+                self.beep_bound_violations += 1
+        elif report is None:
+            return
+        else:
+            if report.period and not 1 <= proto.d_tilde <= self._estimate_bound[v]:
+                self.sandwich_violations += 1
+            if report.free_count is not None and report.free_count < self.free_floor:
+                self.free_floor_violations += 1
+        if self.collect_rows:
+            self.rows.append(TraceRow(report.period, v, report.phase, report.jitter,
+                                      report.interval, report.colored, label_for(engine, v),
+                                      report.beeps_heard))
+
+
+def boundary_checks_reference(topology, cfg, seed_key, events, periods):
+    """The boundaries of a ``periods``-period ``run_jitterjump_trial`` checked
+    one at a time on :class:`ReferenceEngine`, with every node's draws of
+    the trial: the :class:`BoundaryChecks` and the resets of every protocol
+    the run built, those of removed nodes included."""
+    q = cfg.resolve_q(topology.delta)
+    master = cfg.master_seed
+    wake = build_wakeup(cfg.wakeup, topology.nodes, q, rngmod.stream(master, *seed_key, "wakeup"))
+    window = cfg.window_length(topology.n)
+    built = []
+
+    def factory(v):
+        built.append(JitterAndJump(q, cfg.eta, rngmod.stream(master, *seed_key, v, "protocol"),
+                                   dynamic=cfg.dynamic, window=window))
+        return built[-1]
+
+    checks = BoundaryChecks(cfg.eta, q, topology, cfg.dynamic, collect_rows=True)
+    engine = ReferenceEngine(topology, q, factory, wake, events=events, observer=checks)
+    engine.run_slots(1 + periods * q)
+    return checks, sum(proto.resets for proto in built)
 
 
 def twin_coupling_reference(k, slots, trials, seed, shared_randomness=False):

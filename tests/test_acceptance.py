@@ -36,7 +36,7 @@ from beepsim.cli import main as cli_main
 from beepsim.config import SimConfig
 from beepsim.lowerbound import twin_coupling_experiment
 from beepsim.runner import run_beepfirst_trial, run_jitterjump_trial
-from beepsim.topology import DynamicEvent, clique, gnp, random_regular, star
+from beepsim.topology import DynamicEvent, build_wakeup, clique, gnp, random_regular, star
 
 SEED = 20260810
 ETA = 1.0 / 16.0
@@ -262,15 +262,18 @@ def test_09_balls_and_bins():
 def test_10_hardness_reduction(sweep):
     snapshots = 0
     for n, trials in sweep.items():
-        for t in trials:
+        for i, t in enumerate(trials):
             if not t.converged:
                 continue
             local = {}
             offsets = {}
             states = by_node(t.snapshot)
+            # the trial's own wakeup draws, as run_jitterjump_trial takes them
+            wake = build_wakeup(SimConfig().wakeup, t.topology.nodes, t.q,
+                                rng.stream(SEED, "sweep", n, i, "wakeup"))
             for v in t.topology.nodes:
                 s = states[v]
-                offsets[v] = t.wake[v] % t.q
+                offsets[v] = wake[v] % t.q
                 local[v] = (s.global_phase - offsets[v]) % t.q
             colors = hardness_reduction(local, offsets, t.q, t.topology)
             assert len(set(colors.values())) <= t.q

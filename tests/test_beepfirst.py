@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     LoopBeepFirst,
     by_node,
+    capture_engines,
     first_clear_phase,
     max_neighborhood_degree,
     node_states,
@@ -28,6 +29,13 @@ def offset(epsilon, *key):
     return float(rng.stream(*key).uniform(0.0, epsilon))
 
 
+def trial_protocols(topo, cfg, seed_key):
+    """``run_beepfirst_trial`` and every node's :class:`BeepFirst` from its engine."""
+    with capture_engines("ContinuousEngine") as engines:
+        result = run_beepfirst_trial(topo, cfg, seed_key=seed_key)
+    return result, engines[0].protocols
+
+
 def test_init_formulas_isolated_node():
     proto = BeepFirst(0.1, 0, 0, offset(0.1, 1, "p"))
     gen = proto.run()
@@ -42,10 +50,10 @@ def test_start_offset_is_deterministic_per_stream():
     # so the same key gives the same offsets, and they equal numpy's draw
     topo = gnp(12, 0.3, rng.stream(9, "g"))
     cfg = SimConfig(master_seed=9, epsilon=0.2, wakeup="random")
-    a, b = (run_beepfirst_trial(topo, cfg, seed_key=("offset",)) for _ in range(2))
+    (_, a), (_, b) = (trial_protocols(topo, cfg, ("offset",)) for _ in range(2))
     for v in topo.nodes:
-        assert a.protocols[v].eps_v == b.protocols[v].eps_v
-        assert a.protocols[v].eps_v == offset(0.2, 9, "offset", v, "protocol")
+        assert a[v].eps_v == b[v].eps_v
+        assert a[v].eps_v == offset(0.2, 9, "offset", v, "protocol")
 
 
 def test_first_clear_phase_empty_set():
@@ -81,8 +89,8 @@ def test_first_clear_phase_wrapping_beep_near_period_end():
 
 def test_isolated_node_settles_at_zero():
     topo = Topology.from_edges(1, [])
-    result = run_beepfirst_trial(topo, SimConfig(master_seed=3), seed_key=("iso",))
-    proto = result.protocols[0]
+    result, protocols = trial_protocols(topo, SimConfig(master_seed=3), ("iso",))
+    proto = protocols[0]
     assert proto.stable
     assert proto.p == 0.0
     assert node_states(result.snapshot)[0].interval == pytest.approx(0.45)
@@ -90,15 +98,15 @@ def test_isolated_node_settles_at_zero():
 
 def test_two_node_clique_second_settles_behind_first():
     topo = Topology.from_edges(2, [(0, 1)])
-    result = run_beepfirst_trial(topo, SimConfig(master_seed=11), seed_key=("pair",))
+    result, protocols = trial_protocols(topo, SimConfig(master_seed=11), ("pair",))
     assert result.all_stable
-    p0 = result.protocols[0]
-    p1 = result.protocols[1]
+    p0 = protocols[0]
+    p1 = protocols[1]
     states = by_node(result.snapshot)
     first, second = (0, 1) if p0.stable_since < p1.stable_since else (1, 0)
     # the later node settles exactly its own buffer after the earlier phase
     gap = (states[second].global_phase - states[first].global_phase) % 1.0
-    second_proto = result.protocols[second]
+    second_proto = protocols[second]
     assert gap == pytest.approx(second_proto.b)
 
 
@@ -152,10 +160,10 @@ def test_interval_formula_uses_neighborhood_max_degree():
 def test_search_shorter_than_one_period():
     cfg = SimConfig(master_seed=29)
     topo = clique(12)
-    result = run_beepfirst_trial(topo, cfg, seed_key=("short",))
+    result, protocols = trial_protocols(topo, cfg, ("short",))
     assert result.search_overruns == 0
     for v in topo.nodes:
-        assert result.protocols[v].search_listening < 1.0
+        assert protocols[v].search_listening < 1.0
 
 
 def test_shared_streams_produce_identical_phases_and_a_tie():
@@ -214,8 +222,8 @@ def assert_same_run(topo, cycled, looped):
     for v in topo.nodes:
         assert eng.heard_log(v) == ref_eng.heard_log(v)
         assert eng.theta(v) == ref_eng.theta(v)
-        assert res.protocols[v].stable_since == ref.protocols[v].stable_since
-        assert res.protocols[v].p == ref.protocols[v].p
+        assert eng.protocols[v].stable_since == ref_eng.protocols[v].stable_since
+        assert eng.protocols[v].p == ref_eng.protocols[v].p
     assert eng.tie_collisions == ref_eng.tie_collisions == res.tie_collisions
     assert res.rows == ref.rows
     assert res.snapshot.tau == ref.snapshot.tau

@@ -61,3 +61,17 @@ def test_wrapped_layers_are_called(tmp_path, capsys):
                               "jitterjump.calls", "beepfirst.resumes")
             if not metrics[name] > 0]
     assert idle == []
+
+    # a static run whose nodes all wake at slot 0 takes the array path,
+    # which hands its boundaries to the same pass
+    arrays = spans.Tracer()
+    try:
+        spans.install(arrays, bs)
+        assert bs.cli.main(["static", "--protocol", "jitterjump", "--graph", "random-regular",
+                            "--n", "32", "--delta", "4", "--wakeup", "simultaneous",
+                            "--seed", "7", "--json"]) == 0
+    finally:
+        arrays.restore()
+    capsys.readouterr()
+    assert arrays.metrics()["runner.observer_s"] > 0
+    assert arrays.metrics()["jitterjump.calls"] == 0  # no per-node protocol ran

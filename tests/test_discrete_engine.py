@@ -216,12 +216,25 @@ class HistoryProtocol:
         return tuple(self.heard_periods)
 
 
-class BoundaryLog:
-    def __init__(self):
-        self.rows = []
+def logged(engine_cls, topo, q, wake, events):
+    """An ``engine_cls`` of :class:`HistoryProtocol` nodes, and the log that
+    every protocol call appends its slot, node and resulting state to."""
+    rows = []
 
-    def on_period_boundary(self, engine, v, slot):
-        self.rows.append((slot, v, engine.protocols[v].fingerprint()))
+    def factory(v):
+        proto = HistoryProtocol(v, q)
+        plan = proto.on_period_end
+
+        def on_period_end(heard):
+            offsets = plan(heard)
+            rows.append((engine.slot, v, proto.fingerprint()))
+            return offsets
+
+        proto.on_period_end = on_period_end
+        return proto
+
+    engine = engine_cls(topo, q, factory, wake, events=events)
+    return engine, rows
 
 
 def recording(engine_cls):
@@ -287,10 +300,7 @@ def test_run_slots_matches_stepping_every_slot(case):
     events = valid_events(topo, candidates)
 
     def build(engine_cls):
-        log = BoundaryLog()
-        engine = engine_cls(topo, q, lambda v: HistoryProtocol(v, q), wake,
-                            events=events, observer=log)
-        return engine, log
+        return logged(engine_cls, topo, q, wake, events)
 
     skipping, skip_log = build(recording(DiscreteEngine))
     ref_skipping, _ = build(recording(ReferenceEngine))
@@ -326,4 +336,4 @@ def test_run_slots_matches_stepping_every_slot(case):
             assert engine.alive == reference.alive
             for v in reference.alive:
                 assert engine.fingerprint(v) == reference.fingerprint(v)
-            assert log.rows == ref_log.rows
+            assert log == ref_log

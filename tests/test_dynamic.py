@@ -1,17 +1,17 @@
 """Dynamic mode: second beeps, windowed degree estimate, churn recovery."""
 
 import math
-from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from helpers import by_node, watch_boundaries
 
 from beepsim import rng
 from beepsim.config import SimConfig
 from beepsim.errors import ConfigError
-from beepsim.jitterjump import JitterAndJump, PeriodReport
+from beepsim.jitterjump import JitterAndJump, PeriodArrays
 from beepsim.runner import _BoundaryChecks, run_jitterjump_trial
-from beepsim.topology import DynamicEvent, star
+from beepsim.topology import DynamicEvent, Topology, clique, star
 
 
 def fed_protocol(q=4096, window=1, seed=2):
@@ -103,21 +103,25 @@ def test_beep_bound_allows_the_degree_before_an_event():
 
 def test_beep_bound_is_four_beeps_per_neighbor_at_either_boundary():
     topo = star(5)
-    proto = SimpleNamespace(last_report=None)
-    engine = SimpleNamespace(adj=topo.adjacency(), protocols={0: proto})
-    checks = _BoundaryChecks(1 / 16, 256, topo, dynamic=True, collect_rows=False)
+    checks = _BoundaryChecks(1 / 16, 256, dynamic=True, collect_rows=False)
 
-    def boundary(beeps_heard):
-        proto.last_report = PeriodReport(0, None, None, None, beeps_heard, False, None)
-        checks.on_period_boundary(engine, 0, 0)
+    def stretch(graph, *beeps_heard):
+        # the hub, node 0, reports the beeps it heard, if any are given
+        hub = np.zeros(len(beeps_heard), dtype=np.int64)
+        report = PeriodArrays(hub, hub - 1, hub - 1, hub - 1, np.array(beeps_heard, dtype=np.int64),
+                              hub == 1, hub - 1, hub == 1)
+        checks.on_period_boundary(graph, hub, report, hub - 1, np.full(graph.n, -1),
+                                  np.zeros(graph.n, dtype=bool), hub + 1)
 
-    checks.on_period_boundary(engine, 0, 0)  # wake: no report, degree 4 noted
-    boundary(4 * 4 + 1)
+    stretch(topo)  # wake: no report, degree 4 noted
+    stretch(topo, 4 * 4 + 1)
     assert checks.beep_bound_violations == 1
-    engine.adj[0] -= {3, 4}  # two spokes leave
-    boundary(4 * 4)  # degree 4 -> 2 inside the period: the larger one bounds it
+    # two spokes leave
+    shrunk = Topology.from_adjacency({v: nbrs - {3, 4} for v, nbrs in topo.adjacency().items()
+                                      if v not in (3, 4)})
+    stretch(shrunk, 4 * 4)  # degree 4 -> 2 inside the period: the larger one bounds it
     assert checks.beep_bound_violations == 1
-    boundary(4 * 2 + 1)  # degree 2 at both ends
+    stretch(shrunk, 4 * 2 + 1)  # degree 2 at both ends
     assert checks.beep_bound_violations == 2
 
 
@@ -125,3 +129,13 @@ def test_events_need_a_dynamic_run():
     events = (DynamicEvent(2, "add_node", (17, 0)),)
     with pytest.raises(ConfigError, match="need a dynamic run"):
         run_jitterjump_trial(star(17), SimConfig(master_seed=1, max_periods=4), events=events)
+
+
+def test_resets_count_nodes_removed_later():
+    # node 1 resets after nodes 2-19 leave at period 10 and is itself
+    # removed at period 30: its reset still counts
+    events = tuple(DynamicEvent(10, "remove_node", (v,)) for v in range(2, 20))
+    events += (DynamicEvent(30, "remove_node", (1,)),)
+    cfg = SimConfig(master_seed=3, dynamic=True, r=4, max_periods=40)
+    res = run_jitterjump_trial(clique(20), cfg, seed_key=("x",), events=events)
+    assert res.resets == 9

@@ -1,9 +1,11 @@
 """The runner's per-period good set against the snapshot classifier, its
 snapshots against the protocols, the array path against the per-node
-engine, the trace's row labels, and the stability of per-node draws under
-topology edits."""
+engine, its boundary pass against per-boundary checks, the trace's row
+labels, and the stability of per-node draws under topology edits."""
 
 import dataclasses
+import os
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -11,7 +13,9 @@ import pytest
 from helpers import (
     apply_event,
     beepfirst_states,
+    boundary_checks_reference,
     capture_engines,
+    label_for,
     node_states,
     protocol_states,
     run_on_engine,
@@ -70,20 +74,21 @@ def test_array_good_set_matches_classifier_every_period(case):
     cfg = SimConfig(kappa=128.0, master_seed=seed, wakeup=wakeup, max_periods=10,
                     dynamic=dynamic)
     computed = []
-    good_set = runner._EdgeArrays.good_set
+    good = runner._good
 
-    def recording_good_set(self):
-        # called once per period, after its last slot
-        computed.append(good_set(self))
+    def recording_good(*args):
+        # called once per period, after its last slot, on the arrays read then
+        is_good = good(*args)
         (engine,) = engines
+        computed.append(set(engine.topology.arrays.nodes[is_good].tolist()))
         labels = classify_good_bad(runner.discrete_snapshot(engine), engine.topology)
         assert computed[-1] == {v for v, label in labels.items() if label == GOOD}
         # the trace's per-node labels apply the same rule
-        assert {v: runner._label_for(engine, v) for v in engine.alive} == labels
-        return computed[-1]
+        assert {v: label_for(engine, v) for v in engine.alive} == labels
+        return is_good
 
     with capture_engines() as engines, \
-            mock.patch.object(runner._EdgeArrays, "good_set", recording_good_set):
+            mock.patch.object(runner, "_good", recording_good):
         result = run_on_engine(topo, cfg, seed_key=("good",), events=events)
     assert len(computed) == result.periods_run
     final_good = {v for v, label in result.final_labels.items() if label == GOOD}
@@ -99,17 +104,17 @@ def test_engine_snapshot_reads_every_protocol_every_period(case):
     cfg = SimConfig(kappa=128.0, master_seed=seed, wakeup=wakeup, max_periods=10,
                     dynamic=dynamic)
     checked = []
-    good_set = runner._EdgeArrays.good_set
+    good = runner._good
 
-    def checking_good_set(self):
-        # called once per period, after its last slot
+    def checking_good(*args):
+        # called once per period, after its last slot, on the arrays read then
         (engine,) = engines
         assert node_states(runner.discrete_snapshot(engine)) == protocol_states(engine)
         checked.append(engine.slot)
-        return good_set(self)
+        return good(*args)
 
     with capture_engines() as engines, \
-            mock.patch.object(runner._EdgeArrays, "good_set", checking_good_set):
+            mock.patch.object(runner, "_good", checking_good):
         result = run_on_engine(topo, cfg, seed_key=("snap",), events=events)
     assert len(checked) == result.periods_run
     assert node_states(result.final_snapshot) == protocol_states(engines[0])
@@ -239,3 +244,73 @@ def test_row_label_sees_lower_ids_after_the_shared_boundary_and_higher_ids_befor
     (row,) = [r for r in result.rows if r.period == 1 and r.node == 27]
     assert row.label == BAD_COLORED
     assert result.final_labels[27] == GOOD
+
+
+@st.composite
+def boundary_cases(draw):
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=1, max_value=8))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        topo = Topology.from_edges(n, edges)
+    else:  # enough neighbours sharing boundary slots for labels to read bad-colored
+        n = draw(st.sampled_from((16, 32, 64)))
+        topo = random_regular(n, 4, rngmod.stream(draw(st.integers(0, 2**16)), "g"))
+    q = SimConfig(kappa=128.0).resolve_q(topo.delta)
+    schedule = draw(st.sampled_from(("simultaneous", "random", "stagger", "file")))
+    wake_slots = None
+    if schedule == "stagger":  # a step below Q, or one that leaves nodes asleep for periods
+        schedule = f"stagger:{draw(st.integers(min_value=0, max_value=2 * q))}"
+    elif schedule == "file":
+        wake_slots = draw(st.lists(st.integers(min_value=0, max_value=3 * q),
+                                   min_size=n, max_size=n))
+    dynamic = draw(st.booleans())
+    max_periods = draw(st.integers(min_value=1, max_value=10))
+    period = st.integers(min_value=0, max_value=max_periods)
+    node = st.integers(min_value=0, max_value=n + 1)
+    events = []
+    for at, kind, a, b, rest in draw(st.lists(
+        st.tuples(period, st.sampled_from(("add_node", "remove_node", "add_edge", "remove_edge")),
+                  node, node, st.lists(node, max_size=3)),
+        max_size=10 if dynamic else 0,
+    )):
+        nodes = {"add_node": (a, *rest), "remove_node": (a,)}.get(kind, (a, b))
+        events.append(DynamicEvent(at, kind, nodes))
+    # a node removed and re-added under its id, in the same period or later
+    for at, v, later, rest in draw(st.lists(
+        st.tuples(period, node, period, st.lists(node, max_size=2)),
+        max_size=2 if dynamic else 0,
+    )):
+        events.append(DynamicEvent(at, "remove_node", (v,)))
+        events.append(DynamicEvent(max(at, later), "add_node", (v, *rest)))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    return topo, schedule, wake_slots, dynamic, events, max_periods, seed
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(boundary_cases())
+@example((Topology.from_edges(4, [(0, 1), (0, 2), (0, 3)]), "random", None, True,
+          [DynamicEvent(2, "remove_node", (1,)), DynamicEvent(3, "add_node", (1, 0, 2)),
+           DynamicEvent(4, "add_edge", (2, 3)), DynamicEvent(6, "add_node", (4, 1, 3))], 8, 5))
+def test_boundary_pass_matches_per_boundary_reference(case):
+    # one pass per period over arrays gives the rows, labels and counters
+    # of checking every boundary as it is stepped, for either path
+    topo, wakeup, wake_slots, dynamic, candidates, max_periods, seed = case
+    events = valid_events(topo, candidates)
+    with tempfile.TemporaryDirectory() as tmp:
+        if wake_slots is not None:
+            path = os.path.join(tmp, "wake.txt")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.writelines(f"{v} {slot}\n" for v, slot in enumerate(wake_slots))
+            wakeup = f"file:{path}"
+        cfg = SimConfig(kappa=128.0, master_seed=seed, wakeup=wakeup, max_periods=max_periods,
+                        dynamic=dynamic)
+        result = runner.run_jitterjump_trial(topo, cfg, seed_key=("pass",), events=events,
+                                             collect_rows=True)
+        reference, resets = boundary_checks_reference(topo, cfg, ("pass",), events,
+                                                      result.periods_run)
+    assert result.rows == reference.rows
+    for name in ("sandwich_violations", "free_floor_violations", "beep_bound_violations",
+                 "window_observations"):
+        assert getattr(result, name) == getattr(reference, name), name
+    assert result.resets == resets
