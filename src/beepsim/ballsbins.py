@@ -4,8 +4,10 @@
 exact integer arithmetic from Stirling numbers; ``bb_enumerate``
 cross-checks it without them, by enumerating the C(m+n-1, n-1) occupancy
 vectors and weighting each by the number of placements that produce it;
-``bb_montecarlo`` samples it, in chunks of a fixed number of draws so
-that its memory does not grow with the trial count.  These back the
+``bb_montecarlo`` samples it, in chunks of a fixed number of draws,
+drawing one chunk while a helper thread counts the one before, so that
+it holds two chunks at once and its memory does not grow with the trial
+count.  These back the
 statistical arguments about how many distinct slots a node hears when its
 uncolored neighbors jump to random free slots.
 """
@@ -13,6 +15,8 @@ uncolored neighbors jump to random free slots.
 from __future__ import annotations
 
 import math
+import queue
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -105,37 +109,95 @@ def bb_enumerate(m: int, n: int) -> dict[int, int]:
     return {k: c for k, c in enumerate(counts) if c}
 
 
-MONTECARLO_CHUNK_DRAWS = 393_216  # draws per chunk: about 1.5 MB as int32
+MONTECARLO_CHUNK_DRAWS = 196_608  # draws per chunk: about 0.75 MB as int32; two are held at once
+_BYTE_SUM = np.uint64(0x0101010101010101)  # the top byte of w * this is the sum of w's bytes
 
 
 def bb_montecarlo(m: int, n: int, trials: int, seed: int) -> dict[int, float]:
     """Empirical occupied-bin pmf from independent uniform placements.
 
     Trials are drawn ``MONTECARLO_CHUNK_DRAWS // m`` at a time (at least
-    one), so memory stays fixed however many trials are asked for.  The
-    draws do not depend on the chunk size, and for n <= 2**31 numpy draws
-    int32 and int64 bins by the same 32-bit rule, so the bins are those of
-    one ``integers(0, n, size=(trials, m))`` call.
+    one).  The calling thread draws each chunk while one helper thread
+    counts the chunk before it, so at most two chunks are held at once and
+    memory stays fixed however many trials are asked for.  The helper is
+    joined before this returns, and an error raised in it is raised here.
+    The draws do not depend on the chunk size, and for n <= 2**31 numpy
+    draws int32 and int64 bins by the same 32-bit rule, so the bins are
+    those of one ``integers(0, n, size=(trials, m))`` call.
     """
+    if n < 1 or m < 0:
+        raise ConfigError("need n >= 1 and m >= 0")
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     if m == 0:
         return {0: 1.0}
     rng = stream(seed, "ballsbins")
-    counts = np.zeros(min(m, n) + 1, dtype=np.int64)
     chunk = max(1, MONTECARLO_CHUNK_DRAWS // m)
     dtype = np.int32 if n <= 2**31 else np.int64
-    remaining = trials
-    while remaining:
-        c = min(chunk, remaining)
-        draws = rng.integers(0, n, size=(c, m), dtype=dtype)
-        if n <= 2**15:  # the same bins sort faster as int16
-            draws = draws.astype(np.int16)
-        draws.sort(axis=1)
-        occ = np.count_nonzero(draws[:, 1:] != draws[:, :-1], axis=1) + 1
-        counts += np.bincount(occ, minlength=counts.size)
-        remaining -= c
+    size = min(m, n) + 1
+    # one row per trial: padding of -1, then its bins, in 8-byte words
+    rows = np.full((min(chunk, trials), (m // 8 + 1) * 8), -1,
+                   dtype=np.int16 if n <= 2**15 else dtype)  # the same bins sort faster as int16
+    flags = np.zeros(rows.shape, dtype=np.uint8)
+    flags[0, 0] = 1  # what the flat comparison writes at every other row's start
+    todo, done = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def count_chunks():
+        while (draws := todo.get()) is not None:
+            try:
+                done.put(_count_occupied(draws, rows, flags, size))
+            except BaseException as exc:  # the caller waits on done, so every chunk answers
+                done.put(exc)
+
+    def counted():
+        result = done.get()
+        if isinstance(result, BaseException):
+            raise result
+        return result
+
+    helper = threading.Thread(target=count_chunks, name="bb_montecarlo-count")
+    helper.start()
+    counts = np.zeros(size, dtype=np.int64)
+    try:
+        remaining = trials
+        while remaining:
+            c = min(chunk, remaining)
+            draws = rng.integers(0, n, size=(c, m), dtype=dtype)
+            if remaining < trials:  # the helper has the chunk before this one
+                counts += counted()
+            todo.put(draws)
+            remaining -= c
+        counts += counted()
+    finally:
+        todo.put(None)
+        helper.join()
     return {k: c / trials for k, c in enumerate(counts) if c}
+
+
+def _count_occupied(draws: np.ndarray, rows: np.ndarray, flags: np.ndarray,
+                    size: int) -> np.ndarray:
+    """How many rows of ``draws`` occupy each number of bins, below ``size``.
+
+    Each row's bins are sorted behind its -1 padding in ``rows``, and one
+    flat comparison flags every value that differs from the one before it
+    in ``flags``.  A row's flags then count its distinct bins, plus one
+    where its padding follows the previous row's last bin (``flags[0, 0]``
+    stands in for that on the first row), and summing the bytes of each
+    8-byte word with one multiplication adds them up.
+    """
+    c, m = draws.shape
+    rows, flags = rows[:c], flags[:c]
+    bins = rows[:, -m:]
+    bins[...] = draws
+    bins.sort(axis=1)
+    flat = rows.reshape(-1)
+    np.not_equal(flat[1:], flat[:-1], out=flags.reshape(-1)[1:].view(np.bool_))
+    words = flags.view(np.uint64)
+    occupied = words[:, 0] * _BYTE_SUM >> 56
+    for word in words.T[1:]:
+        occupied += word * _BYTE_SUM >> 56
+    occupied -= 1
+    return np.bincount(occupied.view(np.int64), minlength=size)
 
 
 def amplification_rounds(c: float, p: float, q: float, n: float) -> float:

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -136,6 +138,8 @@ def test_montecarlo_is_seeded():
 @example(1, 2**31 + 1, 1, 0)
 @example(2, 2**15, 7, 3)
 @example(24, 240, 1000, 5)
+@example(8, 240, 1, 2)  # the padding and the bins each fill a whole word
+@example(9, 2**15, 500, 4)  # the padding shares a word with the first bin
 def test_montecarlo_matches_reference(m, n, extra, seed):
     chunk = max(1, MONTECARLO_CHUNK_DRAWS // m)
     trials = 2 * chunk + extra  # three chunks, the last one partial
@@ -144,6 +148,54 @@ def test_montecarlo_matches_reference(m, n, extra, seed):
 
 def test_montecarlo_zero_balls():
     assert bb_montecarlo(0, 4, 100, seed=1) == {0: 1.0}
+
+
+@pytest.mark.parametrize("m, n", [(-1, 4), (3, 0), (0, 0), (0, -2), (-1, 0)])
+def test_montecarlo_rejects_bad_input(m, n):
+    with pytest.raises(ConfigError, match=r"need n >= 1 and m >= 0"):
+        bb_montecarlo(m, n, 100, seed=1)
+    with pytest.raises(ConfigError, match=r"need n >= 1 and m >= 0"):
+        bb_exact(m, n)
+
+
+def test_montecarlo_under_fast_thread_switches():
+    # the calling thread and the counting thread trade the GIL every microsecond
+    m, n = 5, 7
+    trials = 3 * (MONTECARLO_CHUNK_DRAWS // m) + 11  # four chunks, the last one partial
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = bb_montecarlo(m, n, trials, seed=21)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == bb_montecarlo_reference(m, n, trials, seed=21)
+
+
+def test_montecarlo_leaves_no_thread_behind():
+    before = threading.enumerate()
+    bb_montecarlo(24, 240, 3 * (MONTECARLO_CHUNK_DRAWS // 24), seed=3)
+    assert threading.enumerate() == before
+
+
+@pytest.mark.parametrize("failing_chunk", [0, 1, 2])
+def test_montecarlo_raises_a_counting_error(failing_chunk, monkeypatch):
+    count = ballsbins._count_occupied
+    calls = []
+
+    def failing_count(*args):
+        calls.append(threading.current_thread())
+        if len(calls) > failing_chunk:
+            raise ZeroDivisionError("counting failed")
+        return count(*args)
+
+    monkeypatch.setattr(ballsbins, "_count_occupied", failing_count)
+    before = threading.enumerate()
+    with pytest.raises(ZeroDivisionError, match="counting failed"):
+        bb_montecarlo(24, 240, 3 * (MONTECARLO_CHUNK_DRAWS // 24), seed=3)
+    assert threading.enumerate() == before
+    assert len(calls) == failing_chunk + 1  # no chunk is counted after the failing one
+    assert threading.main_thread() not in calls
+    assert not any(thread.is_alive() for thread in calls)
 
 
 def test_amplification_examples():

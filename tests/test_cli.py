@@ -386,3 +386,20 @@ def test_stdout_is_pinned(name, mode, capsys):
     code = run_cli(PINNED_RUNS[name] + (["--json"] if mode == "json" else []))
     assert capsys.readouterr().out == expected["stdout"]
     assert code == expected["exit"]
+
+
+# the oracles have no --json mode, so they are pinned as text only
+PINNED_ORACLES = {
+    "oracle_ballsbins": ["oracle", "ballsbins", "--m", "24", "--n", "240", "--trials", "200000",
+                         "--seed", "5"],
+    "oracle_lowerbound": ["oracle", "lowerbound", "--k", "16", "--slots", "512", "--trials", "20",
+                          "--seed", "5"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ORACLES))
+def test_oracle_stdout_is_pinned(name, capsys):
+    expected = json.loads(STDOUT_PINS.read_text())[name]["text"]
+    code = run_cli(PINNED_ORACLES[name])
+    assert capsys.readouterr().out == expected["stdout"]
+    assert code == expected["exit"]
