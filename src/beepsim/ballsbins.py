@@ -129,8 +129,8 @@ def bb_montecarlo(m: int, n: int, trials: int, seed: int) -> dict[int, float]:
         raise ConfigError("need n >= 1 and m >= 0")
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    if m == 0:
-        return {0: 1.0}
+    if m < 2:  # no ball or one: every trial occupies m bins
+        return {m: 1.0}
     rng = stream(seed, "ballsbins")
     chunk = max(1, MONTECARLO_CHUNK_DRAWS // m)
     dtype = np.int32 if n <= 2**31 else np.int64

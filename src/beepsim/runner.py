@@ -5,11 +5,13 @@ whose adjacency map is the only graph that events change), so trials are
 independent and reproducible from their seed key alone.  Global-knowledge
 checks (degree-estimate bounds, free-slot floor, good-set monotonicity,
 interval validity) are gathered as counters, never enforced inside the
-protocols.  A static jitter-and-jump run whose nodes all wake at slot 0
-steps the whole network over arrays instead of through the engine, with
-the same draws, checks and result; both paths hand every period's
-boundaries to one array pass, :meth:`_BoundaryChecks.on_period_boundary`.
-A beep-first trial draws every node's start offset from its protocol
+protocols.  A jitter-and-jump trial is one period loop: a stepper, over
+arrays for a static run whose nodes all wake at slot 0 and through the
+engine otherwise, steps each period with the same draws, hands its
+boundaries to one array pass, :meth:`_BoundaryChecks.on_period_boundary`,
+and reads the state it leaves; the loop builds the good set, the
+snapshots, the final labels and the result from those reads alone.  A
+beep-first trial draws every node's start offset from its protocol
 stream in one array pass.
 """
 
@@ -46,66 +48,73 @@ def _good(src, dst, phase, has_phase, colored, q) -> np.ndarray:
 
 
 class _Read(NamedTuple):
-    """The engine's nodes as they stand, in id order: the graph, and each
-    node's wake slot, protocol, global phase (-1 where it holds none) and
-    colored flag."""
+    """The nodes as a period leaves them, in id order: the graph, and each
+    node's global phase and interval (-1 where it holds none) and colored
+    flag."""
 
     topology: Topology
-    wake: np.ndarray
-    protocols: list
     phase: np.ndarray
+    interval: np.ndarray
     colored: np.ndarray
+
+
+def _ints(values) -> np.ndarray:
+    """``values`` as an int array, -1 where a value is ``None``."""
+    return np.array([-1 if x is None else x for x in values], dtype=np.int64)
+
+
+def _wake(engine: DiscreteEngine, nodes: np.ndarray) -> np.ndarray:
+    """The wake slot of each of ``nodes``."""
+    return np.array([engine.wake_slot[v] for v in nodes.tolist()], dtype=np.int64)
 
 
 def _read(engine: DiscreteEngine) -> _Read:
     """Every protocol of ``engine`` read once into arrays."""
     topology = engine.topology
-    nodes = topology.arrays.nodes.tolist()
-    protocols = [engine.protocols[v] for v in nodes]
-    wake = np.array([engine.wake_slot[v] for v in nodes], dtype=np.int64)
-    local = np.array([-1 if pr.p is None else pr.p for pr in protocols], dtype=np.int64)
-    colored = np.array([pr.colored for pr in protocols], dtype=bool)
-    phase = np.where(local < 0, -1, (local + wake) % engine.q)
-    return _Read(topology, wake, protocols, phase, colored)
+    nodes = topology.arrays.nodes
+    protocols = [engine.protocols[v] for v in nodes.tolist()]
+    local = _ints([pr.p for pr in protocols])
+    phase = np.where(local < 0, -1, (local + _wake(engine, nodes)) % engine.q)
+    return _Read(topology, phase, _ints([pr.interval for pr in protocols]),
+                 np.array([pr.colored for pr in protocols], dtype=bool))
 
 
-def discrete_snapshot(engine: DiscreteEngine) -> ColoringSnapshot:
-    """Every node's global phase, interval and colored flag, read from its protocol."""
-    read = _read(engine)
-    interval = np.array([-1 if pr.interval is None else pr.interval for pr in read.protocols],
-                        dtype=np.int64)
-    return ColoringSnapshot.from_arrays(engine.q, read.topology.arrays.nodes, read.phase,
-                                        read.phase >= 0, interval, interval >= 0, read.colored)
+def discrete_snapshot(read: _Read, q: int) -> ColoringSnapshot:
+    """Every node's global phase, interval and colored flag as ``read`` holds them."""
+    return ColoringSnapshot.from_arrays(q, read.topology.arrays.nodes, read.phase,
+                                        read.phase >= 0, read.interval, read.interval >= 0,
+                                        read.colored)
 
 
-def _reported(read: _Read, q: int, start: int, width: int) -> tuple:
+def _reported(engine: DiscreteEngine, read: _Read, start: int, width: int) -> tuple:
     """The arguments of :meth:`_BoundaryChecks.on_period_boundary` for the
     engine's boundaries in slots [start, start + width), ``width`` at most
-    Q, read once every node has passed its boundary there.
+    Q, with ``read`` taken once every node has passed its boundary there.
 
     A node's state changes only at its own boundaries, one per Q slots,
     so each node then holds what its boundary there left, report
     included.  A node reports there exactly when it woke before
     ``start``; one that wakes inside only starts listening.
     """
-    gap = (read.wake - start) % q  # a node's boundary falls in slot start + gap
-    at = np.flatnonzero((read.wake < start) & (gap < width))
+    q, nodes = engine.q, read.topology.arrays.nodes
+    wake = _wake(engine, nodes)
+    gap = (wake - start) % q  # a node's boundary falls in slot start + gap
+    at = np.flatnonzero((wake < start) & (gap < width))
     order = at[np.argsort(gap[at], kind="stable")]  # by slot, then by id
-    protocols = [read.protocols[i] for i in order.tolist()]
+    protocols = [engine.protocols[v] for v in nodes[order].tolist()]
     columns = zip(*[pr.last_report for pr in protocols]) if protocols else \
         [()] * len(PeriodArrays._fields)
-    period, phase, jitter, interval, heard, colored, free_count, reset = (
-        np.array([-1 if x is None else x for x in col], dtype=np.int64) for col in columns)
+    period, phase, jitter, interval, heard, colored, free_count, reset = map(_ints, columns)
     report = PeriodArrays(period, phase, jitter, interval, heard, colored.astype(bool),
                           free_count, reset.astype(bool))
     d_tilde = np.array([pr.d_tilde for pr in protocols], dtype=np.int64)
-    before = np.where(period > 0, (phase + read.wake[order]) % q, -1)
+    before = np.where(period > 0, (phase + wake[order]) % q, -1)
     return read.topology, order, report, before, read.phase, read.colored, d_tilde
 
 
 class _BoundaryChecks:
     """The boundary checks, trace rows and row labels of a trial, one
-    stretch of at most Q slots at a time, for both discrete runners."""
+    stretch of at most Q slots at a time, for both period steppers."""
 
     def __init__(self, eta: float, q: int, dynamic: bool, collect_rows: bool):
         self.q = q
@@ -217,12 +226,6 @@ class JitterJumpResult:
         return None
 
 
-def _protocol_streams(master: int, seed_key: tuple, nodes) -> dict:
-    """Each node's protocol stream, keyed ``(master, *seed_key, v, "protocol")``."""
-    keys = [(master, *seed_key, v, "protocol") for v in nodes]
-    return dict(zip(nodes, rngmod.streams(keys)))
-
-
 def run_jitterjump_trial(
     topology: Topology,
     cfg: SimConfig,
@@ -235,11 +238,15 @@ def run_jitterjump_trial(
     A static run stops at convergence; a dynamic run (``cfg.dynamic``)
     runs all ``max_periods`` periods so that it sees every event.
 
-    A static run in which every node wakes at slot 0 steps the whole
-    network one period at a time over arrays (see
-    :func:`_run_static_arrays`); every other run drives one
-    :class:`JitterAndJump` per node through the :class:`DiscreteEngine`
-    (see :func:`_run_engine`).  Both give the same result, draw for draw.
+    One loop runs the trial a period at a time; a stepper steps each
+    period, hands its boundaries to the boundary checks and reads the
+    state it leaves.  A static run in which every node wakes at slot 0
+    steps the whole network over arrays (:class:`_ArraySteps`); every
+    other run drives one :class:`JitterAndJump` per node through the
+    :class:`DiscreteEngine` (:class:`_EngineSteps`).  Both give the same
+    result, draw for draw.  The loop takes the good set, good-set
+    monotonicity and convergence from each period's read, and the
+    snapshots and final labels from the read of the period they are of.
     """
     q = cfg.resolve_q(topology.delta)
     n = topology.n
@@ -250,81 +257,46 @@ def run_jitterjump_trial(
         if ev.at_period > max_periods:
             raise ConfigError(f"event at period {ev.at_period} comes after the last "
                               f"period {max_periods}")
-    master = cfg.master_seed
     wake = build_wakeup(
-        cfg.wakeup, topology.nodes, q, rngmod.stream(master, *seed_key, "wakeup")
+        cfg.wakeup, topology.nodes, q, rngmod.stream(cfg.master_seed, *seed_key, "wakeup")
     )
-    if not cfg.dynamic and not any(wake.values()):
-        return _run_static_arrays(topology, cfg, q, max_periods, seed_key, collect_rows)
-    return _run_engine(topology, cfg, q, max_periods, seed_key, wake, collect_rows, events)
-
-
-def _run_engine(topology, cfg, q, max_periods, seed_key, wake, collect_rows, events):
-    """:func:`run_jitterjump_trial` on the :class:`DiscreteEngine`, one
-    :class:`JitterAndJump` per node, for any wakeup and any events.
-
-    Each period runs to its last slot but one, when every node has passed
-    its boundary of the period's stretch of Q slots, for the boundary
-    checks; then its last slot, which applies the next period's events,
-    for the good set."""
-    master = cfg.master_seed
-    window = cfg.window_length(topology.n)
-    # the initial nodes' streams in one batch; a node added by an event,
-    # or re-added under a removed node's id, builds its own
-    initial = _protocol_streams(master, seed_key, topology.nodes)
-
-    def factory(v: int) -> JitterAndJump:
-        gen = initial.pop(v, None)
-        if gen is None:
-            gen = rngmod.stream(master, *seed_key, v, "protocol")
-        return JitterAndJump(q, cfg.eta, gen, dynamic=cfg.dynamic, window=window)
-
     checks = _BoundaryChecks(cfg.eta, q, cfg.dynamic, collect_rows)
-    engine = DiscreteEngine(topology, q, factory, wake, events=events)
+    if not cfg.dynamic and not any(wake.values()):
+        steps = _ArraySteps(topology, cfg, q, seed_key, checks)
+    else:
+        steps = _EngineSteps(topology, cfg, q, seed_key, checks, wake, events)
 
     monotonic_violations = 0
-    prev_good: set[int] = set()
-    converged_period = None
-    snapshot = None
+    was_good = np.zeros(0, dtype=np.int64)  # the ids good after the previous period
+    converged_period = snapshot = None
     all_good_periods: list[int] = []
-
-    engine.run_slots(1)  # wake processing and the events of period 0 at slot 0
     for k in range(1, max_periods + 1):
-        engine.run_slots(q - 1)
-        checks.on_period_boundary(*_reported(_read(engine), q, (k - 1) * q, q))
-        engine.run_slots(1)  # slot kQ applies the events of period k
-        read = _read(engine)
+        read = steps.step()
         view = read.topology.arrays
-        good = set(view.nodes[_good(view.src, view.dst, read.phase, read.phase >= 0,
-                                    read.colored, q)].tolist())
-        lost = (prev_good & engine.alive) - good
+        good = _good(view.src, view.dst, read.phase, read.phase >= 0, read.colored, q)
+        # good after the previous period, still there and good no longer
+        lost = np.intersect1d(was_good, view.nodes[~good], assume_unique=True)
         monotonic_violations += len(lost)
-        prev_good = good
-        if good == engine.alive and engine.alive:
+        was_good = view.nodes[good]
+        if good.size and good.all():
             all_good_periods.append(k)
             if converged_period is None:
                 converged_period = k
-                snapshot = discrete_snapshot(engine)
+                snapshot = discrete_snapshot(read, q)
             if not cfg.dynamic:
                 break
-    checks.on_period_boundary(*_reported(read, q, k * q, 1))  # the boundaries at slot kQ
+    steps.finish(read)
 
-    if snapshot is None or cfg.dynamic:
-        final_snapshot = discrete_snapshot(engine)
-    else:  # a static run stops at convergence, so the state has not moved
-        final_snapshot = snapshot
-    final_labels = classify_good_bad(final_snapshot, engine.topology)
-    if snapshot is None:
-        snapshot = final_snapshot
-
+    # a static run stops at convergence, so its last read is the converged one
+    final_snapshot = snapshot if converged_period == k else discrete_snapshot(read, q)
     return JitterJumpResult(
-        topology=engine.topology,
+        topology=read.topology,
         q=q,
         converged_period=converged_period,
         periods_run=k,
-        snapshot=snapshot,
+        snapshot=final_snapshot if snapshot is None else snapshot,
         final_snapshot=final_snapshot,
-        final_labels=final_labels,
+        final_labels=classify_good_bad(final_snapshot, read.topology),
         sandwich_violations=checks.sandwich_violations,
         free_floor_violations=checks.free_floor_violations,
         monotonic_violations=monotonic_violations,
@@ -336,62 +308,75 @@ def _run_engine(topology, cfg, q, max_periods, seed_key, wake, collect_rows, eve
     )
 
 
-def _run_static_arrays(topology, cfg, q, max_periods, seed_key, collect_rows):
-    """:func:`run_jitterjump_trial` for a static run whose nodes all wake at
-    slot 0: one :class:`StaticJitterJumpArrays` step and one
-    :func:`deliver_window` per period, with the boundary checks, the good
-    set, the trace rows, the final labels and the snapshot of the per-node
-    run computed from the same arrays.  The result holds ``topology``
-    itself, which nothing changes."""
-    view = topology.arrays
-    nodes = view.nodes.tolist()
-    n = len(nodes)
-    everyone = np.arange(n)  # every boundary falls in one slot, taken in id order
-    keys = [(cfg.master_seed, *seed_key, v, "protocol") for v in nodes]
-    protocol = StaticJitterJumpArrays(q, cfg.eta, rngmod.ArrayDraws(rngmod.seed_words(keys)), n)
-    src, dst = view.src, view.dst
-    listener, beeper = np.concatenate((src, dst)), np.concatenate((dst, src))
-    checks = _BoundaryChecks(cfg.eta, q, False, collect_rows)
-    has_phase = np.ones(n, dtype=bool)
-    monotonic = 0
-    prev_good = np.zeros(n, dtype=bool)
-    converged_period = None
-    heard = (np.zeros(0, dtype=np.int64),) * 2  # the first period is listen only
-    for k in range(1, max_periods + 1):
-        offsets = protocol.on_period_end(*heard)
-        report = protocol.last_report
-        checks.on_period_boundary(topology, everyone, report, report.phase, protocol.p,
-                                  protocol.colored, protocol.d_tilde)
-        good = _good(src, dst, protocol.p, has_phase, protocol.colored, q)
-        monotonic += int(np.count_nonzero(prev_good & ~good))
-        prev_good = good
-        if n and good.all():
-            converged_period = k
-            break
-        heard = deliver_window(listener, beeper, offsets, q)
+class _EngineSteps:
+    """The periods of a trial on the :class:`DiscreteEngine`, one
+    :class:`JitterAndJump` per node, for any wakeup and any events.
 
-    interval = protocol.interval  # None after the first period only
-    snapshot = ColoringSnapshot.from_arrays(
-        q, view.nodes, protocol.p, has_phase,
-        np.zeros(n, dtype=np.int64) if interval is None else interval,
-        np.full(n, interval is not None), protocol.colored)
-    return JitterJumpResult(
-        topology=topology,
-        q=q,
-        converged_period=converged_period,
-        periods_run=k,
-        snapshot=snapshot,
-        final_snapshot=snapshot,
-        final_labels=dict(zip(nodes, label_names(protocol.colored, ~good))),
-        sandwich_violations=checks.sandwich_violations,
-        free_floor_violations=checks.free_floor_violations,
-        monotonic_violations=monotonic,
-        beep_bound_violations=0,
-        window_observations=0,
-        resets=0,
-        rows=checks.rows,
-        all_good_periods=[] if converged_period is None else [converged_period],
-    )
+    Each period runs to its last slot but one, when every node has passed
+    its boundary of the period's stretch of Q slots, for the boundary
+    checks; then its last slot, which applies the next period's events,
+    for the read."""
+
+    def __init__(self, topology, cfg, q, seed_key, checks, wake, events):
+        master = cfg.master_seed
+        window = cfg.window_length(topology.n)
+        # the initial nodes' streams in one batch; a node added by an event,
+        # or re-added under a removed node's id, builds its own
+        keys = [(master, *seed_key, v, "protocol") for v in topology.nodes]
+        initial = dict(zip(topology.nodes, rngmod.streams(keys)))
+
+        def factory(v: int) -> JitterAndJump:
+            gen = initial.pop(v, None)
+            if gen is None:
+                gen = rngmod.stream(master, *seed_key, v, "protocol")
+            return JitterAndJump(q, cfg.eta, gen, dynamic=cfg.dynamic, window=window)
+
+        self.checks = checks
+        self.engine = DiscreteEngine(topology, q, factory, wake, events=events)
+        self.engine.run_slots(1)  # wake processing and the events of period 0 at slot 0
+
+    def step(self) -> _Read:
+        engine, q = self.engine, self.engine.q
+        engine.run_slots(q - 1)
+        self.checks.on_period_boundary(*_reported(engine, _read(engine), engine.slot - q, q))
+        engine.run_slots(1)  # slot kQ applies the events of period k
+        return _read(engine)
+
+    def finish(self, read: _Read) -> None:
+        """Check the boundaries at slot kQ, the last slot run."""
+        self.checks.on_period_boundary(*_reported(self.engine, read, self.engine.slot - 1, 1))
+
+
+class _ArraySteps:
+    """The periods of a static trial whose nodes all wake at slot 0, over
+    arrays: one :func:`deliver_window` of the previous period's beeps and
+    one :class:`StaticJitterJumpArrays` step each.  Every boundary falls in
+    one slot, taken in id order."""
+
+    def __init__(self, topology, cfg, q, seed_key, checks):
+        view = topology.arrays
+        keys = [(cfg.master_seed, *seed_key, v, "protocol") for v in view.nodes.tolist()]
+        draws = rngmod.ArrayDraws(rngmod.seed_words(keys))
+        self.protocol = StaticJitterJumpArrays(q, cfg.eta, draws, len(keys))
+        self.topology, self.q, self.checks = topology, q, checks
+        self.edges = np.concatenate((view.src, view.dst)), np.concatenate((view.dst, view.src))
+        self.offsets = None  # the first period is listen only
+
+    def step(self) -> _Read:
+        protocol, n = self.protocol, self.topology.n
+        heard = (np.zeros(0, dtype=np.int64),) * 2 if self.offsets is None else \
+            deliver_window(*self.edges, self.offsets, self.q)
+        self.offsets = protocol.on_period_end(*heard)
+        report = protocol.last_report
+        self.checks.on_period_boundary(self.topology, np.arange(n), report, report.phase,
+                                       protocol.p, protocol.colored, protocol.d_tilde)
+        interval = protocol.interval  # None after the first period only
+        return _Read(self.topology, protocol.p,
+                     np.full(n, -1, dtype=np.int64) if interval is None else interval,
+                     protocol.colored)
+
+    def finish(self, read: _Read) -> None:
+        """Nothing: each step checks the boundaries it runs."""
 
 
 # -- continuous-model trials -------------------------------------------------

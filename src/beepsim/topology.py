@@ -343,6 +343,8 @@ def parse_wakeup(text: str) -> dict[int, int]:
             raise ConfigError(f"wakeup line {lineno}: {exc}") from exc
         if slot < 0:
             raise ConfigError(f"wakeup line {lineno}: slot must be nonnegative")
+        if node in out:
+            raise ConfigError(f"wakeup line {lineno}: node {node} is listed twice")
         out[node] = slot
     return out
 

@@ -543,13 +543,12 @@ def capture_engines(name="DiscreteEngine"):
 
 def run_on_engine(topology, cfg, **kwargs):
     """``run_jitterjump_trial`` with a static run whose nodes all wake at
-    slot 0 sent to the per-node engine path instead of the array path."""
-    def engine_path(topology, cfg, q, max_periods, seed_key, collect_rows):
+    slot 0 stepped by the per-node engine instead of over arrays."""
+    def engine_steps(topology, cfg, q, seed_key, checks):
         wake = dict.fromkeys(topology.nodes, 0)
-        return runner._run_engine(topology, cfg, q, max_periods, seed_key, wake,
-                                  collect_rows, ())
+        return runner._EngineSteps(topology, cfg, q, seed_key, checks, wake, ())
 
-    with mock.patch.object(runner, "_run_static_arrays", engine_path):
+    with mock.patch.object(runner, "_ArraySteps", engine_steps):
         return runner.run_jitterjump_trial(topology, cfg, **kwargs)
 
 

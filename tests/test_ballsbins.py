@@ -136,6 +136,7 @@ def test_montecarlo_is_seeded():
     st.integers(min_value=0, max_value=2**16),
 )
 @example(1, 2**31 + 1, 1, 0)
+@example(1, 3, 7, 5)  # one ball: a single occupied bin in every trial
 @example(2, 2**15, 7, 3)
 @example(24, 240, 1000, 5)
 @example(8, 240, 1, 2)  # the padding and the bins each fill a whole word

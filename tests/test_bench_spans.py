@@ -63,7 +63,8 @@ def test_wrapped_layers_are_called(tmp_path, capsys):
     assert idle == []
 
     # a static run whose nodes all wake at slot 0 takes the array path,
-    # which hands its boundaries to the same pass
+    # which hands its boundaries to the same pass and runs the same trial
+    # loop, snapshots and final classification included
     arrays = spans.Tracer()
     try:
         spans.install(arrays, bs)
@@ -74,4 +75,6 @@ def test_wrapped_layers_are_called(tmp_path, capsys):
         arrays.restore()
     capsys.readouterr()
     assert arrays.metrics()["runner.observer_s"] > 0
+    assert arrays.metrics()["runner.snapshot_s"] > 0
+    assert arrays.metrics()["analysis.classify_calls"] > 0
     assert arrays.metrics()["jitterjump.calls"] == 0  # no per-node protocol ran

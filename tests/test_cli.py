@@ -316,6 +316,16 @@ def test_beepfirst_file_wakeup(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["failures"] == []
 
 
+def test_wakeup_file_with_a_repeated_node_exits_2(tmp_path, capsys):
+    schedule = tmp_path / "wake.txt"
+    schedule.write_text("0 5\n0 7\n")
+    code = run_cli(["static", "--graph", "clique:3", "--wakeup", f"file:{schedule}"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "wakeup line 2: node 0 is listed twice" in captured.err
+    assert "all validators passed" not in captured.out
+
+
 @pytest.mark.parametrize("graph", ["clique:6:junk", "gnp:16:0.2:3", "random-regular:16"])
 def test_graph_spec_with_wrong_field_count_exits_2(graph, capsys):
     code = run_cli(["static", "--graph", graph])

@@ -67,6 +67,7 @@ def trial_cases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(trial_cases())
+@example((Topology.from_edges(2, [(0, 1)]), "stagger:68", False, [], 39400))  # the set shrinks
 def test_array_good_set_matches_classifier_every_period(case):
     topo, wakeup, dynamic, candidates, seed = case
     events = valid_events(topo, candidates)
@@ -74,6 +75,7 @@ def test_array_good_set_matches_classifier_every_period(case):
     cfg = SimConfig(kappa=128.0, master_seed=seed, wakeup=wakeup, max_periods=10,
                     dynamic=dynamic)
     computed = []
+    alive = []
     good = runner._good
 
     def recording_good(*args):
@@ -81,7 +83,9 @@ def test_array_good_set_matches_classifier_every_period(case):
         is_good = good(*args)
         (engine,) = engines
         computed.append(set(engine.topology.arrays.nodes[is_good].tolist()))
-        labels = classify_good_bad(runner.discrete_snapshot(engine), engine.topology)
+        alive.append(set(engine.alive))
+        labels = classify_good_bad(runner.discrete_snapshot(runner._read(engine), engine.q),
+                                   engine.topology)
         assert computed[-1] == {v for v, label in labels.items() if label == GOOD}
         # the trace's per-node labels apply the same rule
         assert {v: label_for(engine, v) for v in engine.alive} == labels
@@ -91,6 +95,10 @@ def test_array_good_set_matches_classifier_every_period(case):
             mock.patch.object(runner, "_good", recording_good):
         result = run_on_engine(topo, cfg, seed_key=("good",), events=events)
     assert len(computed) == result.periods_run
+    # a node good after one period, still there and not good after the next
+    shrank = sum(len((was & there) - now)
+                 for was, now, there in zip([set(), *computed], computed, alive))
+    assert result.monotonic_violations == shrank
     final_good = {v for v, label in result.final_labels.items() if label == GOOD}
     assert final_good == computed[-1]
     assert result.final_labels == classify_good_bad(result.final_snapshot, result.topology)
@@ -109,7 +117,8 @@ def test_engine_snapshot_reads_every_protocol_every_period(case):
     def checking_good(*args):
         # called once per period, after its last slot, on the arrays read then
         (engine,) = engines
-        assert node_states(runner.discrete_snapshot(engine)) == protocol_states(engine)
+        assert node_states(runner.discrete_snapshot(runner._read(engine), engine.q)) == \
+            protocol_states(engine)
         checked.append(engine.slot)
         return good(*args)
 

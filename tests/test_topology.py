@@ -254,6 +254,10 @@ def test_wakeup_parsing_and_builders():
     assert stag == {0: 0, 1: 4, 2: 8}
     with pytest.raises(ConfigError):
         build_wakeup("never", nodes, 16, rng.stream(1))
+    with pytest.raises(ConfigError, match=r"wakeup line 3: node 0 is listed twice"):
+        parse_wakeup("0 5\n# comment\n0 7\n")
+    # nodes outside the graph stay allowed: one file serves a --n sweep
+    assert parse_wakeup("0 5\n9 7\n") == {0: 5, 9: 7}
 
 
 def test_wakeup_builder_serves_the_continuous_model():
