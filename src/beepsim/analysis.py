@@ -91,11 +91,11 @@ class ColoringSnapshot:
             colored=np.append(colored, False),
         ))
 
-    def global_phases(self) -> dict[int, float | int]:
-        """The global phase of every node that holds one, by node id."""
+    def global_phases(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ids, ascending, of the nodes holding a global phase, and their phases."""
         arrs = self._arrays
         held = arrs.has_phase[:len(arrs.ids)]
-        return dict(zip(arrs.ids[held].tolist(), arrs.phase[:-1][held].tolist()))
+        return arrs.ids[held], arrs.phase[:-1][held]
 
 
 @dataclass(frozen=True)
@@ -178,30 +178,26 @@ def classify_good_bad(snapshot: ColoringSnapshot, topology: Topology) -> dict[in
     return dict(zip(view.nodes.tolist(), label_names(arrs.colored[own], bad)))
 
 
-def hardness_reduction(
-    local_phases: dict[int, int], offsets: dict[int, int], q: int, topology: Topology
-) -> dict[int, int]:
+def hardness_reduction(ids: np.ndarray, phases: np.ndarray, offsets: np.ndarray, q: int,
+                       topology: Topology) -> np.ndarray:
     """Turn phases plus clock offsets into a proper vertex coloring.
 
-    Colors are c_v = (p_v + theta_v) mod Q.  A valid snapshot can never
-    produce two adjacent equal colors; if it does, something upstream is
-    broken, so that case raises instead of returning, naming the first
-    such edge (u, v) in id order.
+    Node ``ids[i]``, ids ascending, gets the color (phases[i] + offsets[i])
+    mod Q, returned at index i.  A valid snapshot can never produce two
+    adjacent equal colors; if it does, something upstream is broken, so
+    that case raises instead of returning, naming the first such edge
+    (u, v) in id order.
     """
-    colors = {v: (local_phases[v] + offsets[v]) % q for v in local_phases}
-    ids = np.fromiter(colors, dtype=np.int64, count=len(colors))
-    order = np.argsort(ids)
-    values = np.array([*colors.values(), 0])[np.append(order, len(ids))]  # by id, then a filler
+    colors = (phases + offsets) % q
+    values = np.append(colors, 0)  # then a filler for the nodes not in ``ids``
     view = topology.arrays
-    own = _positions(ids[order], view.nodes)
+    own = _positions(ids, view.nodes)
     iu, iv = own[view.src], own[view.dst]
     same = (iu < len(ids)) & (iv < len(ids)) & (values[iu] == values[iv])
     first = np.flatnonzero(same)
     if first.size:
-        u, v = int(view.u[first[0]]), int(view.v[first[0]])
-        raise InternalInconsistencyError(f"adjacent nodes {u} and {v} share color {colors[u]}")
-    if len(set(colors.values())) > q:
-        raise InternalInconsistencyError("more colors than slots")
+        u, v, color = view.u[first[0]], view.v[first[0]], values[iu[first[0]]]
+        raise InternalInconsistencyError(f"adjacent nodes {u} and {v} share color {color.item()}")
     return colors
 
 

@@ -14,11 +14,14 @@ CSV output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 from fractions import Fraction
+
+import numpy as np
 
 from . import rng as rngmod
 from .analysis import (
@@ -70,7 +73,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="print a JSON summary")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(prog="beepsim",
                                      description="beeping-network interval coloring simulator")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -285,11 +290,12 @@ def _validate_jitterjump(result, cfg, failures: list[str], tag: str, events=()) 
         if not events and (report.min_normalized_interval is not None
                            and report.min_normalized_interval < 1.0):
             failures.append(f"{tag}: interval below the guaranteed floor")
-        phases = snapshot.global_phases()
-        offsets = {v: 0 for v in phases}
+        ids, phases = snapshot.global_phases()
         try:
-            colors = hardness_reduction(phases, offsets, result.q, result.topology)
-            entry["colors_used"] = len(set(colors.values()))
+            colors = hardness_reduction(ids, phases, np.zeros_like(phases), result.q,
+                                        result.topology)
+            # distinct colors: each color >= 0 differs from the -1 before it
+            entry["colors_used"] = int(np.count_nonzero(np.diff(np.sort(colors), prepend=-1)))
         except InternalInconsistencyError as exc:
             failures.append(f"{tag}: vertex coloring reduction failed: {exc}")
     return entry

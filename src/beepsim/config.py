@@ -39,6 +39,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.eta <= 1.0 / 16.0:
             raise ConfigError(f"eta must lie in (0, 1/16], got {self.eta}")
+        if not math.isfinite(self.kappa):
+            raise ConfigError(f"kappa must be finite, got {self.kappa}")
         if self.kappa < 4.0 / self.eta:
             raise ConfigError(
                 f"kappa={self.kappa} too small; need kappa >= 4/eta = {4.0 / self.eta}"
@@ -53,9 +55,12 @@ class SimConfig:
             raise ConfigError("master_seed must be an integer")
 
     def resolve_q(self, delta: int) -> int:
-        """Slots per period for a topology with maximum degree ``delta``."""
+        """Slots per period for a topology with maximum degree ``delta``; at
+        most 2**32, the largest bound a slot draw takes (``rng.RawDraws``)."""
         d = max(int(delta), 1)
         q = self.kappa * d
+        if q > 2**32:
+            raise ConfigError(f"kappa*delta = {q:g} slots exceeds the 2**32 a slot draw covers")
         q_int = int(round(q))
         if abs(q - q_int) > 1e-9:
             raise ConfigError(f"kappa*delta = {q} is not an integer slot count")

@@ -144,12 +144,17 @@ def _run_batch(topo: Topology, k: int, q: int, eta: float, batch: range, seed: i
     b, c = base + pairs[:, 0], base + pairs[:, 1]
     alike = np.ones((m, k), dtype=bool)
     if last:
-        twin = {v: idx for idx, pair in enumerate(pairs.tolist()) for v in pair}
         # cycle_of_blocks numbers its nodes 0 .. n-1, so ids are row indices
-        keys = [(seed, t, "twin", twin[v], "protocol") if shared and v in twin
-                else (seed, t, v, "protocol") for t in batch for v in range(n)]
-        draws = rngmod.ArrayDraws(rngmod.seed_words(keys))
-        protocol = StaticJitterJumpArrays(q, eta, draws, m * n)
+        trial, node = np.repeat(np.asarray(batch), n), np.tile(np.arange(n), m)
+        twin = np.full(n, -1)
+        if shared:  # a twin takes its pair's stream
+            twin[pairs] = np.arange(k)[:, None]
+        pair = twin[node]
+        own = pair < 0
+        words = np.empty((m * n, 4), dtype=np.uint64)
+        words[own] = rngmod.seed_words(seed, trial[own], node[own], "protocol")
+        words[~own] = rngmod.seed_words(seed, trial[~own], "twin", pair[~own], "protocol")
+        protocol = StaticJitterJumpArrays(q, eta, rngmod.ArrayDraws(words), m * n)
         view = topo.arrays
         src, dst = (base + view.src).ravel(), (base + view.dst).ravel()
         listener, beeper = np.concatenate((src, dst)), np.concatenate((dst, src))

@@ -9,9 +9,11 @@ stream in id order (see ``topology.build_wakeup``), and a node re-added
 under a removed node's id gets that node's key, so it replays its draws.
 
 A key's stream is ``PCG64`` seeded by numpy's ``SeedSequence`` over the
-encoded key.  :func:`seed_words` computes the seed words of a whole batch
-of keys as array operations, from the keys' entropy rows to the hash,
-with values identical to
+encoded key.  :func:`seed_words` seeds many keys at once from one key
+written as parts: an int or str that every row shares, or an int array
+with one entry per row, as in ``(master, trial, nodes, "protocol")``.  It
+hashes all rows together as array operations, each shared part encoded
+and hashed once, with values identical to
 ``np.random.SeedSequence(entropy).generate_state(4, np.uint64)``.
 
 A jitter-and-jump node draws through :class:`RawDraws`: it reads its
@@ -41,64 +43,26 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
 
 
-def _encode(part) -> int:
+def _encode(part) -> np.ndarray:
+    """A key part encoded as uint64: an int array entry by entry, or an int
+    or str as one entry of shape (1,), which broadcasts against the rows;
+    an int keeps its low 63 bits and a str is its CRC-32."""
+    if isinstance(part, np.ndarray):
+        if part.dtype.kind not in "iu" or part.ndim != 1:
+            raise TypeError(f"stream key arrays must be 1-d int arrays, got {part.dtype}")
+        return part.astype(np.uint64) & np.uint64(_MASK)  # as int & _MASK wraps
     if isinstance(part, (int, np.integer)):
-        return int(part) & _MASK
+        return np.array([int(part) & _MASK], dtype=np.uint64)
     if isinstance(part, str):
-        return zlib.crc32(part.encode("utf-8"))
+        return np.array([zlib.crc32(part.encode("utf-8"))], dtype=np.uint64)
     raise TypeError(f"stream key parts must be int or str, got {type(part)!r}")
 
 
-def _encode_column(parts: tuple) -> np.ndarray:
-    """``_encode`` of every part, as uint64: a column whose parts are all
-    one value is encoded once, and one of plain ints in a single cast
-    (an int64 that wraps keeps the 63 bits the mask keeps)."""
-    kinds, first = set(map(type, parts)), parts[0]
-    if len(kinds) == 1 and parts.count(first) == len(parts):
-        return np.full(len(parts), _encode(first), dtype=np.uint64)
-    if kinds == {int}:
-        try:
-            return np.array(parts, dtype=np.int64).view(np.uint64) & np.uint64(_MASK)
-        except OverflowError:
-            pass
-    return np.fromiter(map(_encode, parts), dtype=np.uint64, count=len(parts))
-
-
-def _entropy_rows(keys: list) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The keys as SeedSequence sees their entropy tuples, grouped by
-    length: (row indices, uint32 words) pairs.  Each part is one
-    little-endian word, or two when it is 2**32 or more, and a row is
-    padded with zero words to the pool size as the pool's first fill is."""
-    sizes = np.fromiter(map(len, keys), dtype=np.int64, count=len(keys))
-    if not sizes.all():
-        raise ValueError("stream key must not be empty")
-    groups = []
-    # distinct values by bincount: np.unique would import numpy.ma, about 0.7 MB
-    for size in np.flatnonzero(np.bincount(sizes)).tolist():
-        rows = np.flatnonzero(sizes == size)
-        same = keys if len(rows) == len(keys) else [keys[i] for i in rows.tolist()]
-        parts = [_encode_column(col) for col in zip(*same)]
-        wide = [col > _WORD for col in parts]
-        at = np.zeros(len(rows), dtype=np.int64)  # each row's next word
-        places = []
-        for col, two in zip(parts, wide):
-            places.append(at)
-            at = at + 1 + two
-        for count in np.flatnonzero(np.bincount(at)).tolist():
-            sel = np.flatnonzero(at == count)
-            words = np.zeros((len(sel), max(count, _POOL)), dtype=np.uint32)
-            every = np.arange(len(sel))
-            for col, two, place in zip(parts, wide, places):
-                col, two, place = col[sel], two[sel], place[sel]
-                words[every, place] = col & _WORD
-                words[every[two], place[two] + 1] = col[two] >> np.uint64(32)
-            groups.append((rows[sel], words))
-    return groups
-
-
-def _seed_states(entropy: np.ndarray) -> np.ndarray:
-    """``SeedSequence(row).generate_state(4, np.uint64)`` for every row of
-    a (keys, words) uint32 array, one array operation per hash step."""
+def _seed_states(rows: int, entropy: list, count) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` for ``rows`` rows,
+    one array operation per hash step.  uint32 word i of every row is
+    ``entropy[i]``, of shape (rows,), or (1,) when the rows share it; a row
+    holds ``count`` words, or all of ``entropy`` when that is None."""
     h = _INIT_A
 
     def hashmix(value):
@@ -112,17 +76,19 @@ def _seed_states(entropy: np.ndarray) -> np.ndarray:
         r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
         return r ^ (r >> np.uint32(16))
 
-    pool = [hashmix(entropy[:, i]) for i in range(_POOL)]
+    pool = [hashmix(entropy[i]) for i in range(_POOL)]
     for src in range(_POOL):
         for dst in range(_POOL):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL, entropy.shape[1]):
+    # each later word mixes into every pool word, in rows that hold it
+    for src in range(_POOL, len(entropy)):
         for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+            mixed = mix(pool[dst], hashmix(entropy[src]))
+            pool[dst] = mixed if count is None else np.where(src < count, mixed, pool[dst])
 
     h = _INIT_B
-    state = np.empty((entropy.shape[0], 2 * _POOL), dtype="<u4")
+    state = np.empty((rows, 2 * _POOL), dtype="<u4")
     for i in range(2 * _POOL):
         value = pool[i % _POOL] ^ np.uint32(h)
         h = h * _MULT_B & _WORD
@@ -258,30 +224,47 @@ class ArrayDraws:
         return out
 
 
-def seed_words(keys) -> np.ndarray:
+def seed_words(*key) -> np.ndarray:
     """``SeedSequence(encoded key).generate_state(4, np.uint64)`` for each
-    key, as the rows of a (keys, 4) uint64 array.  Keys whose entropy has
-    the same number of words are hashed together."""
-    keys = list(keys)
-    out = np.empty((len(keys), _POOL), dtype=np.uint64)
-    if len(keys) == 1:  # for one key numpy's own pass is the cheaper one
-        if not keys[0]:
-            raise ValueError("stream key must not be empty")
-        seed = np.random.SeedSequence([_encode(part) for part in keys[0]])
-        out[0] = seed.generate_state(_POOL, np.uint64)
-    elif keys:
-        for rows, entropy in _entropy_rows(keys):
-            out[rows] = _seed_states(entropy)
-    return out
+    row of ``key``, as the rows of a (rows, 4) uint64 array.  A part of
+    ``key`` is an int or str that every row shares or a 1-d int array with
+    one entry per row; a key of shared parts alone is one row."""
+    if not key:
+        raise ValueError("stream key must not be empty")
+    parts = [_encode(part) for part in key]
+    lengths = {len(col) for part, col in zip(key, parts) if isinstance(part, np.ndarray)}
+    if not lengths:  # for one row numpy's own pass is the cheaper one
+        seed = np.random.SeedSequence([int(col[0]) for col in parts])
+        return seed.generate_state(_POOL, np.uint64)[None]
+    if len(lengths) > 1:
+        raise ValueError(f"stream key arrays differ in length: {sorted(lengths)}")
+    (rows,) = lengths
+    wide = [col > _WORD for col in parts]  # a part is one entropy word, or two from 2**32 on
+    if all(w.all() or not w.any() for w in wide):  # every row's words in the same places
+        entropy, count = [], None
+        for col, w in zip(parts, wide):
+            entropy += [col & _WORD, col >> _U32][:1 + bool(w.any())]
+    else:  # a part wide in some rows only moves the words after it there
+        every, at = np.arange(rows), np.zeros(rows, dtype=np.int64)
+        words = np.zeros((rows, 2 * len(parts)), dtype=np.uint64)
+        for col, w in zip(parts, wide):
+            col, w = np.broadcast_to(col, rows), np.broadcast_to(w, rows)
+            words[every, at] = col & _WORD
+            words[every[w], at[w] + 1] = col[w] >> _U32
+            at = at + 1 + w
+        entropy, count = list(words.T[:at.max()]), at
+    entropy = [col.astype(np.uint32) for col in entropy]
+    entropy += [np.zeros(1, dtype=np.uint32)] * (_POOL - len(entropy))
+    return _seed_states(rows, entropy, count)
 
 
-def streams(keys) -> list[np.random.Generator]:
-    """Independent generators for a batch of key tuples, in order; each
-    equals ``Generator(PCG64(SeedSequence(encoded key)))``."""
+def streams(*key) -> list[np.random.Generator]:
+    """One generator per row of ``seed_words(*key)``, in order; each equals
+    ``Generator(PCG64(SeedSequence(encoded row key)))``."""
     return [np.random.Generator(np.random.PCG64(_SeedWords(words)))
-            for words in seed_words(keys)]
+            for words in seed_words(*key)]
 
 
 def stream(*key) -> np.random.Generator:
-    """Independent generator for the given key tuple."""
-    return streams([key])[0]
+    """Independent generator for the given key of shared parts."""
+    return streams(*key)[0]

@@ -322,8 +322,8 @@ class _EngineSteps:
         window = cfg.window_length(topology.n)
         # the initial nodes' streams in one batch; a node added by an event,
         # or re-added under a removed node's id, builds its own
-        keys = [(master, *seed_key, v, "protocol") for v in topology.nodes]
-        initial = dict(zip(topology.nodes, rngmod.streams(keys)))
+        nodes = topology.arrays.nodes
+        initial = dict(zip(nodes.tolist(), rngmod.streams(master, *seed_key, nodes, "protocol")))
 
         def factory(v: int) -> JitterAndJump:
             gen = initial.pop(v, None)
@@ -355,9 +355,9 @@ class _ArraySteps:
 
     def __init__(self, topology, cfg, q, seed_key, checks):
         view = topology.arrays
-        keys = [(cfg.master_seed, *seed_key, v, "protocol") for v in view.nodes.tolist()]
-        draws = rngmod.ArrayDraws(rngmod.seed_words(keys))
-        self.protocol = StaticJitterJumpArrays(q, cfg.eta, draws, len(keys))
+        draws = rngmod.ArrayDraws(rngmod.seed_words(cfg.master_seed, *seed_key, view.nodes,
+                                                    "protocol"))
+        self.protocol = StaticJitterJumpArrays(q, cfg.eta, draws, topology.n)
         self.topology, self.q, self.checks = topology, q, checks
         self.edges = np.concatenate((view.src, view.dst)), np.concatenate((view.dst, view.src))
         self.offsets = None  # the first period is listen only
@@ -411,7 +411,7 @@ def run_beepfirst_trial(
     # each node's start offset is the first draw of its protocol stream
     view = topology.arrays
     ids = view.nodes.tolist()
-    words = rngmod.seed_words([(master, *seed_key, v, "protocol") for v in ids])
+    words = rngmod.seed_words(master, *seed_key, view.nodes, "protocol")
     eps_v = rngmod.ArrayDraws(words).uniform(np.arange(len(ids)), cfg.epsilon)
     known = dict(zip(ids, zip(view.degree.tolist(), view.dmax.tolist(), eps_v.tolist())))
 

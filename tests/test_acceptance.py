@@ -13,6 +13,7 @@ Shared runs: the convergence sweep of gate 3 also feeds gates 4, 5, 7,
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from helpers import (
     by_node,
@@ -275,7 +276,10 @@ def test_10_hardness_reduction(sweep):
                 s = states[v]
                 offsets[v] = wake[v] % t.q
                 local[v] = (s.global_phase - offsets[v]) % t.q
-            colors = hardness_reduction(local, offsets, t.q, t.topology)
+            ids = sorted(local)
+            colors = dict(zip(ids, hardness_reduction(
+                np.array(ids), np.array([local[v] for v in ids]),
+                np.array([offsets[v] for v in ids]), t.q, t.topology).tolist()))
             assert len(set(colors.values())) <= t.q
             snapshots += 1
     gate(

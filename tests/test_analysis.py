@@ -86,23 +86,31 @@ def test_classification_wraps_and_ignores_phaseless():
     assert labels2[0] == "good"  # a neighbor without a phase cannot conflict
 
 
+def reduce(phases, offsets, q, topology):
+    """``hardness_reduction`` on dicts by node id, with its colors as one."""
+    ids = sorted(phases)
+    colors = hardness_reduction(np.array(ids, dtype=np.int64), np.array([phases[v] for v in ids]),
+                                np.array([offsets[v] for v in ids]), q, topology)
+    return dict(zip(ids, colors.tolist()))
+
+
 def test_hardness_reduction_examples():
     topo = Topology.from_edges(1, [])
-    colors = hardness_reduction({0: 0}, {0: 7}, 16, topo)
+    colors = reduce({0: 0}, {0: 7}, 16, topo)
     assert colors == {0: 7}
 
     topo2 = Topology.from_edges(2, [(0, 1)])
-    colors2 = hardness_reduction({0: 3, 1: 9}, {0: 0, 1: 0}, 16, topo2)
+    colors2 = reduce({0: 3, 1: 9}, {0: 0, 1: 0}, 16, topo2)
     assert colors2[0] != colors2[1]
 
 
 def test_hardness_reduction_rejects_improper_input():
     topo = Topology.from_edges(2, [(0, 1)])
     with pytest.raises(InternalInconsistencyError):
-        hardness_reduction({0: 3, 1: 3}, {0: 0, 1: 0}, 16, topo)
+        reduce({0: 3, 1: 3}, {0: 0, 1: 0}, 16, topo)
     # equal colors via offsets also caught
     with pytest.raises(InternalInconsistencyError):
-        hardness_reduction({0: 3, 1: 1}, {0: 0, 1: 2}, 16, topo)
+        reduce({0: 3, 1: 1}, {0: 0, 1: 2}, 16, topo)
 
 
 def test_neighbor_phase_ties_counts_exact_equality():
@@ -206,10 +214,10 @@ def test_hardness_reduction_matches_the_loop(case, data):
         expected = hardness_reduction_reference(phases, offsets, q, topo)
     except InternalInconsistencyError as exc:
         with pytest.raises(InternalInconsistencyError) as got:
-            hardness_reduction(phases, offsets, q, topo)
+            reduce(phases, offsets, q, topo)
         assert str(got.value) == str(exc)
     else:
-        assert hardness_reduction(phases, offsets, q, topo) == expected
+        assert reduce(phases, offsets, q, topo) == expected
 
 
 def test_array_passes_on_an_empty_graph():
@@ -220,7 +228,7 @@ def test_array_passes_on_an_empty_graph():
     assert symmetric_window_violations(snapshot, empty) == []
     assert neighbor_phase_ties(snapshot, empty) == 0
     assert classify_good_bad(snapshot_of(8, ()), empty) == {}
-    assert hardness_reduction({}, {}, 8, empty) == {}
+    assert reduce({}, {}, 8, empty) == {}
 
 
 def test_classification_measures_distance_from_the_neighbor():
@@ -255,7 +263,7 @@ def _outputs(snapshot, topo):
             symmetric_window_violations(snapshot, topo),
             list(classify_good_bad(snapshot, topo).items()),
             neighbor_phase_ties(snapshot, topo),
-            list(snapshot.global_phases().items()))
+            [column.tolist() for column in snapshot.global_phases()])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -287,7 +295,7 @@ def test_global_phases_skip_nodes_without_one(case):
     snapshot, _ = case
     expected = {s.node: s.global_phase for s in node_states(snapshot)
                 if s.global_phase is not None}
-    phases = snapshot.global_phases()
+    phases = dict(zip(*(column.tolist() for column in snapshot.global_phases())))
     assert list(phases.items()) == list(expected.items())
     assert all(type(v) is int for v in phases)
     assert all(type(p) is type(snapshot.tau) for p in phases.values())

@@ -2,13 +2,17 @@
 
 import dataclasses
 import json
+import math
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from beepsim import cli
+from beepsim import cli, runner
 from beepsim.cli import main
+from beepsim.config import SimConfig
+from beepsim.errors import ConfigError
 from beepsim.trace import COLUMNS
 
 
@@ -80,6 +84,40 @@ def test_bad_kappa_is_config_error(capsys):
     ])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kappa, message", [
+    ("nan", "kappa must be finite, got nan"),
+    ("inf", "kappa must be finite, got inf"),
+    # Q = 2e9 * 3 slots: draws from 2**32 on would no longer match numpy's
+    ("2e9", "kappa*delta = 6e+09 slots exceeds the 2**32 a slot draw covers"),
+])
+def test_kappa_without_a_valid_slot_count_exits_2(kappa, message, capsys, monkeypatch):
+    def no_steps(*args):
+        raise AssertionError("a trial stepped")
+
+    # the slot count is checked before a trial takes its first step
+    monkeypatch.setattr(runner._ArraySteps, "__init__", no_steps)
+    code = run_cli(["static", "--graph", "clique:4", f"--kappa={kappa}"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_colors_used_counts_distinct_colors(capsys, monkeypatch):
+    # color 0 counts like any other
+    monkeypatch.setattr(cli, "hardness_reduction", lambda *args: np.array([0, 5, 0, 3]))
+    assert run_cli(["static", "--graph", "clique:4", "--json"]) == 0
+    (trial,) = json.loads(capsys.readouterr().out)["sizes"][0]["trials"]
+    assert trial["colors_used"] == 3
+
+
+def test_slot_count_is_capped_at_2_to_the_32():
+    assert SimConfig(kappa=2.0**30).resolve_q(4) == 2**32
+    with pytest.raises(ConfigError, match="exceeds the 2"):
+        SimConfig(kappa=2.0**30 + 1).resolve_q(4)
+    for kappa in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="kappa must be finite"):
+            SimConfig(kappa=kappa)
 
 
 @pytest.mark.parametrize("flags", [
@@ -411,5 +449,18 @@ PINNED_ORACLES = {
 def test_oracle_stdout_is_pinned(name, capsys):
     expected = json.loads(STDOUT_PINS.read_text())[name]["text"]
     code = run_cli(PINNED_ORACLES[name])
+    assert capsys.readouterr().out == expected["stdout"]
+    assert code == expected["exit"]
+
+
+def test_parser_is_built_once_and_survives_a_bad_argv(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["static", "--graph", "clique:4", "--trials", "0"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    # the same parser then reads the next argv as a fresh process would
+    expected = json.loads(STDOUT_PINS.read_text())["fail"]["text"]
+    code = run_cli(PINNED_RUNS["fail"])
     assert capsys.readouterr().out == expected["stdout"]
     assert code == expected["exit"]

@@ -175,12 +175,11 @@ def protocol_seed_words(run, topology, cfg):
     words = {}
     seed_words = rngmod.seed_words  # rng.streams and the array path seed through it
 
-    def recording(keys):
-        keys = list(keys)
-        rows = seed_words(keys)
-        for key, row in zip(keys, rows):
-            if key[-1] == "protocol":
-                words[key[-2]] = row.tolist()
+    def recording(*key):
+        rows = seed_words(*key)
+        if key[-1] == "protocol":  # the node ids are the part before, a column or one id
+            for v, row in zip(np.broadcast_to(key[-2], len(rows)).tolist(), rows):
+                words[v] = row.tolist()
         return rows
 
     with mock.patch.object(rngmod, "seed_words", recording):
