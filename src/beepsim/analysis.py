@@ -215,7 +215,10 @@ def fit_log_growth(ns, values) -> tuple[float, float]:
     ys = list(values)
     if len(xs) != len(ys) or not xs:
         raise ValueError("need equally many sizes and values")
-    c = sum(x * y for x, y in zip(xs, ys)) / sum(x * x for x in xs)
+    norm = sum(x * x for x in xs)
+    if not norm:
+        raise ValueError("ln(n) is 0 at every size: need a size above 1")
+    c = sum(x * y for x, y in zip(xs, ys)) / norm
     mean_x = sum(xs) / len(xs)
     mean_y = sum(ys) / len(ys)
     var = sum((x - mean_x) ** 2 for x in xs)

@@ -211,7 +211,8 @@ def _campaign(args, sizes: list[int], summary: dict, run_trial, check) -> list[s
 
 def _convergence_summary(summary: dict) -> None:
     """Each size's median and max convergence period over its converged
-    trials, and the C*ln(n) fit of the medians once two sizes have one."""
+    trials, and the C*ln(n) fit of the medians once two sizes have one
+    and one of them is above 1."""
     medians, used_sizes = [], []
     for size_entry in summary["sizes"]:
         periods = sorted(entry["converged_period"] for entry in size_entry["trials"]
@@ -223,7 +224,7 @@ def _convergence_summary(summary: dict) -> None:
             if size_entry["n"] is not None:
                 medians.append(med)
                 used_sizes.append(size_entry["n"])
-    if len(used_sizes) >= 2:
+    if len(used_sizes) >= 2 and max(used_sizes) > 1:
         summary["log_fit_constant"], summary["log_fit_slope"] = \
             fit_log_growth(used_sizes, medians)
 

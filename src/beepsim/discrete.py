@@ -32,7 +32,9 @@ harness reads the protocols between calls to ``run_slots``.
 
 When every node wakes at slot 0 and beeps once per period, one period is
 one window of Q slots for the whole network, and :func:`deliver_window`
-delivers it in one array pass instead of slot by slot.
+delivers it in one array pass instead of slot by slot; the static
+jitter-and-jump stepper ``StaticJitterJumpArrays.step`` calls it once per
+period.
 """
 
 from __future__ import annotations
@@ -82,7 +84,6 @@ class DiscreteEngine:
         self._factory = protocol_factory
         self.protocols: dict[int, object] = {}
         self.wake_slot: dict[int, int] = {}
-        self.alive: set[int] = set()
         self._last_wake = 0  # no node wakes after this slot
         self._heard: dict[int, list[int]] = {}
         self._scheduled: dict[int, set[int]] = {}
@@ -101,7 +102,6 @@ class DiscreteEngine:
             raise ConfigError(f"node {v} would wake in the past (slot {wake})")
         self.wake_slot[v] = wake
         self._last_wake = max(self._last_wake, wake)
-        self.alive.add(v)
         self.protocols[v] = self._factory(v)
         self._heard[v] = []
         self._scheduled[v] = set()
@@ -116,7 +116,6 @@ class DiscreteEngine:
         # drop the node's queued beeps and boundary, so a node re-added
         # under the same id does not inherit them; a list left empty goes
         # too, so that its slot stays silent
-        self.alive.discard(v)
         del self._heard[v]
         beeps = self._beeps
         for t in self._scheduled.pop(v):

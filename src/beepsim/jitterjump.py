@@ -15,8 +15,9 @@ the estimate is rebuilt and the node gives its slot up, which lets the
 network recover larger intervals after the neighborhood shrinks.
 
 :class:`StaticJitterJumpArrays` steps the static protocol of a whole
-network whose nodes all woke at slot 0, one period at a time over arrays,
-with every node's draws unchanged.
+network whose nodes all woke at slot 0, one period at a time over arrays:
+each step delivers the period's beeps through ``discrete.deliver_window``
+and digests them, with every node's draws unchanged.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .discrete import deliver_window
 from .errors import ProtocolViolation
 from .rng import ArrayDraws, RawDraws
 
@@ -241,64 +243,74 @@ class _FreeGaps:
 
 class PeriodArrays(NamedTuple):
     """:class:`PeriodReport` of many nodes as arrays indexed alike;
-    ``period`` is one int when all share it, ``None`` stands where the
-    field is ``None`` for all nodes, -1 in ``free_count`` where a node drew
-    no slot, and ``reset`` is ``None`` for the static protocol, which
-    never resets."""
+    ``period`` is one int when all share it, and -1 stands where the
+    per-node field is ``None``: in ``phase``, ``jitter`` and ``interval``
+    before a node's first phase draw, and in ``free_count`` where a node
+    drew no slot."""
 
     period: int | np.ndarray
-    phase: np.ndarray | None
-    jitter: np.ndarray | None
-    interval: np.ndarray | None
+    phase: np.ndarray
+    jitter: np.ndarray
+    interval: np.ndarray
     beeps_heard: np.ndarray
     colored: np.ndarray
     free_count: np.ndarray
-    reset: np.ndarray | None = None
+    reset: np.ndarray
 
 
 class StaticJitterJumpArrays:
-    """The static :class:`JitterAndJump` of ``n`` nodes that all woke at
-    slot 0, stepped together: node ``i`` draws from stream ``i`` of
-    ``draws`` exactly what it would draw through :class:`RawDraws`, so
-    every state field and report equals the per-node protocol's.
+    """The static :class:`JitterAndJump` of a whole network whose nodes all
+    woke at slot 0, stepped together: node ``i`` draws from row ``i`` of
+    ``words`` (rows of ``rng.seed_words``) exactly what it would draw
+    through :class:`RawDraws`, and hears its neighbours as the engine
+    would deliver them, so every state field and report equals the
+    per-node protocol's.  ``src`` and ``dst`` list each edge once, as node
+    indices.
 
-    ``p``, ``jitter`` and ``interval`` are ``None`` until the first period
-    that sets them, then int arrays; ``colored`` and ``d_tilde`` are
-    arrays throughout.
+    ``p``, ``jitter`` and ``interval`` hold -1 until the first period that
+    sets them; a static node never resets.
     """
 
-    def __init__(self, q: int, eta: float, draws: ArrayDraws, n: int):
+    def __init__(self, q: int, eta: float, words: np.ndarray, src: np.ndarray,
+                 dst: np.ndarray):
+        n = len(words)
         self.q = q
         self.eta = eta
-        self._draws = draws
+        self._draws = ArrayDraws(words)
+        self._edges = np.concatenate((src, dst)), np.concatenate((dst, src))
         self._all = np.arange(n)
+        self._no_reset = np.zeros(n, dtype=bool)
         self.colored = np.zeros(n, dtype=bool)
-        self.p: np.ndarray | None = None
-        self.jitter: np.ndarray | None = None
+        self.p = self.jitter = self.interval = np.full(n, -1, dtype=np.int64)
         self.d_tilde = np.ones(n, dtype=np.int64)
-        self.interval: np.ndarray | None = None
         self.period = 0
         self.last_report: PeriodArrays | None = None
 
-    def on_period_end(self, owner: np.ndarray, phase: np.ndarray) -> np.ndarray:
-        """Digest one finished period and return each node's beep offset.
+    def step(self) -> np.ndarray:
+        """Deliver the period that just ended, digest it and return each
+        node's beep offset for the next one.
 
-        ``owner`` and ``phase`` list the phases heard, ascending by node
-        and then by phase (see ``discrete.deliver_window``); the first
-        period is listen only for every node, so nothing is heard in it.
+        Every node beeps once in the period, at the offset the previous
+        step returned; the first period is listen only for every node, so
+        nothing is heard in it.
         """
         q, p, n = self.q, self.p, len(self._all)
+        if self.period:
+            # the heard phases, ascending by node and then by phase
+            owner, phase = deliver_window(*self._edges, (p + self.jitter) % q, q)
+        else:
+            owner = phase = np.zeros(0, dtype=np.int64)
         n_heard = np.bincount(owner, minlength=n)
         d_tilde = np.maximum(n_heard, 1)
         b = np.maximum(np.floor(self.eta * q / (d_tilde + 1)).astype(np.int64), 1)
-        colored, interval = self.colored, None
+        colored = self.colored
         if self.period:
             # the window checks of JitterAndJump.on_period_end, by each
             # heard phase's distance d back from the node's own phase
             d = (p[owner] - phase) % q
             gap = np.full(n, q, dtype=np.int64)
             np.minimum.at(gap, owner, d)
-            interval = self.interval = np.maximum(gap - 1, 0)
+            self.interval = np.maximum(gap - 1, 0)
             b_at = b[owner]
             in_buffer = np.bincount(owner[(b_at - d) % q <= 2 * b_at % q], minlength=n) > 0
             near = np.bincount(owner[(1 - d) % q <= 3 % q], minlength=n) > 0
@@ -307,7 +319,7 @@ class StaticJitterJumpArrays:
 
         free_count = np.full(n, -1, dtype=np.int64)
         redraw = np.flatnonzero(~colored)
-        if p is None:  # nothing heard and no phase held: every slot is free
+        if not self.period:  # nothing heard and no phase held: every slot is free
             free_count[:] = q
             new_p = self._draws.below(self._all, free_count)
         else:
@@ -323,9 +335,8 @@ class StaticJitterJumpArrays:
                 new_p[redraw] = gaps.nth(self._draws.below(redraw, gaps.counts))
         jitter = self._draws.below(self._all, np.full(n, 2))
 
-        self.last_report = PeriodArrays(
-            self.period, p, self.jitter, interval, n_heard, colored, free_count
-        )
+        self.last_report = PeriodArrays(self.period, p, self.jitter, self.interval, n_heard,
+                                        colored, free_count, self._no_reset)
         self.p, self.jitter = new_p, jitter
         self.period += 1
         # modular, as JitterAndJump's: no beep leaves the period's window

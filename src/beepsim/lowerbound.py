@@ -10,11 +10,10 @@ measures all three effects on real protocol executions.
 
 Every node wakes at slot 0 and the graph never changes, so the trials'
 graphs are stacked into one block-diagonal graph and run as static
-jitter-and-jump on arrays (``StaticJitterJumpArrays`` and
-``discrete.deliver_window``), one array pass per period, each node with
-the draws it would take through its own engine.  The statistics are
-taken once per period, and they equal those of comparing every twin
-pair's whole engine state in every slot:
+jitter-and-jump on arrays, one ``StaticJitterJumpArrays.step`` per
+period, each node with the draws it would take through its own engine.
+The statistics are taken once per period, and they equal those of
+comparing every twin pair's whole engine state in every slot:
 
 - through slot Q, where the first boundary falls, every node holds its
   initial state, so slots [0, Q] count as identical for every pair;
@@ -44,7 +43,6 @@ import numpy as np
 
 from . import rng as rngmod
 from .config import SimConfig
-from .discrete import deliver_window
 from .errors import ConfigError
 from .jitterjump import StaticJitterJumpArrays
 from .topology import Topology, cycle_of_blocks, twin_pairs
@@ -154,17 +152,15 @@ def _run_batch(topo: Topology, k: int, q: int, eta: float, batch: range, seed: i
         words = np.empty((m * n, 4), dtype=np.uint64)
         words[own] = rngmod.seed_words(seed, trial[own], node[own], "protocol")
         words[~own] = rngmod.seed_words(seed, trial[~own], "twin", pair[~own], "protocol")
-        protocol = StaticJitterJumpArrays(q, eta, rngmod.ArrayDraws(words), m * n)
         view = topo.arrays
-        src, dst = (base + view.src).ravel(), (base + view.dst).ravel()
-        listener, beeper = np.concatenate((src, dst)), np.concatenate((dst, src))
-        heard = (np.zeros(0, dtype=np.int64),) * 2  # the first period is listen only
+        protocol = StaticJitterJumpArrays(q, eta, words, (base + view.src).ravel(),
+                                          (base + view.dst).ravel())
 
     divergences = same_state = mismatches = 0
     for j in range(last + 1):
         start, stop = j * q + (j > 0), min((j + 1) * q + 1, slots)
         if j:
-            offsets = protocol.on_period_end(*heard)
+            offsets = protocol.step()
             # boundary slot jQ ends stretch j-1: a pair alike through it acts
             # differently there when exactly one twin now beeps at offset 0
             beeps_now = offsets == 0
@@ -176,8 +172,6 @@ def _run_batch(topo: Topology, k: int, q: int, eta: float, batch: range, seed: i
                 same &= alike
                 divergences += int(np.count_nonzero(alike)) - int(np.count_nonzero(same))
             alike = same
-            if j < last:
-                heard = deliver_window(listener, beeper, offsets, q)
         same_state += int(np.count_nonzero(alike)) * (stop - start)
         held = int(np.count_nonzero(alike.any(axis=1)))
         retained[start] += held
@@ -193,8 +187,7 @@ def _alike_after_boundary(protocol: StaticJitterJumpArrays, b: np.ndarray,
     same = np.ones(b.shape, dtype=bool)
     for row in (protocol.p, protocol.jitter, protocol.colored, protocol.d_tilde,
                 protocol.interval):
-        if row is not None:  # the interval is None after the first boundary
-            same &= row[b] == row[c]
+        same &= row[b] == row[c]
     return same
 
 

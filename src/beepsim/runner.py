@@ -28,7 +28,7 @@ from .analysis import ColoringSnapshot, classify_good_bad, label_names, phases_c
 from .beepfirst import BeepFirst
 from .config import SimConfig
 from .continuous import CONTINUOUS_PERIOD, ContinuousEngine
-from .discrete import DiscreteEngine, deliver_window
+from .discrete import DiscreteEngine
 from .errors import ConfigError, ProtocolViolation
 from .jitterjump import JitterAndJump, PeriodArrays, StaticJitterJumpArrays
 from .topology import DynamicEvent, Topology, TopologyArrays, build_wakeup
@@ -130,7 +130,7 @@ class _BoundaryChecks:
         self._last: TopologyArrays | None = None  # the graph of the previous stretch
 
     def on_period_boundary(self, topology: Topology, order: np.ndarray, report: PeriodArrays,
-                           before, after: np.ndarray, colored: np.ndarray,
+                           before: np.ndarray, after: np.ndarray, colored: np.ndarray,
                            d_tilde: np.ndarray) -> None:
         """Check the boundaries at which the nodes ``order`` reported in one
         stretch, in which the graph was ``topology``.
@@ -138,7 +138,7 @@ class _BoundaryChecks:
         ``order`` indexes ``topology.arrays.nodes`` in the order of the
         boundaries, by slot and then by id; ``report``, ``d_tilde`` and
         ``before``, each node's global phase before its boundary (-1 where
-        it held none, or ``None`` when none of them did), follow it.
+        it held none), follow it.
         ``after`` and ``colored`` hold every node's global phase (-1 where
         it holds none) and colored flag after the stretch.
         """
@@ -173,7 +173,7 @@ class _BoundaryChecks:
         rank = np.full(n, -1)  # the nodes that do not report hold one phase throughout
         rank[order] = np.arange(len(order))
         held = after.copy()
-        held[order] = -1 if before is None else before
+        held[order] = before
         listener = np.concatenate((view.src, view.dst))
         other = np.concatenate((view.dst, view.src))
         shown = np.where(rank[other] < rank[listener], after[other], held[other])
@@ -184,8 +184,6 @@ class _BoundaryChecks:
         period = np.broadcast_to(report.period, order.shape).tolist()
 
         def values(field):  # None before a node's first phase draw
-            if field is None:
-                return [None] * len(period)
             return [x if k else None for k, x in zip(period, field.tolist())]
 
         return list(map(TraceRow, period, view.nodes[order].tolist(), values(report.phase),
@@ -349,31 +347,23 @@ class _EngineSteps:
 
 class _ArraySteps:
     """The periods of a static trial whose nodes all wake at slot 0, over
-    arrays: one :func:`deliver_window` of the previous period's beeps and
-    one :class:`StaticJitterJumpArrays` step each.  Every boundary falls in
-    one slot, taken in id order."""
+    arrays: one :meth:`StaticJitterJumpArrays.step` each.  Every boundary
+    falls in one slot, taken in id order."""
 
     def __init__(self, topology, cfg, q, seed_key, checks):
         view = topology.arrays
-        draws = rngmod.ArrayDraws(rngmod.seed_words(cfg.master_seed, *seed_key, view.nodes,
-                                                    "protocol"))
-        self.protocol = StaticJitterJumpArrays(q, cfg.eta, draws, topology.n)
-        self.topology, self.q, self.checks = topology, q, checks
-        self.edges = np.concatenate((view.src, view.dst)), np.concatenate((view.dst, view.src))
-        self.offsets = None  # the first period is listen only
+        words = rngmod.seed_words(cfg.master_seed, *seed_key, view.nodes, "protocol")
+        self.protocol = StaticJitterJumpArrays(q, cfg.eta, words, view.src, view.dst)
+        self.topology, self.checks = topology, checks
 
     def step(self) -> _Read:
-        protocol, n = self.protocol, self.topology.n
-        heard = (np.zeros(0, dtype=np.int64),) * 2 if self.offsets is None else \
-            deliver_window(*self.edges, self.offsets, self.q)
-        self.offsets = protocol.on_period_end(*heard)
+        protocol = self.protocol
+        protocol.step()
         report = protocol.last_report
-        self.checks.on_period_boundary(self.topology, np.arange(n), report, report.phase,
-                                       protocol.p, protocol.colored, protocol.d_tilde)
-        interval = protocol.interval  # None after the first period only
-        return _Read(self.topology, protocol.p,
-                     np.full(n, -1, dtype=np.int64) if interval is None else interval,
-                     protocol.colored)
+        self.checks.on_period_boundary(self.topology, np.arange(self.topology.n), report,
+                                       report.phase, protocol.p, protocol.colored,
+                                       protocol.d_tilde)
+        return _Read(self.topology, protocol.p, protocol.interval, protocol.colored)
 
     def finish(self, read: _Read) -> None:
         """Nothing: each step checks the boundaries it runs."""

@@ -68,7 +68,7 @@ def protocol_states(engine):
     """Every alive node's state read from its protocol, one node at a time:
     the reference for ``runner.discrete_snapshot``."""
     states = []
-    for v in sorted(engine.alive):
+    for v in sorted(engine.adj):
         proto = engine.protocols[v]
         phase = None if proto.p is None else (proto.p + engine.wake_slot[v]) % engine.q
         states.append(NodeState(v, phase, proto.interval, proto.colored))
@@ -511,7 +511,7 @@ def watch_boundaries(fn):
         start, end, q = watched_to.get(engine, 0), engine.slot, engine.q
         watched_to[engine] = end
         due = []
-        for v in engine.alive:
+        for v in engine.adj:
             wake = engine.wake_slot[v]
             first = wake if wake >= start else start + (wake - start) % q
             due += [(s, v) for s in range(first, end, q)]
@@ -576,7 +576,7 @@ class ReferenceEngine(DiscreteEngine):
             self.apply_dynamic_events(s // self.q)
 
         for v in sorted(self._boundaries.pop(s, ())):
-            if v not in self.alive:
+            if v not in self.adj:
                 continue
             heard = tuple(sorted(self._heard[v]))
             self._heard[v] = set()
@@ -596,13 +596,13 @@ class ReferenceEngine(DiscreteEngine):
             if self.observer is not None:
                 self.observer.on_period_boundary(self, v, s)
 
-        beepers = frozenset(v for v in self._beeps.pop(s, ()) if v in self.alive)
+        beepers = frozenset(v for v in self._beeps.pop(s, ()) if v in self.adj)
         for v in beepers:
             self._scheduled[v].discard(s)
         heard_now: set[int] = set()
         for u in sorted(beepers):
             for v in self.adj[u]:
-                if v in beepers or v not in self.alive or s < self.wake_slot[v]:
+                if v in beepers or v not in self.adj or s < self.wake_slot[v]:
                     continue
                 self._heard[v].add((s - self.wake_slot[v]) % self.q)
                 heard_now.add(v)

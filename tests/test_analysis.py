@@ -129,6 +129,8 @@ def test_fit_log_growth():
     assert slope == pytest.approx(2.0)
     _, flat_slope = fit_log_growth(ns, [3, 3, 3, 3])
     assert flat_slope == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(ValueError, match="size above 1"):
+        fit_log_growth([1, 1], [2, 2])
 
 
 # -- the array passes against their one-edge-at-a-time references ------------

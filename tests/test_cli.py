@@ -321,6 +321,15 @@ def test_sweep_text_summary_labels_the_median_fit(capsys):
     assert fit_lines[0].startswith("fit: median-convergence ~= ")
 
 
+def test_sweep_of_single_nodes_prints_no_fit(capsys):
+    # ln 1 = 0 at every size, so there is no C*ln(n) to fit
+    code = run_cli(["static", "--graph", "clique", "--n", "1,1"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert out[:2] == ["n=1: median convergence 2 periods, max 2"] * 2
+    assert not [line for line in out if line.startswith("fit:")]
+
+
 @pytest.mark.parametrize("args", [
     ["static", "--graph", "clique:4", "--trials", "0"],
     ["static", "--protocol", "beepfirst", "--graph", "clique:4", "--trials", "-1"],

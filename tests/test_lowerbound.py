@@ -117,15 +117,15 @@ def test_stats_do_not_depend_on_the_batch_size(k, slots, trials, shared, seed, b
 def test_divergences_count_each_leaking_pair_once(monkeypatch):
     # a protocol that moves the second twin's phase at the second boundary
     # leaks identity: every pair diverges on slot 2Q+1 and counts once
-    step = StaticJitterJumpArrays.on_period_end
+    step = StaticJitterJumpArrays.step
 
-    def leaky(self, owner, phase):
-        offsets = step(self, owner, phase)
+    def leaky(self):
+        offsets = step(self)
         if self.period == 2:
             self.p[2::4] = (self.p[2::4] + 1) % Q
         return offsets
 
-    monkeypatch.setattr(StaticJitterJumpArrays, "on_period_end", leaky)
+    monkeypatch.setattr(StaticJitterJumpArrays, "step", leaky)
     k, trials, slots = 3, 5, 4 * Q
     stats = twin_coupling_experiment(k, slots, trials, seed=4, shared_randomness=True)
     assert stats.divergences == k * trials

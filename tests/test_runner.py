@@ -83,12 +83,12 @@ def test_array_good_set_matches_classifier_every_period(case):
         is_good = good(*args)
         (engine,) = engines
         computed.append(set(engine.topology.arrays.nodes[is_good].tolist()))
-        alive.append(set(engine.alive))
+        alive.append(set(engine.adj))
         labels = classify_good_bad(runner.discrete_snapshot(runner._read(engine), engine.q),
                                    engine.topology)
         assert computed[-1] == {v for v, label in labels.items() if label == GOOD}
         # the trace's per-node labels apply the same rule
-        assert {v: label_for(engine, v) for v in engine.alive} == labels
+        assert {v: label_for(engine, v) for v in engine.adj} == labels
         return is_good
 
     with capture_engines() as engines, \
