@@ -18,6 +18,10 @@ network recover larger intervals after the neighborhood shrinks.
 network whose nodes all woke at slot 0, one period at a time over arrays:
 each step delivers the period's beeps through ``discrete.deliver_window``
 and digests them, with every node's draws unchanged.
+
+Both paths draw free slots from one gap walk that never lists the Q
+slots, :class:`_FreeGaps`: :class:`JitterAndJump` builds it for its one
+node through :func:`free_slots`, the array stepper for many at once.
 """
 
 from __future__ import annotations
@@ -38,32 +42,20 @@ def buffer_length(eta: float, q: int, estimate: int) -> int:
     return max(1, math.floor(eta * q / (estimate + 1)))
 
 
-def free_slots(heard, b: int, q: int, own_phase: int | None = None) -> list[int]:
-    """Slots whose guard window [p-b-2, p+b+1] contains no occupied slot.
-
-    Occupied slots are the heard beeps plus the node's own current phase,
-    so a node never jumps next to itself.  A slot p is blocked by an
-    occupied slot x exactly when p lies in [x-b-1, x+b+2] (wrap-aware).
-    """
-    markers = set(heard)
-    if own_phase is not None:
-        markers.add(own_phase % q)
+def free_slots(heard, b: int, q: int, own_phase: int | None = None) -> _FreeGaps | None:
+    """One node's free slots as its :class:`_FreeGaps`, or ``None`` when
+    all Q are free.  Occupied slots are the heard beeps plus the node's own
+    current phase, so a node never jumps next to itself."""
+    markers = [*heard] if own_phase is None else [*heard, own_phase]
     if not markers:
-        return list(range(q))
-    width = 2 * b + 4
-    if width >= q:
-        return []
-    # each marker blocks the run [start, start+width) on the circle; all
-    # runs share one width, so in order of start they also end in order,
-    # and of the runs that wrap past Q the last blocks the longest [0, tail)
-    starts = sorted((x - b - 1) % q for x in markers)
-    free: list[int] = []
-    reach = max(starts[-1] + width - q, 0)
-    for start in starts:
-        free.extend(range(reach, start))
-        reach = start + width
-    free.extend(range(reach, q))
-    return free
+        return None
+    return _FreeGaps(np.zeros(len(markers), dtype=np.int64), np.array(markers, dtype=np.int64),
+                     np.array([b], dtype=np.int64), q)
+
+
+def _nth_free(gaps: _FreeGaps | None, k: int) -> int:
+    """The ``k``-th free slot of :func:`free_slots`' one node."""
+    return k if gaps is None else int(gaps.nth(k)[0])
 
 
 def _no_free_slots(q: int, b: int, n_heard: int) -> ProtocolViolation:
@@ -159,13 +151,13 @@ class JitterAndJump:
 
         free_count = None
         if not colored or dynamic:
-            free = free_slots(heard, b, q, own_phase=p)
-            free_count = len(free)
-            if not free:
+            gaps = free_slots(heard, b, q, own_phase=p)
+            free_count = q if gaps is None else int(gaps.counts[0])
+            if not free_count:
                 raise _no_free_slots(q, b, n_heard)
         below = self._draws.below
         if not colored:
-            self.p = free[below(free_count)]
+            self.p = _nth_free(gaps, below(free_count))
         used_jitter = self.jitter
         jitter = self.jitter = below(2)
         # the jittered beep position is modular: at p = Q-1 a jitter of 1
@@ -173,7 +165,7 @@ class JitterAndJump:
         # per period window exactly as the modular window checks assume
         offsets = ((self.p + jitter) % q,)
         if dynamic:
-            self.p_prime = free[below(free_count)]
+            self.p_prime = _nth_free(gaps, below(free_count))
             offsets += (self.p_prime,)
 
         self.last_report = PeriodReport(
@@ -199,19 +191,21 @@ class JitterAndJump:
 
 
 class _FreeGaps:
-    """:func:`free_slots` of many nodes at once, as the gaps between each
-    node's blocked runs.
+    """The free slots of many nodes at once, as the gaps between each
+    node's blocked runs: the one walk of the rule that a node jumps only
+    to a slot whose guard window [p-b-2, p+b+1] holds no occupied slot.
 
     ``owner`` and ``marker`` list the occupied slots of some nodes, at
-    least one each; ``b`` is indexed by node.  ``counts`` and :meth:`nth`
-    take those nodes in ascending order.  A node with m markers has m + 1
-    gaps, in slot order as :func:`free_slots` walks them: before each run
-    (the first begins where the last run's wrap past Q ends) and after the
-    last one.
+    least one each; ``b`` is indexed by node.  An occupied slot x blocks
+    the run [x-b-1, x+b+2] (wrap-aware) of 2b + 4 slots.  ``counts`` and
+    :meth:`nth` take those nodes in ascending order.  A node with m
+    markers has m + 1 gaps, in slot order: before each run (the first
+    begins where the last run's wrap past Q ends) and after the last one.
     """
 
     def __init__(self, owner: np.ndarray, marker: np.ndarray, b: np.ndarray, q: int):
-        # sorted by node, then by run start; a repeated marker adds an empty gap
+        # sorted by node, then by run start (a repeated marker adds an empty
+        # gap); runs of one width stop in the order they start
         key = np.sort(owner * q + (marker - b[owner] - 1) % q)
         owner, start = key // q, key % q
         width = 2 * b[owner] + 4
@@ -235,7 +229,7 @@ class _FreeGaps:
         self.counts = np.add.reduceat(self.length, self._first)
 
     def nth(self, r: np.ndarray) -> np.ndarray:
-        """Each node's ``r[i]``-th free slot, counting from 0."""
+        """Each node's ``r[i]``-th free slot, counting from 0 (it has one)."""
         target = self.total[self._first] - self.length[self._first] + r
         gap = np.searchsorted(self.total, target, side="right")
         return self.begin[gap] + target - (self.total[gap] - self.length[gap])

@@ -21,7 +21,7 @@ from beepsim.continuous import CONTINUOUS_PERIOD, Beep, Listen, Rebase
 from beepsim.discrete import DiscreteEngine, SlotOutcome
 from beepsim.errors import ConfigError, InternalInconsistencyError, ProtocolViolation
 from beepsim.config import SimConfig
-from beepsim.jitterjump import JitterAndJump, PeriodReport, buffer_length, free_slots
+from beepsim.jitterjump import JitterAndJump, PeriodReport, buffer_length
 from beepsim.lowerbound import TwinCouplingStats
 from beepsim.phases import PhaseSet
 from beepsim.topology import (
@@ -338,10 +338,41 @@ def measured_interval_reference(heard, phase, q):
     return max(gap - 1, 0)
 
 
+def free_slots_reference(heard, b, q, own_phase=None):
+    """Every slot whose guard window [p-b-2, p+b+1] contains no occupied
+    slot, as one Q-long list: the oracle for ``jitterjump.free_slots`` and
+    its gap walk.
+
+    Occupied slots are the heard beeps plus the node's own current phase.
+    A slot p is blocked by an occupied slot x exactly when p lies in
+    [x-b-1, x+b+2] (wrap-aware).
+    """
+    markers = set(heard)
+    if own_phase is not None:
+        markers.add(own_phase % q)
+    if not markers:
+        return list(range(q))
+    width = 2 * b + 4
+    if width >= q:
+        return []
+    # each marker blocks the run [start, start+width) on the circle; all
+    # runs share one width, so in order of start they also end in order,
+    # and of the runs that wrap past Q the last blocks the longest [0, tail)
+    starts = sorted((x - b - 1) % q for x in markers)
+    free = []
+    reach = max(starts[-1] + width - q, 0)
+    for start in starts:
+        free.extend(range(reach, start))
+        reach = start + width
+    free.extend(range(reach, q))
+    return free
+
+
 class ReferenceJitterAndJump(JitterAndJump):
-    """Jitter-and-jump with one window check per pass over the heard phases
-    and every draw from ``Generator.integers``: the oracle for the one-pass
-    period digest and the raw-word draws of ``JitterAndJump``."""
+    """Jitter-and-jump with one window check per pass over the heard phases,
+    every free slot listed by ``free_slots_reference`` and every draw from
+    ``Generator.integers``: the oracle for the one-pass period digest, the
+    gap walk and the raw-word draws of ``JitterAndJump``."""
 
     def __init__(self, q, eta, rng, dynamic=False, window=1):
         super().__init__(q, eta, rng, dynamic=dynamic, window=window)
@@ -375,7 +406,7 @@ class ReferenceJitterAndJump(JitterAndJump):
 
         free_count = None
         if not colored or dynamic:
-            free = free_slots(heard, b, q, own_phase=p)
+            free = free_slots_reference(heard, b, q, own_phase=p)
             free_count = len(free)
             if not free:
                 raise ProtocolViolation(

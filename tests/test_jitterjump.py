@@ -1,6 +1,7 @@
 """Slot-claiming protocol: buffers, free slots, coloring transitions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import (
     ReferenceJitterAndJump,
     collision_escape_trial,
+    free_slots_reference,
     heard_in_range_reference,
     in_range,
     measured_interval_reference,
@@ -20,6 +22,8 @@ from beepsim.errors import ConfigError, ProtocolViolation
 from beepsim.jitterjump import (
     JitterAndJump,
     PeriodReport,
+    _FreeGaps,
+    _nth_free,
     buffer_length,
     free_slots,
 )
@@ -41,7 +45,8 @@ def literal_free_slots(heard, b, q, own_phase=None):
 
 def reference_free_slots(heard, b, q, own_phase=None):
     """The same definition as one (Q x markers) broadcast of the wrap-aware
-    closed range test of ``phases.in_range``: the oracle for ``free_slots``."""
+    closed range test of ``phases.in_range``: the oracle for
+    ``free_slots_reference``."""
     markers = set(heard)
     if own_phase is not None:
         markers.add(own_phase % q)
@@ -62,20 +67,40 @@ def test_buffer_length_formula():
     assert buffer_length(1 / 16, 256, 100) == 1  # clamped to >= 1
 
 
+def walked_free_slots(heard, b, q, own_phase=None):
+    """The count and every slot, in order, that ``free_slots`` gives one
+    node: its one-node gaps take every rank at once."""
+    gaps = free_slots(heard, b, q, own_phase=own_phase)
+    if gaps is None:
+        return q, list(range(q))
+    (count,) = gaps.counts.tolist()
+    return count, gaps.nth(np.arange(count)).tolist()
+
+
 def test_free_slots_hand_example():
     # Q=32, b=2, one beep at 10: exactly slots 7..14 are blocked.
-    free = free_slots((10,), 2, 32)
+    count, free = walked_free_slots((10,), 2, 32)
+    assert free == free_slots_reference((10,), 2, 32)
     assert sorted(set(range(32)) - set(free)) == list(range(7, 15))
-    assert len(free) == 24
+    assert count == len(free) == 24
+    gaps = free_slots((10,), 2, 32)
+    slots = [_nth_free(gaps, k) for k in (0, 6, 7, 23)]
+    assert slots == [0, 6, 15, 31]
+    assert all(type(x) is int for x in slots)
 
 
 def test_free_slots_empty_history():
-    assert free_slots((), 3, 16) == list(range(16))
+    assert free_slots((), 3, 16) is None
+    assert walked_free_slots((), 3, 16) == (16, free_slots_reference((), 3, 16))
+    assert [_nth_free(None, k) for k in range(16)] == list(range(16))
 
 
 def test_free_slots_includes_own_phase_marker():
-    with_own = free_slots((), 2, 32, own_phase=10)
-    assert with_own == free_slots((10,), 2, 32)
+    with_own = walked_free_slots((), 2, 32, own_phase=10)
+    assert with_own == walked_free_slots((10,), 2, 32)
+    assert with_own[1] == free_slots_reference((), 2, 32, own_phase=10)
+    # the own phase counts mod Q
+    assert walked_free_slots((), 2, 32, own_phase=42) == with_own
 
 
 # small periods with few markers, and periods up to the Q = 8192 of a
@@ -107,9 +132,57 @@ def free_slot_cases(draw, periods=st.one_of(SMALL_PERIODS, LARGE_PERIODS)):
 @given(free_slot_cases())
 def test_free_slots_matches_reference(case):
     q, heard, b, own = case
-    assert free_slots(tuple(heard), b, q, own_phase=own) == reference_free_slots(
-        tuple(heard), b, q, own_phase=own
-    )
+    expected = free_slots_reference(tuple(heard), b, q, own_phase=own)
+    assert expected == reference_free_slots(tuple(heard), b, q, own_phase=own)
+    assert walked_free_slots(tuple(heard), b, q, own_phase=own) == (len(expected), expected)
+
+
+@st.composite
+def free_gap_cases(draw):
+    """One Q in 1..256 and, per node, a buffer and a list of occupied
+    slots; a node with none is not listed, and repeats are kept."""
+    q = draw(st.integers(min_value=1, max_value=256))
+    nodes = draw(st.integers(min_value=1, max_value=5))
+    # narrow buffers leave free slots; wide ones reach 2b+4 >= Q
+    buffers = st.one_of(st.integers(min_value=1, max_value=max(1, q // 16)),
+                        st.integers(min_value=1, max_value=q))
+    b = draw(st.lists(buffers, min_size=nodes, max_size=nodes))
+    markers = draw(st.lists(st.lists(st.integers(min_value=0, max_value=q - 1), max_size=6),
+                            min_size=nodes, max_size=nodes)
+                   .filter(lambda lists: any(lists)))
+    return q, b, markers
+
+
+def free_gaps_of(b, markers, q, nodes):
+    owner = [v for v in nodes for _ in markers[v]]
+    marker = [x for v in nodes for x in markers[v]]
+    return _FreeGaps(np.array(owner, dtype=np.int64), np.array(marker, dtype=np.int64),
+                     np.array(b, dtype=np.int64), q)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(free_gap_cases())
+@example((64, [2, 3], [[10, 10, 40], [5, 5]]))  # repeated markers
+@example((12, [4, 1, 2], [[3], [0, 6], [2]]))  # 2b+4 >= Q; runs that cover Q; 4 free slots
+@example((32, [2, 1, 3], [[31], [], [0, 30]]))  # runs that wrap past Q; node 1 unlisted
+@example((1, [1], [[0]]))
+@example((256, [1, 9], [[255, 0, 128], [250]]))
+def test_free_gaps_match_reference_per_node(case):
+    q, b, markers = case
+    listed = [v for v in range(len(b)) if markers[v]]
+    expected = {v: free_slots_reference(markers[v], b[v], q) for v in listed}
+    counts = free_gaps_of(b, markers, q, listed).counts.tolist()
+    assert counts == [len(expected[v]) for v in listed]
+    assert all(count == 0 for v, count in zip(listed, counts) if 2 * b[v] + 4 >= q)
+    # nth of the nodes that have a free slot: every rank of each in turn
+    drawn = [v for v in listed if expected[v]]
+    if not drawn:
+        return
+    gaps = free_gaps_of(b, markers, q, drawn)
+    last = np.array([len(expected[v]) - 1 for v in drawn])
+    for k in range(last.max() + 1):
+        rank = np.minimum(k, last)
+        assert gaps.nth(rank).tolist() == [expected[v][r] for v, r in zip(drawn, rank)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -264,11 +337,13 @@ def test_uncolor_window_covers_jittered_collision():
 def test_redraw_avoids_guard_window():
     p = proto(q=64, seed=3)
     p.on_period_end(())
-    heard = (7, 30)
+    phase = p.p
+    heard = (7, 30, phase)  # a beep on its own phase keeps the node uncolored
     p.on_period_end(heard)
-    if not p.colored:
-        free = free_slots(heard, p.b, 64, own_phase=p.p)
-        assert p.p in free
+    assert not p.colored
+    assert p.p in free_slots_reference(heard, p.b, 64, own_phase=phase)
+    # phases and counts stay plain ints, as the CSV rows and --json print them
+    assert type(p.p) is int and type(p.last_report.free_count) is int
 
 
 def test_fingerprint_tracks_state():
@@ -354,3 +429,21 @@ def test_trial_is_reproducible():
     r2 = run_jitterjump_trial(topo, cfg, seed_key=("rep",), collect_rows=True)
     assert r1.rows == r2.rows
     assert r1.converged_period == r2.converged_period
+
+
+@pytest.mark.parametrize("dynamic", [False, True], ids=["static", "dynamic"])
+def test_unaligned_trial_completes_at_billions_of_slots(dynamic):
+    # random wakeup takes the per-node engine path, which draws from one
+    # node's gaps: a Q-long list of free slots here would hold billions of
+    # ints.  The validators are not asserted: random-wakeup overlaps are
+    # a separate, known failure
+    cfg = SimConfig(master_seed=3, kappa=1e9, wakeup="random", dynamic=dynamic)
+    tracemalloc.start()
+    try:
+        result = run_jitterjump_trial(clique(4), cfg, seed_key=("billions",))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.q == 3 * 10**9
+    assert result.periods_run >= 1
+    assert peak < 2**20
