@@ -28,7 +28,10 @@ order so identical configurations produce bit-identical runs.
 
 The engine calls nothing back at a boundary: a node's protocol state
 changes only at its own boundaries, one in any Q consecutive slots, so a
-harness reads the protocols between calls to ``run_slots``.
+harness reads the protocols between calls to ``run_slots``.  To say whose
+state changed, the engine appends each node whose ``on_period_end`` it
+calls to ``reported``, by slot and then by id; the harness takes and
+clears that list.
 
 When every node wakes at slot 0 and beeps once per period, one period is
 one window of Q slots for the whole network, and :func:`deliver_window`
@@ -65,6 +68,8 @@ class DiscreteEngine:
     Node ids are harness bookkeeping only; they are never passed to the
     protocol beyond stream derivation inside the factory.  ``adj`` is the
     graph as events leave it, the only adjacency map that changes.
+    ``reported`` lists the nodes whose ``on_period_end`` was called, in
+    call order, until the harness clears it.
     """
 
     def __init__(
@@ -83,6 +88,7 @@ class DiscreteEngine:
         self.slot = 0
         self._factory = protocol_factory
         self.protocols: dict[int, object] = {}
+        self.reported: list[int] = []
         self.wake_slot: dict[int, int] = {}
         self._last_wake = 0  # no node wakes after this slot
         self._heard: dict[int, list[int]] = {}
@@ -208,7 +214,7 @@ class DiscreteEngine:
         due = self._boundaries.pop(s, None)
         if due:
             due.sort()
-            beeps, protocols = self._beeps, self.protocols
+            beeps, protocols, reported = self._beeps, self.protocols, self.reported
             heap = self._due
             start = s - q  # the local period ending here began at slot s - Q
             for v in due:
@@ -216,6 +222,7 @@ class DiscreteEngine:
                 heard[v] = []
                 if s != wake_slot[v]:  # the first period is listen only
                     got = tuple([t - start for t in slots])
+                    reported.append(v)
                     for off in protocols[v].on_period_end(got):
                         if not 0 <= off <= q:
                             raise InternalInconsistencyError(

@@ -19,7 +19,10 @@ network whose nodes all woke at slot 0, one period at a time over arrays:
 each step delivers the period's beeps through ``discrete.deliver_window``
 and digests them, with every node's draws unchanged.
 
-Both paths draw free slots from one gap walk that never lists the Q
+Both paths keep one node format.  A node draws from its row of
+``rng.seed_words`` (:class:`JitterAndJump` through ``rng.RawDraws``, the
+array stepper through ``rng.ArrayDraws``), and holds -1 where it has no
+value.  Both draw free slots from one gap walk that never lists the Q
 slots, :class:`_FreeGaps`: :class:`JitterAndJump` builds it for its one
 node through :func:`free_slots`, the array stepper for many at once.
 """
@@ -42,11 +45,12 @@ def buffer_length(eta: float, q: int, estimate: int) -> int:
     return max(1, math.floor(eta * q / (estimate + 1)))
 
 
-def free_slots(heard, b: int, q: int, own_phase: int | None = None) -> _FreeGaps | None:
+def free_slots(heard, b: int, q: int, own_phase: int = -1) -> _FreeGaps | None:
     """One node's free slots as its :class:`_FreeGaps`, or ``None`` when
     all Q are free.  Occupied slots are the heard beeps plus the node's own
-    current phase, so a node never jumps next to itself."""
-    markers = [*heard] if own_phase is None else [*heard, own_phase]
+    current phase (-1 when it holds none), so a node never jumps next to
+    itself."""
+    markers = [*heard] if own_phase < 0 else [*heard, own_phase]
     if not markers:
         return None
     return _FreeGaps(np.zeros(len(markers), dtype=np.int64), np.array(markers, dtype=np.int64),
@@ -66,50 +70,50 @@ def _no_free_slots(q: int, b: int, n_heard: int) -> ProtocolViolation:
 
 
 class PeriodReport(NamedTuple):
-    """Observation record for one completed local period."""
+    """Observation record for one completed local period; -1 stands where
+    a node holds no value: in ``phase``, ``jitter`` and ``interval`` before
+    its first phase draw, and in ``free_count`` where it drew no slot."""
 
     period: int
-    phase: int | None
-    jitter: int | None
-    interval: int | None
+    phase: int
+    jitter: int
+    interval: int
     beeps_heard: int
     colored: bool
-    free_count: int | None
+    free_count: int
     reset: bool = False
 
 
 class JitterAndJump:
     """Node-local state machine driven by :class:`DiscreteEngine`.
 
-    The protocol is anonymous: it sees only its own random stream and the
-    phases it heard, never a node identity.  It takes every draw from the
-    raw words of ``rng`` (see :class:`RawDraws`), so nothing else may read
-    that generator.
+    The protocol is anonymous: it sees only its own random stream, drawn
+    from ``words``, its row of ``rng.seed_words``, and the phases it heard,
+    never a node identity.  ``p``, ``jitter`` and ``interval`` hold -1
+    until the first period that sets them, and so do ``p_prime`` and
+    ``d_star``, which a static node never sets; ``last_report`` is ``None``
+    until the first report, as the array stepper's is.
     """
 
-    def __init__(self, q: int, eta: float, rng, dynamic: bool = False, window: int = 1):
+    def __init__(self, q: int, eta: float, words, dynamic: bool = False, window: int = 1):
         self.q = q
         self.eta = eta
-        self._draws = RawDraws(rng)
+        self._draws = RawDraws(words)
         self.dynamic = dynamic
         self.colored = False
-        self.p: int | None = None
-        self.jitter: int | None = None
+        self.p = self.jitter = self.interval = -1
         self.d_tilde = 1
         self.b = buffer_length(eta, q, 1)
-        self.interval: int | None = None
         self.period = 0
-        self.p_prime: int | None = None
-        self.d_star: int | None = None
-        self.resets = 0
-        self._window: deque[int] | None = deque(maxlen=window) if dynamic else None
+        self.p_prime = self.d_star = -1
+        self._window: deque[int] = deque(maxlen=window)  # filled in dynamic mode only
         self.last_report: PeriodReport | None = None
 
     def on_period_end(self, heard: tuple[int, ...]) -> tuple[int, ...]:
         """Digest one finished period and plan the next one's beeps."""
         q, p, dynamic, colored = self.q, self.p, self.dynamic, self.colored
         n_heard = len(heard)
-        interval, reset = None, False
+        interval, reset = -1, False
         if dynamic:
             self._window.append(n_heard)
             d_star = self.d_star = max(self._window)
@@ -145,11 +149,10 @@ class JitterAndJump:
                 d_tilde = max(d_star, 1)
                 b = buffer_length(self.eta, q, d_tilde)
                 colored = False
-                self.resets += 1
                 reset = True
         self.d_tilde, self.b, self.colored = d_tilde, b, colored
 
-        free_count = None
+        free_count = -1
         if not colored or dynamic:
             gaps = free_slots(heard, b, q, own_phase=p)
             free_count = q if gaps is None else int(gaps.counts[0])
@@ -175,7 +178,6 @@ class JitterAndJump:
         return offsets
 
     def fingerprint(self):
-        window = tuple(self._window) if self._window is not None else None
         return (
             self.period,
             self.colored,
@@ -186,7 +188,7 @@ class JitterAndJump:
             self.interval,
             self.p_prime,
             self.d_star,
-            window,
+            tuple(self._window),
         )
 
 
@@ -236,11 +238,9 @@ class _FreeGaps:
 
 
 class PeriodArrays(NamedTuple):
-    """:class:`PeriodReport` of many nodes as arrays indexed alike;
-    ``period`` is one int when all share it, and -1 stands where the
-    per-node field is ``None``: in ``phase``, ``jitter`` and ``interval``
-    before a node's first phase draw, and in ``free_count`` where a node
-    drew no slot."""
+    """:class:`PeriodReport` of many nodes as arrays indexed alike, -1
+    standing for no value as there; ``period`` is one int when all share
+    it."""
 
     period: int | np.ndarray
     phase: np.ndarray
@@ -255,14 +255,14 @@ class PeriodArrays(NamedTuple):
 class StaticJitterJumpArrays:
     """The static :class:`JitterAndJump` of a whole network whose nodes all
     woke at slot 0, stepped together: node ``i`` draws from row ``i`` of
-    ``words`` (rows of ``rng.seed_words``) exactly what it would draw
-    through :class:`RawDraws`, and hears its neighbours as the engine
-    would deliver them, so every state field and report equals the
-    per-node protocol's.  ``src`` and ``dst`` list each edge once, as node
-    indices.
+    ``words`` (rows of ``rng.seed_words``) exactly what
+    ``JitterAndJump(q, eta, words[i])`` would draw, and hears its
+    neighbours as the engine would deliver them, so every state field and
+    report equals the per-node protocol's.  ``src`` and ``dst`` list each
+    edge once, as node indices.
 
     ``p``, ``jitter`` and ``interval`` hold -1 until the first period that
-    sets them; a static node never resets.
+    sets them, as :class:`JitterAndJump`'s do; a static node never resets.
     """
 
     def __init__(self, q: int, eta: float, words: np.ndarray, src: np.ndarray,

@@ -16,14 +16,13 @@ hashes all rows together as array operations, each shared part encoded
 and hashed once, with values identical to
 ``np.random.SeedSequence(entropy).generate_state(4, np.uint64)``.
 
-A jitter-and-jump node draws through :class:`RawDraws`: it reads its
-stream's raw 64-bit words, low 32-bit half first, and maps each half to
-[0, n) by Lemire's multiply-shift rejection, exactly as numpy's
-``Generator.integers(n)`` does, so its draws equal numpy's.  It keeps the
-unused high half itself, and numpy keeps its own in the bit generator, so
-nothing else may read that node's ``Generator``.  :class:`ArrayDraws`
-makes the same draws for a batch of keys at once: it runs PCG64 itself
-on arrays of 128-bit states, with no ``Generator`` at all.
+A jitter-and-jump node draws from its row of :func:`seed_words`, and no
+``Generator`` is built for it: :class:`ArrayDraws` runs PCG64 itself on
+arrays of 128-bit states for a batch of rows, and :class:`RawDraws` on
+Python ints for one row.  Both read the raw 64-bit words, low 32-bit half
+first, and map each half to [0, n) by Lemire's multiply-shift rejection,
+exactly as numpy's ``Generator.integers(n)`` does, so their draws equal
+numpy's.  :func:`stream` builds numpy's own ``Generator`` for one key.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from __future__ import annotations
 import zlib
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 _MASK = (1 << 63) - 1
 _WORD = 0xFFFFFFFF
@@ -97,54 +95,10 @@ def _seed_states(rows: int, entropy: list, count) -> np.ndarray:
     return state.view("<u8").astype(np.uint64)
 
 
-class _SeedWords(ISeedSequence):
-    """A seed sequence whose state words were computed in a batch."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != _POOL or np.dtype(dtype) != np.uint64:
-            raise ValueError("batched seed words serve PCG64's 4 x uint64 request only")
-        return self.words
-
-
-class RawDraws:
-    """``gen.integers(n)`` for 1 <= n <= 2**32, drawn from ``gen``'s raw words.
-
-    Lemire's rule ("Fast Random Integer Generation in an Interval", ACM
-    TOMACS 2019) on 32-bit halves, low half first: ``m = x*n``, redrawn
-    while ``m mod 2**32 < (2**32 - n) mod n``, gives ``m >> 32``.  A bound
-    of 1 draws nothing; a bound of 2 never redraws and is a half's top bit.
-    The pending high half is kept here, not in ``gen``.
-    """
-
-    __slots__ = ("_bits", "_half")
-
-    def __init__(self, gen: np.random.Generator):
-        self._bits = gen.bit_generator
-        self._half: int | None = None
-
-    def below(self, n: int) -> int:
-        if n == 1:
-            return 0
-        while True:
-            half = self._half
-            if half is None:
-                word = self._bits.random_raw()
-                self._half = word >> 32
-                half = word & _WORD
-            else:
-                self._half = None
-            m = half * n
-            low = m & _WORD
-            # the threshold is below n, so only low < n needs the modulo
-            if low >= n or low >= (_WORD + 1 - n) % n:
-                return m >> 32
-
-
 # PCG64's 128-bit LCG multiplier, as numpy's pcg64.h defines it
 _PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+_PCG_MULT = _PCG_MULT_HI << 64 | _PCG_MULT_LO
+_U64, _U128 = (1 << 64) - 1, (1 << 128) - 1
 _U32, _U58, _U63 = np.uint64(32), np.uint64(58), np.uint64(63)
 
 
@@ -158,9 +112,14 @@ def _mulhi(a: np.ndarray, b: int) -> np.ndarray:
 
 
 class ArrayDraws:
-    """:class:`RawDraws` for a batch of streams, one per row of
-    :func:`seed_words`, as arrays: the draws of stream ``i`` equal those
-    of ``RawDraws(Generator(PCG64(SeedSequence(key i))))``.
+    """``Generator(PCG64(SeedSequence(key i))).integers(n)`` on stream
+    ``i``, one stream per row of :func:`seed_words`, as arrays.
+
+    Lemire's rule ("Fast Random Integer Generation in an Interval", ACM
+    TOMACS 2019) for 1 <= n <= 2**32 on 32-bit halves, low half first:
+    ``m = x*n``, redrawn while ``m mod 2**32 < (2**32 - n) mod n``, gives
+    ``m >> 32``.  A bound of 1 draws nothing; a bound of 2 never redraws
+    and is a half's top bit.  Each stream keeps its pending high half.
 
     Each stream is numpy's PCG64 (O'Neill, "PCG: A Family of Simple Fast
     Space-Efficient Statistically Good Algorithms for Random Number
@@ -203,7 +162,7 @@ class ArrayDraws:
         return 0.0 + high * ((self.raw(who) >> np.uint64(11)) * 2.0**-53)
 
     def below(self, who: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-        """``RawDraws.below(bounds[i])`` on stream ``who[i]``, for each i."""
+        """A draw below ``bounds[i]`` on stream ``who[i]``, for each i."""
         bounds = np.asarray(bounds, dtype=np.uint64)
         out = np.zeros(len(who), dtype=np.int64)
         todo = np.flatnonzero(bounds != 1)  # a bound of 1 draws nothing
@@ -224,18 +183,48 @@ class ArrayDraws:
         return out
 
 
+class RawDraws:
+    """:class:`ArrayDraws` for the one stream of ``words``, a row of
+    :func:`seed_words`, on Python ints: the same seeding, step, output and
+    draws, with -1 standing for no pending half."""
+
+    __slots__ = ("_state", "_inc", "_half")
+
+    def __init__(self, words):
+        seed_hi, seed_lo, seq_hi, seq_lo = map(int, words)
+        self._inc = inc = (seq_hi << 65 | seq_lo << 1 | 1) & _U128
+        self._state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _U128
+        self._half = -1
+
+    def below(self, n: int) -> int:
+        if n == 1:
+            return 0
+        while True:
+            half = self._half
+            if half < 0:
+                state = self._state = (self._state * _PCG_MULT + self._inc) & _U128
+                x, rot = (state >> 64 ^ state) & _U64, state >> 122
+                word = (x >> rot | x << (64 - rot)) & _U64
+                self._half = word >> 32
+                half = word & _WORD
+            else:
+                self._half = -1
+            m = half * n
+            low = m & _WORD
+            # the threshold is below n, so only low < n needs the modulo
+            if low >= n or low >= (_WORD + 1 - n) % n:
+                return m >> 32
+
+
 def seed_words(*key) -> np.ndarray:
     """``SeedSequence(encoded key).generate_state(4, np.uint64)`` for each
     row of ``key``, as the rows of a (rows, 4) uint64 array.  A part of
     ``key`` is an int or str that every row shares or a 1-d int array with
     one entry per row; a key of shared parts alone is one row."""
-    if not key:
-        raise ValueError("stream key must not be empty")
     parts = [_encode(part) for part in key]
     lengths = {len(col) for part, col in zip(key, parts) if isinstance(part, np.ndarray)}
     if not lengths:  # for one row numpy's own pass is the cheaper one
-        seed = np.random.SeedSequence([int(col[0]) for col in parts])
-        return seed.generate_state(_POOL, np.uint64)[None]
+        return _seed_sequence(key).generate_state(_POOL, np.uint64)[None]
     if len(lengths) > 1:
         raise ValueError(f"stream key arrays differ in length: {sorted(lengths)}")
     (rows,) = lengths
@@ -258,13 +247,15 @@ def seed_words(*key) -> np.ndarray:
     return _seed_states(rows, entropy, count)
 
 
-def streams(*key) -> list[np.random.Generator]:
-    """One generator per row of ``seed_words(*key)``, in order; each equals
-    ``Generator(PCG64(SeedSequence(encoded row key)))``."""
-    return [np.random.Generator(np.random.PCG64(_SeedWords(words)))
-            for words in seed_words(*key)]
+def _seed_sequence(key) -> np.random.SeedSequence:
+    """numpy's ``SeedSequence`` over a key of shared parts, encoded."""
+    if not key:
+        raise ValueError("stream key must not be empty")
+    return np.random.SeedSequence([int(_encode(part)[0]) for part in key])
 
 
 def stream(*key) -> np.random.Generator:
-    """Independent generator for the given key of shared parts."""
-    return streams(*key)[0]
+    """``Generator(PCG64(SeedSequence(encoded key)))`` for a key of shared
+    parts: the generator whose ``integers`` :class:`RawDraws` of
+    ``seed_words(*key)[0]`` reproduces."""
+    return np.random.Generator(np.random.PCG64(_seed_sequence(key)))

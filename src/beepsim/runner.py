@@ -2,17 +2,18 @@
 
 A trial owns everything it changes (protocol streams and the engine,
 whose adjacency map is the only graph that events change), so trials are
-independent and reproducible from their seed key alone.  Global-knowledge
-checks (degree-estimate bounds, free-slot floor, good-set monotonicity,
-interval validity) are gathered as counters, never enforced inside the
-protocols.  A jitter-and-jump trial is one period loop: a stepper, over
-arrays for a static run whose nodes all wake at slot 0 and through the
-engine otherwise, steps each period with the same draws, hands its
-boundaries to one array pass, :meth:`_BoundaryChecks.on_period_boundary`,
-and reads the state it leaves; the loop builds the good set, the
-snapshots, the final labels and the result from those reads alone.  A
-beep-first trial draws every node's start offset from its protocol
-stream in one array pass.
+independent and reproducible from their seed key alone.  Every node of a
+trial draws from its row of ``rng.seed_words``, on either path.
+Global-knowledge checks (degree-estimate bounds, free-slot floor,
+good-set monotonicity, interval validity) are gathered as counters, never
+enforced inside the protocols.  A jitter-and-jump trial is one period
+loop: a stepper, over arrays for a static run whose nodes all wake at
+slot 0 and through the engine otherwise, steps each period with the same
+draws, hands the boundaries it ran (the engine lists them) to one array
+pass, :meth:`_BoundaryChecks.on_period_boundary`, and reads the state it
+leaves; the loop builds the good set, the snapshots, the final labels and
+the result from those reads alone.  A beep-first trial draws every
+node's start offset from its protocol stream in one array pass.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .config import SimConfig
 from .continuous import CONTINUOUS_PERIOD, ContinuousEngine
 from .discrete import DiscreteEngine
 from .errors import ConfigError, ProtocolViolation
-from .jitterjump import JitterAndJump, PeriodArrays, StaticJitterJumpArrays
+from .jitterjump import JitterAndJump, PeriodArrays, PeriodReport, StaticJitterJumpArrays
 from .topology import DynamicEvent, Topology, TopologyArrays, build_wakeup
 from .trace import TraceRow
 
@@ -58,11 +59,6 @@ class _Read(NamedTuple):
     colored: np.ndarray
 
 
-def _ints(values) -> np.ndarray:
-    """``values`` as an int array, -1 where a value is ``None``."""
-    return np.array([-1 if x is None else x for x in values], dtype=np.int64)
-
-
 def _wake(engine: DiscreteEngine, nodes: np.ndarray) -> np.ndarray:
     """The wake slot of each of ``nodes``."""
     return np.array([engine.wake_slot[v] for v in nodes.tolist()], dtype=np.int64)
@@ -73,9 +69,9 @@ def _read(engine: DiscreteEngine) -> _Read:
     topology = engine.topology
     nodes = topology.arrays.nodes
     protocols = [engine.protocols[v] for v in nodes.tolist()]
-    local = _ints([pr.p for pr in protocols])
+    local = np.array([pr.p for pr in protocols], dtype=np.int64)
     phase = np.where(local < 0, -1, (local + _wake(engine, nodes)) % engine.q)
-    return _Read(topology, phase, _ints([pr.interval for pr in protocols]),
+    return _Read(topology, phase, np.array([pr.interval for pr in protocols], dtype=np.int64),
                  np.array([pr.colored for pr in protocols], dtype=bool))
 
 
@@ -86,29 +82,20 @@ def discrete_snapshot(read: _Read, q: int) -> ColoringSnapshot:
                                         read.colored)
 
 
-def _reported(engine: DiscreteEngine, read: _Read, start: int, width: int) -> tuple:
+def _reported(engine: DiscreteEngine, read: _Read) -> tuple:
     """The arguments of :meth:`_BoundaryChecks.on_period_boundary` for the
-    engine's boundaries in slots [start, start + width), ``width`` at most
-    Q, with ``read`` taken once every node has passed its boundary there.
-
-    A node's state changes only at its own boundaries, one per Q slots,
-    so each node then holds what its boundary there left, report
-    included.  A node reports there exactly when it woke before
-    ``start``; one that wakes inside only starts listening.
-    """
-    q, nodes = engine.q, read.topology.arrays.nodes
-    wake = _wake(engine, nodes)
-    gap = (wake - start) % q  # a node's boundary falls in slot start + gap
-    at = np.flatnonzero((wake < start) & (gap < width))
-    order = at[np.argsort(gap[at], kind="stable")]  # by slot, then by id
-    protocols = [engine.protocols[v] for v in nodes[order].tolist()]
-    columns = zip(*[pr.last_report for pr in protocols]) if protocols else \
-        [()] * len(PeriodArrays._fields)
-    period, phase, jitter, interval, heard, colored, free_count, reset = map(_ints, columns)
+    boundaries ``engine.reported`` lists, which this takes and clears,
+    with ``read`` taken once every node has passed its boundary there."""
+    protocols, wake = engine.protocols, engine.wake_slot
+    ids = engine.reported
+    columns = np.array([(*protocols[v].last_report, protocols[v].d_tilde, wake[v]) for v in ids],
+                       dtype=np.int64).reshape(-1, len(PeriodReport._fields) + 2).T
+    period, phase, jitter, interval, heard, colored, free_count, reset, d_tilde, woke = columns
     report = PeriodArrays(period, phase, jitter, interval, heard, colored.astype(bool),
                           free_count, reset.astype(bool))
-    d_tilde = np.array([pr.d_tilde for pr in protocols], dtype=np.int64)
-    before = np.where(period > 0, (phase + wake[order]) % q, -1)
+    before = np.where(period > 0, (phase + woke) % engine.q, -1)
+    order = np.searchsorted(read.topology.arrays.nodes, ids)
+    ids.clear()
     return read.topology, order, report, before, read.phase, read.colored, d_tilde
 
 
@@ -318,16 +305,18 @@ class _EngineSteps:
     def __init__(self, topology, cfg, q, seed_key, checks, wake, events):
         master = cfg.master_seed
         window = cfg.window_length(topology.n)
-        # the initial nodes' streams in one batch; a node added by an event,
-        # or re-added under a removed node's id, builds its own
+        # the initial nodes' rows in one batch, as _ArraySteps seeds them; a
+        # node added by an event, or re-added under a removed node's id,
+        # seeds its own
         nodes = topology.arrays.nodes
-        initial = dict(zip(nodes.tolist(), rngmod.streams(master, *seed_key, nodes, "protocol")))
+        words = rngmod.seed_words(master, *seed_key, nodes, "protocol")
+        initial = dict(zip(nodes.tolist(), words.tolist()))
 
         def factory(v: int) -> JitterAndJump:
-            gen = initial.pop(v, None)
-            if gen is None:
-                gen = rngmod.stream(master, *seed_key, v, "protocol")
-            return JitterAndJump(q, cfg.eta, gen, dynamic=cfg.dynamic, window=window)
+            row = initial.pop(v, None)
+            if row is None:
+                row = rngmod.seed_words(master, *seed_key, v, "protocol")[0]
+            return JitterAndJump(q, cfg.eta, row, dynamic=cfg.dynamic, window=window)
 
         self.checks = checks
         self.engine = DiscreteEngine(topology, q, factory, wake, events=events)
@@ -336,13 +325,13 @@ class _EngineSteps:
     def step(self) -> _Read:
         engine, q = self.engine, self.engine.q
         engine.run_slots(q - 1)
-        self.checks.on_period_boundary(*_reported(engine, _read(engine), engine.slot - q, q))
+        self.checks.on_period_boundary(*_reported(engine, _read(engine)))
         engine.run_slots(1)  # slot kQ applies the events of period k
         return _read(engine)
 
     def finish(self, read: _Read) -> None:
         """Check the boundaries at slot kQ, the last slot run."""
-        self.checks.on_period_boundary(*_reported(self.engine, read, self.engine.slot - 1, 1))
+        self.checks.on_period_boundary(*_reported(self.engine, read))
 
 
 class _ArraySteps:

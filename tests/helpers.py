@@ -64,14 +64,20 @@ def snapshot_of(tau, states):
         np.array([s.colored for s in states], dtype=bool))
 
 
+def held_or_none(value):
+    """A protocol field as the readings here hold it: None where it holds
+    -1, the protocols' value for none."""
+    return None if value == -1 else value
+
+
 def protocol_states(engine):
     """Every alive node's state read from its protocol, one node at a time:
     the reference for ``runner.discrete_snapshot``."""
     states = []
     for v in sorted(engine.adj):
         proto = engine.protocols[v]
-        phase = None if proto.p is None else (proto.p + engine.wake_slot[v]) % engine.q
-        states.append(NodeState(v, phase, proto.interval, proto.colored))
+        phase = None if proto.p < 0 else (proto.p + engine.wake_slot[v]) % engine.q
+        states.append(NodeState(v, phase, held_or_none(proto.interval), proto.colored))
     return states
 
 
@@ -291,7 +297,7 @@ def collision_escape_trial(cfg, seed_key) -> bool:
     master = cfg.master_seed
 
     def factory(v):
-        return JitterAndJump(q, cfg.eta, rngmod.stream(master, *seed_key, v, "protocol"))
+        return JitterAndJump(q, cfg.eta, rngmod.seed_words(master, *seed_key, v, "protocol")[0])
 
     engine = DiscreteEngine(topo, q, factory, {0: 0, 1: 0})
     engine.run_slots(1)
@@ -338,17 +344,17 @@ def measured_interval_reference(heard, phase, q):
     return max(gap - 1, 0)
 
 
-def free_slots_reference(heard, b, q, own_phase=None):
+def free_slots_reference(heard, b, q, own_phase=-1):
     """Every slot whose guard window [p-b-2, p+b+1] contains no occupied
     slot, as one Q-long list: the oracle for ``jitterjump.free_slots`` and
     its gap walk.
 
-    Occupied slots are the heard beeps plus the node's own current phase.
-    A slot p is blocked by an occupied slot x exactly when p lies in
-    [x-b-1, x+b+2] (wrap-aware).
+    Occupied slots are the heard beeps plus the node's own current phase
+    (-1 when it holds none).  A slot p is blocked by an occupied slot x
+    exactly when p lies in [x-b-1, x+b+2] (wrap-aware).
     """
     markers = set(heard)
-    if own_phase is not None:
+    if own_phase >= 0:
         markers.add(own_phase % q)
     if not markers:
         return list(range(q))
@@ -371,17 +377,18 @@ def free_slots_reference(heard, b, q, own_phase=None):
 class ReferenceJitterAndJump(JitterAndJump):
     """Jitter-and-jump with one window check per pass over the heard phases,
     every free slot listed by ``free_slots_reference`` and every draw from
-    ``Generator.integers``: the oracle for the one-pass period digest, the
-    gap walk and the raw-word draws of ``JitterAndJump``."""
+    numpy's ``Generator.integers`` on the stream of ``key``: the oracle for
+    the one-pass period digest, the gap walk and the draws of
+    ``JitterAndJump`` from its row ``seed_words(*key)[0]``."""
 
-    def __init__(self, q, eta, rng, dynamic=False, window=1):
-        super().__init__(q, eta, rng, dynamic=dynamic, window=window)
-        self.rng = rng
+    def __init__(self, q, eta, key, dynamic=False, window=1):
+        super().__init__(q, eta, rngmod.seed_words(*key)[0], dynamic=dynamic, window=window)
+        self.rng = rngmod.stream(*key)
 
     def on_period_end(self, heard):
         q, p, dynamic, colored = self.q, self.p, self.dynamic, self.colored
         n_heard = len(heard)
-        interval, reset = None, False
+        interval, reset = -1, False
         if dynamic:
             self._window.append(n_heard)
             d_star = self.d_star = max(self._window)
@@ -400,11 +407,10 @@ class ReferenceJitterAndJump(JitterAndJump):
                 d_tilde = max(d_star, 1)
                 b = buffer_length(self.eta, q, d_tilde)
                 colored = False
-                self.resets += 1
                 reset = True
         self.d_tilde, self.b, self.colored = d_tilde, b, colored
 
-        free_count = None
+        free_count = -1
         if not colored or dynamic:
             free = free_slots_reference(heard, b, q, own_phase=p)
             free_count = len(free)
@@ -614,6 +620,7 @@ class ReferenceEngine(DiscreteEngine):
             if s == self.wake_slot[v]:
                 plan: tuple[int, ...] = ()  # first period: listen only
             else:
+                self.reported.append(v)
                 plan = tuple(self.protocols[v].on_period_end(heard))
             for off in plan:
                 if not 0 <= off <= self.q:
@@ -653,6 +660,24 @@ class ReferenceEngine(DiscreteEngine):
         self.slot = s
 
 
+def reported_reference(engine, nodes, start, end):
+    """The ids of ``nodes`` whose boundaries the engine ran in the stretch
+    of slots [start, end), at most Q long, by slot and then by id, derived
+    from wake slots: the oracle for ``engine.reported``.
+
+    A node's boundaries fall every Q slots from its wake slot, so it has
+    at most one in the stretch, and it reports there exactly when it woke
+    before ``start``; one that wakes inside only starts listening."""
+    q = engine.q
+    due = []
+    for v in nodes:
+        wake = engine.wake_slot[v]
+        gap = (wake - start) % q  # its boundary falls in slot start + gap
+        if wake < start and gap < end - start:
+            due.append((gap, v))
+    return [v for _, v in sorted(due)]
+
+
 def label_for(engine, v):
     """The trace row label of ``v`` read from the protocols as they stand:
     the oracle, one node at a time, for the labels of
@@ -662,13 +687,13 @@ def label_for(engine, v):
     a lower-id neighbour sharing the slot is seen after its own boundary
     step and a higher-id one before it."""
     proto = engine.protocols[v]
-    if proto.p is None or not proto.colored:
+    if proto.p < 0 or not proto.colored:
         return BAD_UNCOLORED
     q = engine.q
     pv = (proto.p + engine.wake_slot[v]) % q
     for u in engine.adj[v]:
         pu = engine.protocols[u].p
-        if pu is None:
+        if pu < 0:
             continue
         if wrap_distance((pu + engine.wake_slot[u]) % q, pv, q) <= 1:
             return BAD_COLORED
@@ -687,6 +712,7 @@ class BoundaryChecks:
         self.free_floor_violations = 0
         self.beep_bound_violations = 0
         self.window_observations = 0
+        self.resets = 0
         self.rows = []
         self._degree_at_boundary = {}
         self._estimate_bound = {v: max(2 * topology.degree(v), 1) for v in topology.nodes}
@@ -710,34 +736,33 @@ class BoundaryChecks:
         else:
             if report.period and not 1 <= proto.d_tilde <= self._estimate_bound[v]:
                 self.sandwich_violations += 1
-            if report.free_count is not None and report.free_count < self.free_floor:
+            if report.free_count >= 0 and report.free_count < self.free_floor:
                 self.free_floor_violations += 1
+        self.resets += report.reset
         if self.collect_rows:
-            self.rows.append(TraceRow(report.period, v, report.phase, report.jitter,
-                                      report.interval, report.colored, label_for(engine, v),
-                                      report.beeps_heard))
+            self.rows.append(TraceRow(report.period, v, held_or_none(report.phase),
+                                      held_or_none(report.jitter), held_or_none(report.interval),
+                                      report.colored, label_for(engine, v), report.beeps_heard))
 
 
 def boundary_checks_reference(topology, cfg, seed_key, events, periods):
     """The boundaries of a ``periods``-period ``run_jitterjump_trial`` checked
     one at a time on :class:`ReferenceEngine`, with every node's draws of
-    the trial: the :class:`BoundaryChecks` and the resets of every protocol
-    the run built, those of removed nodes included."""
+    the trial: the :class:`BoundaryChecks` and the resets of every report,
+    those of nodes removed later included."""
     q = cfg.resolve_q(topology.delta)
     master = cfg.master_seed
     wake = build_wakeup(cfg.wakeup, topology.nodes, q, rngmod.stream(master, *seed_key, "wakeup"))
     window = cfg.window_length(topology.n)
-    built = []
 
     def factory(v):
-        built.append(JitterAndJump(q, cfg.eta, rngmod.stream(master, *seed_key, v, "protocol"),
-                                   dynamic=cfg.dynamic, window=window))
-        return built[-1]
+        return JitterAndJump(q, cfg.eta, rngmod.seed_words(master, *seed_key, v, "protocol")[0],
+                             dynamic=cfg.dynamic, window=window)
 
     checks = BoundaryChecks(cfg.eta, q, topology, cfg.dynamic, collect_rows=True)
     engine = ReferenceEngine(topology, q, factory, wake, events=events, observer=checks)
     engine.run_slots(1 + periods * q)
-    return checks, sum(proto.resets for proto in built)
+    return checks, checks.resets
 
 
 def twin_coupling_reference(k, slots, trials, seed, shared_randomness=False):
@@ -764,7 +789,7 @@ def twin_coupling_reference(k, slots, trials, seed, shared_randomness=False):
                 key = (seed, trial, "twin", twin_index[v], "protocol")
             else:
                 key = (seed, trial, v, "protocol")
-            return JitterAndJump(q, cfg.eta, rngmod.stream(*key))
+            return JitterAndJump(q, cfg.eta, rngmod.seed_words(*key)[0])
 
         engine = DiscreteEngine(topo, q, factory, {v: 0 for v in topo.nodes})
         alive_pairs = set(range(len(pairs)))

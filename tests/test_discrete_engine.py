@@ -325,6 +325,7 @@ def test_run_slots_matches_stepping_every_slot(case):
             }
             assert out.heard == expected
             assert set(stepping.adj) == set(reference.adj)
+            assert stepping.reported == reference.reported
             for v in reference.adj:
                 assert stepping.pending_phases(v) == reference.pending_phases(v)
                 assert stepping.fingerprint(v) == reference.fingerprint(v)
@@ -333,6 +334,7 @@ def test_run_slots_matches_stepping_every_slot(case):
         assert not any(out.beeped or out.heard for out in outs if out.slot not in stepped)
         for engine, log in ((skipping, skip_log), (stepping, step_log)):
             assert engine.slot == reference.slot
+            assert engine.reported == reference.reported
             assert set(engine.adj) == set(reference.adj)
             for v in reference.adj:
                 assert engine.fingerprint(v) == reference.fingerprint(v)

@@ -15,7 +15,7 @@ from beepsim.topology import DynamicEvent, Topology, clique, star
 
 
 def fed_protocol(q=4096, window=1, seed=2):
-    return JitterAndJump(q, 1 / 16, rng.stream(seed, 0, "protocol"),
+    return JitterAndJump(q, 1 / 16, rng.seed_words(seed, 0, "protocol")[0],
                          dynamic=True, window=window)
 
 
@@ -25,10 +25,10 @@ def test_reset_threshold_is_strict():
     proto.on_period_end(tuple(range(160)))
     assert proto.d_tilde == 160
     proto.on_period_end(tuple(range(10)))
-    assert proto.resets == 0
+    assert not proto.last_report.reset
     assert proto.d_tilde == 160
     proto.on_period_end(tuple(range(9)))
-    assert proto.resets == 1
+    assert proto.last_report.reset
     assert proto.d_tilde == 9
     assert not proto.colored
 
@@ -36,12 +36,13 @@ def test_reset_threshold_is_strict():
 def test_estimate_never_decreases_without_reset():
     proto = fed_protocol(window=4)
     proto.on_period_end(tuple(range(40)))
-    estimates = []
+    estimates, resets = [], 0
     for heard in (30, 35, 20, 38, 25):
         proto.on_period_end(tuple(range(heard)))
         estimates.append(proto.d_tilde)
+        resets += proto.last_report.reset
     assert estimates == sorted(estimates)
-    assert proto.resets == 0
+    assert resets == 0
 
 
 def test_second_phase_beeps_every_period():
@@ -49,7 +50,7 @@ def test_second_phase_beeps_every_period():
     proto.on_period_end(())
     offsets = proto.on_period_end(())
     assert len(offsets) == 2
-    assert proto.p_prime is not None
+    assert proto.p_prime >= 0
     # second phase is redrawn from the free slots each period
     assert 0 <= proto.p_prime < 256
 
@@ -65,12 +66,13 @@ def test_star_collapse_triggers_recolor_with_larger_interval():
     seen = {}
 
     def watch(engine, v, slot):
-        if v == 0:
-            seen[slot // engine.q] = engine.protocols[0].resets
+        report = engine.protocols[v].last_report
+        if v == 0 and report is not None:
+            seen[slot // engine.q] = report.reset
 
     with watch_boundaries(watch):
         res = run_jitterjump_trial(star(n), cfg, seed_key=("collapse",), events=events)
-    reset_period = next((p for p in sorted(seen) if seen[p] > 0), None)
+    reset_period = next((p for p in sorted(seen) if seen[p]), None)
     assert reset_period is not None
     assert churn < reset_period <= churn + r + 1
     assert res.restabilized_after(reset_period) is not None

@@ -31,10 +31,10 @@ from beepsim.runner import run_jitterjump_trial
 from beepsim.topology import clique, random_regular
 
 
-def literal_free_slots(heard, b, q, own_phase=None):
+def literal_free_slots(heard, b, q, own_phase=-1):
     """Literal guard-window definition, one (slot, marker) test at a time."""
     markers = set(heard)
-    if own_phase is not None:
+    if own_phase >= 0:
         markers.add(own_phase % q)
     return [
         p
@@ -43,12 +43,12 @@ def literal_free_slots(heard, b, q, own_phase=None):
     ]
 
 
-def reference_free_slots(heard, b, q, own_phase=None):
+def reference_free_slots(heard, b, q, own_phase=-1):
     """The same definition as one (Q x markers) broadcast of the wrap-aware
     closed range test of ``phases.in_range``: the oracle for
     ``free_slots_reference``."""
     markers = set(heard)
-    if own_phase is not None:
+    if own_phase >= 0:
         markers.add(own_phase % q)
     x = np.array(sorted(markers), dtype=np.int64)
     p = np.arange(q, dtype=np.int64)[:, None]
@@ -58,7 +58,8 @@ def reference_free_slots(heard, b, q, own_phase=None):
 
 
 def proto(q=64, eta=1.0 / 16.0, seed=1, dynamic=False, window=4):
-    return JitterAndJump(q, eta, rng.stream(seed, 0, "protocol"), dynamic=dynamic, window=window)
+    return JitterAndJump(q, eta, rng.seed_words(seed, 0, "protocol")[0], dynamic=dynamic,
+                         window=window)
 
 
 def test_buffer_length_formula():
@@ -67,7 +68,7 @@ def test_buffer_length_formula():
     assert buffer_length(1 / 16, 256, 100) == 1  # clamped to >= 1
 
 
-def walked_free_slots(heard, b, q, own_phase=None):
+def walked_free_slots(heard, b, q, own_phase=-1):
     """The count and every slot, in order, that ``free_slots`` gives one
     node: its one-node gaps take every rank at once."""
     gaps = free_slots(heard, b, q, own_phase=own_phase)
@@ -123,8 +124,9 @@ def free_slot_cases(draw, periods=st.one_of(SMALL_PERIODS, LARGE_PERIODS)):
         st.integers(min_value=1, max_value=max(1, min(widest, q // (4 * max(count, 1))))),
         st.integers(min_value=1, max_value=widest),
     ))
-    # the node's own phase is reduced mod Q, so values past Q are allowed
-    own = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=3 * q)))
+    # the node's own phase is reduced mod Q, so values past Q are allowed;
+    # -1 is none
+    own = draw(st.one_of(st.just(-1), st.integers(min_value=0, max_value=3 * q)))
     return q, sorted(set(heard)), b, own
 
 
@@ -254,8 +256,10 @@ def heard_sequences(draw):
 @example((True, 256, 1 / 16, 1, None, [tuple(range(0, 200, 10)), (), (7,)], 4))  # reset
 def test_jitterjump_matches_reference(case):
     dynamic, q, eta, window, colored_at, periods, seed = case
-    nodes = new, ref = [cls(q, eta, rng.stream(seed, "protocol"), dynamic=dynamic, window=window)
-                        for cls in (JitterAndJump, ReferenceJitterAndJump)]
+    new = JitterAndJump(q, eta, rng.seed_words(seed, "protocol")[0], dynamic=dynamic,
+                        window=window)
+    ref = ReferenceJitterAndJump(q, eta, (seed, "protocol"), dynamic=dynamic, window=window)
+    nodes = new, ref
     if colored_at is not None:
         for node in nodes:
             node.period, node.colored, node.p = 1, True, colored_at
@@ -275,7 +279,7 @@ def test_jitterjump_matches_reference(case):
 
 def test_period_report_builds_positionally_and_by_keyword():
     fields = dict(period=3, phase=5, jitter=1, interval=7, beeps_heard=4, colored=True,
-                  free_count=None)
+                  free_count=-1)
     report = PeriodReport(*fields.values())  # as tests/test_dynamic.py builds it
     assert report == PeriodReport(**fields)
     assert {name: getattr(report, name) for name in fields} == fields

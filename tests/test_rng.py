@@ -57,32 +57,6 @@ def test_seed_words_by_column_match_numpy_seed_sequence(case):
     assert rng.seed_words(*key).tolist() == expected
 
 
-@settings(max_examples=100, deadline=None)
-@given(column_keys())
-@example(((7, "trial", 3, np.arange(5), "protocol"), [(7, "trial", 3, v, "protocol")
-                                                       for v in range(5)]))
-def test_streams_match_numpy_seed_sequence(case):
-    key, row_keys = case
-    gens = rng.streams(*key)
-    assert len(gens) == len(row_keys)
-    for row, gen in zip(row_keys, gens):
-        ref = np.random.Generator(np.random.PCG64(numpy_seed(row)))
-        assert gen.bit_generator.seed_seq.generate_state(4, np.uint64).tolist() == \
-            numpy_seed(row).generate_state(4, np.uint64).tolist()
-        assert gen.bit_generator.state == ref.bit_generator.state
-        assert gen.integers(0, 2**62, size=4).tolist() == ref.integers(0, 2**62, size=4).tolist()
-        assert gen.random() == ref.random()
-        lone = rng.stream(*row)
-        assert lone.bit_generator.state == np.random.PCG64(numpy_seed(row)).state
-
-
-def test_streams_of_equal_keys_are_separate_generators():
-    a, b = rng.streams(1, "twin", np.array([0, 0]))
-    assert a is not b
-    assert a.random() == b.random()
-    assert a.random() == b.random()
-
-
 # bounds of every kind a node draws (1, the jitter's 2, Q-sized free-slot
 # counts) plus bounds above 2**31, where Lemire's rejection redraws a
 # half with probability up to 1/2, and 2**32, the raw half itself
@@ -96,34 +70,63 @@ bounds = st.one_of(
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
+@given(column_keys(), st.lists(bounds, max_size=30))
+@example(((7, "trial", 3, np.arange(5), "protocol"), [(7, "trial", 3, v, "protocol")
+                                                       for v in range(5)]), [2, 240, 1, 2**32])
+# equal rows draw alike, each from its own state
+@example(((1, "twin", np.array([0, 0])), [(1, "twin", 0), (1, "twin", 0)]), [2, 2**31 + 1, 7])
+# a column that reaches 2**32 in some rows only moves the words after it there
+@example(((np.array([2**32 - 1, 2**32, 5, 2**40]), "x", np.array([2**33, 1, 2**32, 0])),
+          [(2**32 - 1, "x", 2**33), (2**32, "x", 1), (5, "x", 2**32), (2**40, "x", 0)]),
+         [2**32, 3, 2, 8192, 2**31 + 7])
+def test_raw_draws_of_seed_word_rows_match_numpy_integers(case, sequence):
+    key, row_keys = case
+    rows = rng.seed_words(*key)
+    assert len(rows) == len(row_keys)
+    draws = [rng.RawDraws(row) for row in rows]
+    refs = [np.random.Generator(np.random.PCG64(numpy_seed(row))) for row in row_keys]
+    for n in sequence:
+        assert [d.below(n) for d in draws] == [int(ref.integers(n)) for ref in refs]
+    for d, ref in zip(draws, refs):  # the same words taken and the same half pending
+        theirs = ref.bit_generator.state
+        assert d._state == theirs["state"]["state"]
+        assert d._half == (theirs["uinteger"] if theirs["has_uint32"] else -1)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(keys)
+@example(("protocol",))
+@example((2**32, "x", -1))
+def test_stream_matches_numpy_seed_sequence(key):
+    ours, ref = rng.stream(*key), np.random.Generator(np.random.PCG64(numpy_seed(key)))
+    assert ours.bit_generator.state == ref.bit_generator.state
+    assert ours.integers(0, 2**62, size=4).tolist() == ref.integers(0, 2**62, size=4).tolist()
+    assert ours.random() == ref.random()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.lists(st.tuples(keys, st.lists(bounds, max_size=40)), min_size=1, max_size=4))
 @example([((1, 2, "protocol"), [1, 1, 2, 1, 2**31 + 1] * 8 + [2**32, 3, 2**32])])
 def test_raw_draws_match_numpy_integers(cases):
     for key, sequence in cases:
         ref = np.random.Generator(np.random.PCG64(numpy_seed(key)))
-        gen = rng.stream(*key)
-        draws = rng.RawDraws(gen)
+        draws = rng.RawDraws(rng.seed_words(*key)[0])
         for n in sequence:
             assert draws.below(n) == int(ref.integers(n))
         # both consumed the same raw words and hold the same pending half
-        ours, theirs = gen.bit_generator.state, ref.bit_generator.state
-        assert ours["state"] == theirs["state"]
-        assert draws._half == (theirs["uinteger"] if theirs["has_uint32"] else None)
+        theirs = ref.bit_generator.state
+        assert draws._state == theirs["state"]["state"]
+        assert draws._inc == theirs["state"]["inc"]
+        assert draws._half == (theirs["uinteger"] if theirs["has_uint32"] else -1)
 
 
 def test_raw_draws_reject_as_numpy_does():
     # at n = 2**31 + 1 about half of all halves are redrawn
-    gen = rng.stream(5, "reject")
-    draws = rng.RawDraws(gen)
+    draws = rng.RawDraws(rng.seed_words(5, "reject")[0])
     ref = rng.stream(5, "reject")
     assert [draws.below(2**31 + 1) for _ in range(64)] == ref.integers(2**31 + 1, size=64).tolist()
     # count the raw words taken: 64 draws without a redraw would take 32
-    fresh = rng.stream(5, "reject").bit_generator
-    words = 0
-    while fresh.state["state"] != gen.bit_generator.state["state"] and words < 1000:
-        fresh.random_raw()
-        words += 1
-    assert 40 < words < 1000
+    assert 40 < words_taken(draws, (5, "reject"), limit=1000) < 1000
 
 
 def test_array_draws_words_match_numpy_random_raw():
@@ -144,27 +147,28 @@ def test_array_draws_words_match_numpy_random_raw():
 @pytest.mark.parametrize("bound", [1, 2, 240, 2**31 + 1])
 def test_array_draws_below_matches_raw_draws(bound):
     keys = [(5, "below", v) for v in range(300)]
-    draws = rng.ArrayDraws(rng.seed_words(5, "below", np.arange(300)))
-    gens = rng.streams(5, "below", np.arange(300))
-    raws = [rng.RawDraws(gen) for gen in gens]
+    words = rng.seed_words(5, "below", np.arange(300))
+    draws = rng.ArrayDraws(words)
+    raws = [rng.RawDraws(row) for row in words]
     every = np.arange(len(keys))
     for _ in range(6):
         got = draws.below(every, np.full(len(keys), bound))
         assert got.tolist() == [r.below(bound) for r in raws]
     # six draws take three words per stream, more where a half was
     # redrawn (about half of all halves at 2**31 + 1), none at a bound of 1
-    taken = [words_taken(gen, key) for gen, key in zip(gens, keys)]
+    taken = [words_taken(raw, key) for raw, key in zip(raws, keys)]
     if bound == 2**31 + 1:
         assert sum(w > 3 for w in taken) > len(keys) // 2
     else:
         assert set(taken) == {0 if bound == 1 else 3}
 
 
-def words_taken(gen, key, limit=64):
-    """Raw words ``gen`` has taken since it was seeded from ``key``."""
+def words_taken(draws, key, limit=64):
+    """Raw words the ``RawDraws`` ``draws`` has taken since it was seeded
+    from ``key``."""
     ref = np.random.PCG64(numpy_seed(key))
     for words in range(limit):
-        if ref.state["state"] == gen.bit_generator.state["state"]:
+        if ref.state["state"]["state"] == draws._state:
             return words
         ref.random_raw()
     raise AssertionError("more words than the limit")
@@ -172,8 +176,9 @@ def words_taken(gen, key, limit=64):
 
 def test_array_draws_carry_each_streams_pending_half_between_calls():
     every = np.arange(64)
-    draws = rng.ArrayDraws(rng.seed_words(9, "carry", every))
-    raws = [rng.RawDraws(gen) for gen in rng.streams(9, "carry", every)]
+    words = rng.seed_words(9, "carry", every)
+    draws = rng.ArrayDraws(words)
+    raws = [rng.RawDraws(row) for row in words]
     calls = [
         (every[::2], 2),  # the even streams keep a pending half
         (every, 240),  # even streams use it, odd ones take a word
@@ -186,7 +191,7 @@ def test_array_draws_carry_each_streams_pending_half_between_calls():
         got = draws.below(who, np.full(len(who), bound))
         assert got.tolist() == [raws[i].below(bound) for i in who.tolist()]
         pending = [r._half for r in raws]
-        assert [int(h) if has else None
+        assert [int(h) if has else -1
                 for h, has in zip(draws.half, draws.has_half)] == pending
 
 

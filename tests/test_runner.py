@@ -6,6 +6,7 @@ labels, and the stability of per-node draws under topology edits."""
 import dataclasses
 import os
 import tempfile
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -18,6 +19,7 @@ from helpers import (
     label_for,
     node_states,
     protocol_states,
+    reported_reference,
     run_on_engine,
     valid_events,
     wrap_distance,
@@ -295,6 +297,19 @@ def boundary_cases(draw):
     return topo, schedule, wake_slots, dynamic, events, max_periods, seed
 
 
+@contextmanager
+def boundary_config(wakeup, wake_slots, **fields):
+    """The trial's config, with the wake slots written to a ``file:``
+    schedule while the block runs when ``wake_slots`` is given."""
+    with tempfile.TemporaryDirectory() as tmp:
+        if wake_slots is not None:
+            path = os.path.join(tmp, "wake.txt")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.writelines(f"{v} {slot}\n" for v, slot in enumerate(wake_slots))
+            wakeup = f"file:{path}"
+        yield SimConfig(wakeup=wakeup, **fields)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(boundary_cases())
 @example((Topology.from_edges(4, [(0, 1), (0, 2), (0, 3)]), "random", None, True,
@@ -305,14 +320,8 @@ def test_boundary_pass_matches_per_boundary_reference(case):
     # of checking every boundary as it is stepped, for either path
     topo, wakeup, wake_slots, dynamic, candidates, max_periods, seed = case
     events = valid_events(topo, candidates)
-    with tempfile.TemporaryDirectory() as tmp:
-        if wake_slots is not None:
-            path = os.path.join(tmp, "wake.txt")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.writelines(f"{v} {slot}\n" for v, slot in enumerate(wake_slots))
-            wakeup = f"file:{path}"
-        cfg = SimConfig(kappa=128.0, master_seed=seed, wakeup=wakeup, max_periods=max_periods,
-                        dynamic=dynamic)
+    with boundary_config(wakeup, wake_slots, kappa=128.0, master_seed=seed,
+                         max_periods=max_periods, dynamic=dynamic) as cfg:
         result = runner.run_jitterjump_trial(topo, cfg, seed_key=("pass",), events=events,
                                              collect_rows=True)
         reference, resets = boundary_checks_reference(topo, cfg, ("pass",), events,
@@ -322,3 +331,38 @@ def test_boundary_pass_matches_per_boundary_reference(case):
                  "window_observations"):
         assert getattr(result, name) == getattr(reference, name), name
     assert result.resets == resets
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(boundary_cases())
+# node 1 is removed at period 2 and re-added under its id at 3; node 4 joins at 6
+@example((Topology.from_edges(4, [(0, 1), (0, 2), (0, 3)]), "random", None, True,
+          [DynamicEvent(2, "remove_node", (1,)), DynamicEvent(3, "add_node", (1, 0, 2)),
+           DynamicEvent(4, "add_edge", (2, 3)), DynamicEvent(6, "add_node", (4, 1, 3))], 8, 5))
+# nodes that wake inside a stretch, in its first slot and periods late
+@example((Topology.from_edges(3, [(0, 1), (1, 2)]), "file", [0, 300, 512], False, [], 6, 1))
+def test_engine_lists_the_boundaries_its_wake_slots_give(case):
+    # per stretch, the nodes whose on_period_end the engine called are those
+    # that woke before the stretch and have a boundary in it, by slot then id
+    topo, wakeup, wake_slots, dynamic, candidates, max_periods, seed = case
+    events = valid_events(topo, candidates)
+    taken = runner._reported
+    stretches = []
+
+    def checking(engine, read):
+        start = stretches[-1][1] if stretches else 0
+        nodes = read.topology.arrays.nodes.tolist()
+        expected = reported_reference(engine, nodes, start, engine.slot)
+        stretches.append((start, engine.slot))
+        assert engine.reported == expected
+        return taken(engine, read)
+
+    with boundary_config(wakeup, wake_slots, kappa=128.0, master_seed=seed,
+                         max_periods=max_periods, dynamic=dynamic) as cfg, \
+            capture_engines() as engines, mock.patch.object(runner, "_reported", checking):
+        result = run_on_engine(topo, cfg, seed_key=("listed",), events=events)
+    # one stretch of Q slots per period and the final boundary slot, each
+    # taken and cleared
+    (engine,) = engines
+    assert [end - start for start, end in stretches] == [engine.q] * result.periods_run + [1]
+    assert engine.reported == []
