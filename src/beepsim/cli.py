@@ -52,6 +52,15 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """A seed in [0, 2**63): the streams keep 63 bits of an int, so any
+    other value would alias one inside the range."""
+    value = int(text)
+    if not 0 <= value < 2**63:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2**63), got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--graph", required=True,
                         help="edge-list path or generator spec (e.g. gnp:64:0.1)")
@@ -65,7 +74,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help=f"jitterjump slots per unit of degree (default {DEFAULT_KAPPA:g})")
     parser.add_argument("--epsilon", type=float, default=None,
                         help=f"beepfirst buffer randomization (default {DEFAULT_EPSILON:g})")
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=_seed, default=1)
     parser.add_argument("--trials", type=_at_least_one, default=1)
     parser.add_argument("--max-periods", type=int, default=None, help="jitterjump period cap")
     parser.add_argument("--wakeup", default="simultaneous")
@@ -98,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bb.add_argument("--n", type=int, required=True)
     p_bb.add_argument("--trials", type=_at_least_one, default=None,
                       help="optional Monte Carlo check")
-    p_bb.add_argument("--seed", type=int, default=1)
+    p_bb.add_argument("--seed", type=_seed, default=1)
 
     p_amp = osub.add_parser("amplify", help="success-probability amplification calculator")
     p_amp.add_argument("--c", type=float, required=True)
@@ -112,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lb.add_argument("--trials", type=_at_least_one, required=True,
                       help=f"run in batches of at most {BATCH_NODES:,} nodes, so memory "
                            "does not grow with it")
-    p_lb.add_argument("--seed", type=int, default=1)
+    p_lb.add_argument("--seed", type=_seed, default=1)
 
     return parser
 
@@ -282,8 +291,7 @@ def _validate_jitterjump(result, cfg, failures: list[str], tag: str, events=()) 
                 failures.append(f"{tag}: no stable coloring after the event at period {period}")
         entry["restabilize_periods"] = churn
     if settled:
-        report = validate_interval_coloring(snapshot, result.topology,
-                                            eta=cfg.eta, q=result.q)
+        report = validate_interval_coloring(snapshot, eta=cfg.eta)
         entry["interval_violations"] = len(report.violations)
         entry["min_normalized_interval"] = report.min_normalized_interval
         if report.violations:
@@ -291,10 +299,8 @@ def _validate_jitterjump(result, cfg, failures: list[str], tag: str, events=()) 
         if not events and (report.min_normalized_interval is not None
                            and report.min_normalized_interval < 1.0):
             failures.append(f"{tag}: interval below the guaranteed floor")
-        ids, phases = snapshot.global_phases()
         try:
-            colors = hardness_reduction(ids, phases, np.zeros_like(phases), result.q,
-                                        result.topology)
+            colors = hardness_reduction(snapshot, np.zeros_like(snapshot.phase))
             # distinct colors: each color >= 0 differs from the -1 before it
             entry["colors_used"] = int(np.count_nonzero(np.diff(np.sort(colors), prepend=-1)))
         except InternalInconsistencyError as exc:
@@ -317,20 +323,19 @@ def _run_beepfirst_campaign(args) -> int:
 
 
 def _validate_beepfirst(result, failures: list[str], tag: str) -> dict:
-    topo = result.topology
     if not result.all_stable:
         failures.append(f"{tag}: not all nodes reached a stable phase")
     if result.late_nodes:
         failures.append(f"{tag}: {result.late_nodes} nodes settled after 3 periods")
     if result.search_overruns:
         failures.append(f"{tag}: search phase outlived one period")
-    ties = result.tie_collisions + neighbor_phase_ties(result.snapshot, topo)
+    ties = result.tie_collisions + neighbor_phase_ties(result.snapshot)
     if ties:
         failures.append(f"{tag}: {ties} floating-point phase ties")
-    report = validate_interval_coloring(result.snapshot, topo)
+    report = validate_interval_coloring(result.snapshot)
     if report.violations:
         failures.append(f"{tag}: overlapping intervals {report.violations[:3]}")
-    if symmetric_window_violations(result.snapshot, topo):
+    if symmetric_window_violations(result.snapshot):
         failures.append(f"{tag}: neighbor phase inside a symmetric interval")
     return {
         "all_stable": result.all_stable,

@@ -10,17 +10,17 @@ enforced inside the protocols.  A jitter-and-jump trial is one period
 loop: a stepper, over arrays for a static run whose nodes all wake at
 slot 0 and through the engine otherwise, steps each period with the same
 draws, hands the boundaries it ran (the engine lists them) to one array
-pass, :meth:`_BoundaryChecks.on_period_boundary`, and reads the state it
-leaves; the loop builds the good set, the snapshots, the final labels and
-the result from those reads alone.  A beep-first trial draws every
-node's start offset from its protocol stream in one array pass.
+pass, :meth:`_BoundaryChecks.on_period_boundary`, and returns the
+period's :class:`ColoringSnapshot`; the loop builds the good set, the
+final labels and the result from those snapshots alone.  A beep-first
+trial draws every node's start offset from its protocol stream in one
+array pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -38,54 +38,48 @@ from .trace import TraceRow
 BEEPFIRST_HORIZON_PERIODS = 4  # a beep-first trial runs this long past the last wake
 
 
-def _good(src, dst, phase, has_phase, colored, q) -> np.ndarray:
-    """Per node: colored and no neighbor holding a phase clashes with it
-    (the rule is symmetric for integer phases, so once per edge)."""
-    clash = has_phase[src] & has_phase[dst] & phases_clash(phase[src], phase[dst], q)
+def _good(snapshot: ColoringSnapshot) -> np.ndarray:
+    """Per node: colored, holding a phase (not -1), and no neighbor holding
+    a phase clashes with it (the rule is symmetric for integer phases, so
+    once per edge)."""
+    view, phase = snapshot.topology.arrays, snapshot.phase
+    src, dst = view.src, view.dst
+    held = phase >= 0
+    clash = held[src] & held[dst] & phases_clash(phase[src], phase[dst], snapshot.tau)
     bad = np.zeros(len(phase), dtype=bool)
     bad[src[clash]] = True
     bad[dst[clash]] = True
-    return colored & has_phase & ~bad
+    return snapshot.colored & held & ~bad
 
 
-class _Read(NamedTuple):
-    """The nodes as a period leaves them, in id order: the graph, and each
-    node's global phase and interval (-1 where it holds none) and colored
-    flag."""
-
-    topology: Topology
-    phase: np.ndarray
-    interval: np.ndarray
-    colored: np.ndarray
-
-
-def _wake(engine: DiscreteEngine, nodes: np.ndarray) -> np.ndarray:
-    """The wake slot of each of ``nodes``."""
-    return np.array([engine.wake_slot[v] for v in nodes.tolist()], dtype=np.int64)
+def discrete_snapshot(topology: Topology, q: int, p: np.ndarray, interval: np.ndarray,
+                      colored: np.ndarray, woke: np.ndarray | None = None) -> ColoringSnapshot:
+    """The nodes of ``topology`` as a discrete period leaves them, from each
+    one's local phase ``p`` (-1 where it holds none), interval and colored
+    flag in node order.  A node's global phase is its local phase plus its
+    wake slot ``woke`` mod ``q``; a run whose nodes all woke at slot 0
+    passes none, and its local phases are the global ones."""
+    if woke is not None:
+        p = np.where(p < 0, -1, (p + woke) % q)
+    return ColoringSnapshot(topology, q, p, interval, colored)
 
 
-def _read(engine: DiscreteEngine) -> _Read:
-    """Every protocol of ``engine`` read once into arrays."""
+def _read(engine: DiscreteEngine) -> ColoringSnapshot:
+    """Every protocol of ``engine`` read once into a snapshot."""
     topology = engine.topology
-    nodes = topology.arrays.nodes
-    protocols = [engine.protocols[v] for v in nodes.tolist()]
-    local = np.array([pr.p for pr in protocols], dtype=np.int64)
-    phase = np.where(local < 0, -1, (local + _wake(engine, nodes)) % engine.q)
-    return _Read(topology, phase, np.array([pr.interval for pr in protocols], dtype=np.int64),
-                 np.array([pr.colored for pr in protocols], dtype=bool))
+    nodes = topology.arrays.nodes.tolist()
+    protocols = [engine.protocols[v] for v in nodes]
+    return discrete_snapshot(topology, engine.q,
+                             np.array([pr.p for pr in protocols], dtype=np.int64),
+                             np.array([pr.interval for pr in protocols], dtype=np.int64),
+                             np.array([pr.colored for pr in protocols], dtype=bool),
+                             np.array([engine.wake_slot[v] for v in nodes], dtype=np.int64))
 
 
-def discrete_snapshot(read: _Read, q: int) -> ColoringSnapshot:
-    """Every node's global phase, interval and colored flag as ``read`` holds them."""
-    return ColoringSnapshot.from_arrays(q, read.topology.arrays.nodes, read.phase,
-                                        read.phase >= 0, read.interval, read.interval >= 0,
-                                        read.colored)
-
-
-def _reported(engine: DiscreteEngine, read: _Read) -> tuple:
+def _reported(engine: DiscreteEngine, after: ColoringSnapshot) -> tuple:
     """The arguments of :meth:`_BoundaryChecks.on_period_boundary` for the
     boundaries ``engine.reported`` lists, which this takes and clears,
-    with ``read`` taken once every node has passed its boundary there."""
+    with ``after`` read once every node has passed its boundary there."""
     protocols, wake = engine.protocols, engine.wake_slot
     ids = engine.reported
     columns = np.array([(*protocols[v].last_report, protocols[v].d_tilde, wake[v]) for v in ids],
@@ -94,9 +88,9 @@ def _reported(engine: DiscreteEngine, read: _Read) -> tuple:
     report = PeriodArrays(period, phase, jitter, interval, heard, colored.astype(bool),
                           free_count, reset.astype(bool))
     before = np.where(period > 0, (phase + woke) % engine.q, -1)
-    order = np.searchsorted(read.topology.arrays.nodes, ids)
+    order = np.searchsorted(after.topology.arrays.nodes, ids)
     ids.clear()
-    return read.topology, order, report, before, read.phase, read.colored, d_tilde
+    return after, order, report, before, d_tilde
 
 
 class _BoundaryChecks:
@@ -116,20 +110,17 @@ class _BoundaryChecks:
         self.rows: list[TraceRow] = []
         self._last: TopologyArrays | None = None  # the graph of the previous stretch
 
-    def on_period_boundary(self, topology: Topology, order: np.ndarray, report: PeriodArrays,
-                           before: np.ndarray, after: np.ndarray, colored: np.ndarray,
-                           d_tilde: np.ndarray) -> None:
+    def on_period_boundary(self, after: ColoringSnapshot, order: np.ndarray,
+                           report: PeriodArrays, before: np.ndarray, d_tilde: np.ndarray) -> None:
         """Check the boundaries at which the nodes ``order`` reported in one
-        stretch, in which the graph was ``topology``.
+        stretch, which leaves the nodes as ``after`` holds them.
 
-        ``order`` indexes ``topology.arrays.nodes`` in the order of the
-        boundaries, by slot and then by id; ``report``, ``d_tilde`` and
+        ``order`` indexes ``after.topology.arrays.nodes`` in the order of
+        the boundaries, by slot and then by id; ``report``, ``d_tilde`` and
         ``before``, each node's global phase before its boundary (-1 where
         it held none), follow it.
-        ``after`` and ``colored`` hold every node's global phase (-1 where
-        it holds none) and colored flag after the stretch.
         """
-        view = topology.arrays
+        view = after.topology.arrays
         degree = view.degree[order]
         if self.dynamic:
             # events land on global period boundaries, so during the local
@@ -150,7 +141,7 @@ class _BoundaryChecks:
             short = (report.free_count >= 0) & (report.free_count < self.free_floor)
             self.free_floor_violations += int(np.count_nonzero(short))
         if self.collect_rows:
-            self.rows += self._rows(view, order, report, before, after, colored)
+            self.rows += self._rows(view, order, report, before, after.phase, after.colored)
 
     def _rows(self, view, order, report, before, after, colored) -> list[TraceRow]:
         """The trace rows of the boundaries: at each one, a neighbour shows
@@ -183,8 +174,6 @@ class _BoundaryChecks:
 class JitterJumpResult:
     """One discrete-protocol trial."""
 
-    topology: Topology
-    q: int
     converged_period: int | None
     periods_run: int
     snapshot: ColoringSnapshot | None
@@ -224,14 +213,15 @@ def run_jitterjump_trial(
     runs all ``max_periods`` periods so that it sees every event.
 
     One loop runs the trial a period at a time; a stepper steps each
-    period, hands its boundaries to the boundary checks and reads the
-    state it leaves.  A static run in which every node wakes at slot 0
+    period, hands its boundaries to the boundary checks and returns the
+    snapshot of the state it leaves.  A static run in which every node wakes at slot 0
     steps the whole network over arrays (:class:`_ArraySteps`); every
     other run drives one :class:`JitterAndJump` per node through the
     :class:`DiscreteEngine` (:class:`_EngineSteps`).  Both give the same
     result, draw for draw.  The loop takes the good set, good-set
-    monotonicity and convergence from each period's read, and the
-    snapshots and final labels from the read of the period they are of.
+    monotonicity and convergence from each period's snapshot; the first
+    all-good snapshot and the last are the result's, and the final
+    labels come from the last.
     """
     q = cfg.resolve_q(topology.delta)
     n = topology.n
@@ -256,9 +246,9 @@ def run_jitterjump_trial(
     converged_period = snapshot = None
     all_good_periods: list[int] = []
     for k in range(1, max_periods + 1):
-        read = steps.step()
-        view = read.topology.arrays
-        good = _good(view.src, view.dst, read.phase, read.phase >= 0, read.colored, q)
+        last = steps.step()
+        view = last.topology.arrays
+        good = _good(last)
         # good after the previous period, still there and good no longer
         lost = np.intersect1d(was_good, view.nodes[~good], assume_unique=True)
         monotonic_violations += len(lost)
@@ -266,22 +256,17 @@ def run_jitterjump_trial(
         if good.size and good.all():
             all_good_periods.append(k)
             if converged_period is None:
-                converged_period = k
-                snapshot = discrete_snapshot(read, q)
+                converged_period, snapshot = k, last
             if not cfg.dynamic:
                 break
-    steps.finish(read)
+    steps.finish(last)
 
-    # a static run stops at convergence, so its last read is the converged one
-    final_snapshot = snapshot if converged_period == k else discrete_snapshot(read, q)
     return JitterJumpResult(
-        topology=read.topology,
-        q=q,
         converged_period=converged_period,
         periods_run=k,
-        snapshot=final_snapshot if snapshot is None else snapshot,
-        final_snapshot=final_snapshot,
-        final_labels=classify_good_bad(final_snapshot, read.topology),
+        snapshot=last if snapshot is None else snapshot,
+        final_snapshot=last,
+        final_labels=classify_good_bad(last),
         sandwich_violations=checks.sandwich_violations,
         free_floor_violations=checks.free_floor_violations,
         monotonic_violations=monotonic_violations,
@@ -322,16 +307,16 @@ class _EngineSteps:
         self.engine = DiscreteEngine(topology, q, factory, wake, events=events)
         self.engine.run_slots(1)  # wake processing and the events of period 0 at slot 0
 
-    def step(self) -> _Read:
+    def step(self) -> ColoringSnapshot:
         engine, q = self.engine, self.engine.q
         engine.run_slots(q - 1)
         self.checks.on_period_boundary(*_reported(engine, _read(engine)))
         engine.run_slots(1)  # slot kQ applies the events of period k
         return _read(engine)
 
-    def finish(self, read: _Read) -> None:
+    def finish(self, last: ColoringSnapshot) -> None:
         """Check the boundaries at slot kQ, the last slot run."""
-        self.checks.on_period_boundary(*_reported(self.engine, read))
+        self.checks.on_period_boundary(*_reported(self.engine, last))
 
 
 class _ArraySteps:
@@ -345,16 +330,18 @@ class _ArraySteps:
         self.protocol = StaticJitterJumpArrays(q, cfg.eta, words, view.src, view.dst)
         self.topology, self.checks = topology, checks
 
-    def step(self) -> _Read:
+    def step(self) -> ColoringSnapshot:
         protocol = self.protocol
         protocol.step()
+        # each step builds new state arrays, so the snapshot keeps its own
+        snapshot = discrete_snapshot(self.topology, protocol.q, protocol.p, protocol.interval,
+                                     protocol.colored)
         report = protocol.last_report
-        self.checks.on_period_boundary(self.topology, np.arange(self.topology.n), report,
-                                       report.phase, protocol.p, protocol.colored,
-                                       protocol.d_tilde)
-        return _Read(self.topology, protocol.p, protocol.interval, protocol.colored)
+        self.checks.on_period_boundary(snapshot, np.arange(self.topology.n), report,
+                                       report.phase, protocol.d_tilde)
+        return snapshot
 
-    def finish(self, read: _Read) -> None:
+    def finish(self, last: ColoringSnapshot) -> None:
         """Nothing: each step checks the boundaries it runs."""
 
 
@@ -365,7 +352,6 @@ class _ArraySteps:
 class BeepFirstResult:
     """One continuous-protocol trial."""
 
-    topology: Topology
     all_stable: bool
     late_nodes: int
     search_overruns: int
@@ -406,11 +392,10 @@ def run_beepfirst_trial(
 
     protos = [engine.protocols[v] for v in ids]
     stable = np.array([pr.stable for pr in protos], dtype=bool)
-    phase = np.array([(pr.p + engine.theta(v)) % t_period if pr.stable else 0.0
+    phase = np.array([(pr.p + engine.theta(v)) % t_period if pr.stable else -1.0
                       for v, pr in zip(ids, protos)])
-    interval = np.array([math.nan if pr.interval is None else pr.interval for pr in protos])
-    snapshot = ColoringSnapshot.from_arrays(t_period, view.nodes, phase, stable,
-                                            interval, ~np.isnan(interval), stable)
+    interval = np.array([-1.0 if pr.interval is None else pr.interval for pr in protos])
+    snapshot = ColoringSnapshot(topology, t_period, phase, interval, stable)
     delays = [pr.stable_since - wake[v] for v, pr in zip(ids, protos) if pr.stable]
     # late: unsettled, or settled three periods or more after waking
     late = len(ids) - len(delays) + sum(d >= 3.0 * t_period for d in delays)
@@ -440,7 +425,6 @@ def run_beepfirst_trial(
                 )
 
     return BeepFirstResult(
-        topology=topology,
         all_stable=all_stable,
         late_nodes=late,
         search_overruns=overruns,

@@ -8,7 +8,6 @@ from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter
 from unittest import mock
 
 import numpy as np
@@ -49,19 +48,23 @@ class NodeState:
     colored: bool
 
 
-def snapshot_of(tau, states):
-    """A snapshot of one :class:`NodeState` per node (None where a node holds
-    no phase or interval); of repeated ids the last wins."""
-    states = sorted(states, key=attrgetter("node"))  # stable: last duplicate wins
+def snapshot_of(topology, tau, states):
+    """A snapshot of ``topology`` from one :class:`NodeState` per node, in
+    any order, None or -1 where a node holds no phase or interval; the
+    arrays are ints for an int ``tau`` and floats otherwise."""
+    by_id = {s.node: s for s in states}
+    nodes = topology.arrays.nodes.tolist()
+    if sorted(by_id) != nodes:
+        raise ValueError(f"states of nodes {sorted(by_id)} for a graph of nodes {nodes}")
+    ordered = [by_id[v] for v in nodes]
+    dtype = np.int64 if isinstance(tau, int) else float
 
     def held(values):
-        return (np.array([0 if x is None else x for x in values]),
-                np.array([x is not None for x in values], dtype=bool))
+        return np.array([-1 if x is None else x for x in values], dtype=dtype)
 
-    return ColoringSnapshot.from_arrays(
-        tau, np.array([s.node for s in states], dtype=np.int64),
-        *held([s.global_phase for s in states]), *held([s.interval for s in states]),
-        np.array([s.colored for s in states], dtype=bool))
+    return ColoringSnapshot(topology, tau, held([s.global_phase for s in ordered]),
+                            held([s.interval for s in ordered]),
+                            np.array([s.colored for s in ordered], dtype=bool))
 
 
 def held_or_none(value):
@@ -94,16 +97,10 @@ def beepfirst_states(engine):
 
 def node_states(snapshot):
     """A snapshot's nodes as :class:`NodeState` records in id order, read
-    back from its arrays (None where a node holds no phase or interval)."""
-    arrs = snapshot._arrays
-    m = len(arrs.ids)
-
-    def held(values, mask):
-        return [x if h else None for x, h in zip(values[:m].tolist(), mask[:m].tolist())]
-
-    return [NodeState(*fields) for fields in zip(
-        arrs.ids.tolist(), held(arrs.phase, arrs.has_phase),
-        held(arrs.interval, arrs.has_interval), arrs.colored[:m].tolist())]
+    back from its arrays (None where a node holds -1)."""
+    return [NodeState(v, held_or_none(p), held_or_none(i), c) for v, p, i, c in zip(
+        snapshot.topology.arrays.nodes.tolist(), snapshot.phase.tolist(),
+        snapshot.interval.tolist(), snapshot.colored.tolist())]
 
 
 def by_node(snapshot):
@@ -129,16 +126,14 @@ def _arcs_intersect(end_a, len_a, end_b, len_b, tau) -> bool:
     return (end_b - end_a) % tau <= len_b or (end_a - end_b) % tau <= len_a
 
 
-def validate_interval_coloring_reference(snapshot, topology, eta=None, q=None):
+def validate_interval_coloring_reference(snapshot, eta=None):
     """One edge at a time: the oracle for ``analysis.validate_interval_coloring``."""
     states = by_node(snapshot)
-    tau = snapshot.tau
+    topology, tau = snapshot.topology, snapshot.tau
     violations = []
     pairs = 0
     for u, v in topology.edges():
-        su, sv = states.get(u), states.get(v)
-        if su is None or sv is None:
-            continue
+        su, sv = states[u], states[v]
         if su.global_phase is None or sv.global_phase is None:
             continue
         if not (su.colored and sv.colored):
@@ -149,24 +144,24 @@ def validate_interval_coloring_reference(snapshot, topology, eta=None, q=None):
         ):
             violations.append((u, v))
     min_norm = None
-    if eta is not None and q is not None:
+    if eta is not None:
         norms = [
-            s.interval * (2 * max_neighborhood_degree(topology, s.node) + 1) / (eta * q)
+            s.interval * (2 * max_neighborhood_degree(topology, s.node) + 1) / (eta * tau)
             for s in node_states(snapshot)
-            if s.colored and s.interval is not None and s.node in adjacency_of(topology)
+            if s.colored and s.interval is not None
         ]
         min_norm = min(norms) if norms else None
     return IntervalReport(pairs, tuple(violations), min_norm)
 
 
-def symmetric_window_violations_reference(snapshot, topology):
+def symmetric_window_violations_reference(snapshot):
     """One edge at a time: the oracle for ``analysis.symmetric_window_violations``."""
     states = by_node(snapshot)
     tau = snapshot.tau
     bad = []
-    for u, v in topology.edges():
-        su, sv = states.get(u), states.get(v)
-        if su is None or sv is None or su.global_phase is None or sv.global_phase is None:
+    for u, v in snapshot.topology.edges():
+        su, sv = states[u], states[v]
+        if su.global_phase is None or sv.global_phase is None:
             continue
         d = wrap_distance(su.global_phase, sv.global_phase, tau)
         if d <= (sv.interval or 0) or d <= (su.interval or 0):
@@ -174,21 +169,21 @@ def symmetric_window_violations_reference(snapshot, topology):
     return bad
 
 
-def classify_good_bad_reference(snapshot, topology):
+def classify_good_bad_reference(snapshot):
     """One node and one neighbor at a time: the oracle for
     ``analysis.classify_good_bad``."""
     states = by_node(snapshot)
+    topology, tau = snapshot.topology, snapshot.tau
     labels = {}
-    tau = snapshot.tau
     for v in topology.nodes:
-        sv = states.get(v)
-        if sv is None or not sv.colored:
+        sv = states[v]
+        if not sv.colored:
             labels[v] = BAD_UNCOLORED
             continue
         conflict = False
         for u in adjacency_of(topology)[v]:
-            su = states.get(u)
-            if su is None or su.global_phase is None:
+            su = states[u]
+            if su.global_phase is None:
                 continue
             if wrap_distance(su.global_phase, sv.global_phase, tau) <= 1:
                 conflict = True
@@ -208,14 +203,12 @@ def hardness_reduction_reference(local_phases, offsets, q, topology):
     return colors
 
 
-def neighbor_phase_ties_reference(snapshot, topology):
+def neighbor_phase_ties_reference(snapshot):
     """One edge at a time: the oracle for ``analysis.neighbor_phase_ties``."""
     states = by_node(snapshot)
     ties = 0
-    for u, v in topology.edges():
-        su, sv = states.get(u), states.get(v)
-        if su is None or sv is None:
-            continue
+    for u, v in snapshot.topology.edges():
+        su, sv = states[u], states[v]
         if su.global_phase is not None and su.global_phase == sv.global_phase:
             ties += 1
     return ties

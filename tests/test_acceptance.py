@@ -25,6 +25,7 @@ from helpers import (
 
 from beepsim import rng
 from beepsim.analysis import (
+    ColoringSnapshot,
     classify_good_bad,
     fit_log_growth,
     hardness_reduction,
@@ -96,7 +97,7 @@ def test_01_beepfirst_constant_time_convergence(beepfirst_runs):
     unstable = sum(0 if r.all_stable else 1 for _, r in beepfirst_runs)
     overruns = sum(r.search_overruns for _, r in beepfirst_runs)
     ties = sum(
-        r.tie_collisions + neighbor_phase_ties(r.snapshot, topo)
+        r.tie_collisions + neighbor_phase_ties(r.snapshot)
         for topo, r in beepfirst_runs
     )
     gate(
@@ -112,9 +113,9 @@ def test_02_beepfirst_interval_validity(beepfirst_runs):
     symmetric = 0
     formula_off = 0
     for topo, r in beepfirst_runs:
-        if validate_interval_coloring(r.snapshot, topo).violations:
+        if validate_interval_coloring(r.snapshot).violations:
             overlap += 1
-        if symmetric_window_violations(r.snapshot, topo):
+        if symmetric_window_violations(r.snapshot):
             symmetric += 1
         for s in node_states(r.snapshot):
             dmax = max_neighborhood_degree(topo, s.node)
@@ -158,16 +159,17 @@ def test_04_interval_floor(sweep):
         for t in trials:
             if not t.converged:
                 continue
-            report = validate_interval_coloring(t.snapshot, t.topology, eta=ETA, q=t.q)
+            report = validate_interval_coloring(t.snapshot, eta=ETA)
             overlaps += len(report.violations)
             states = by_node(t.snapshot)
-            for v in t.topology.nodes:
+            topo, q = t.snapshot.topology, t.snapshot.tau
+            for v in topo.nodes:
                 s = states[v]
-                dmax = max_neighborhood_degree(t.topology, v)
+                dmax = max_neighborhood_degree(topo, v)
                 # integer comparison: I * (2*dmax+1) * 16 >= Q, zero tolerance
                 lhs = s.interval * (2 * dmax + 1) * 16
-                worst = min(worst, lhs / t.q)
-                if lhs < t.q:
+                worst = min(worst, lhs / q)
+                if lhs < q:
                     violations += 1
     gate(
         4,
@@ -266,21 +268,21 @@ def test_10_hardness_reduction(sweep):
         for i, t in enumerate(trials):
             if not t.converged:
                 continue
-            local = {}
-            offsets = {}
+            local = []
+            offsets = []
             states = by_node(t.snapshot)
+            topo, q = t.snapshot.topology, t.snapshot.tau
             # the trial's own wakeup draws, as run_jitterjump_trial takes them
-            wake = build_wakeup(SimConfig().wakeup, t.topology.nodes, t.q,
+            wake = build_wakeup(SimConfig().wakeup, topo.nodes, q,
                                 rng.stream(SEED, "sweep", n, i, "wakeup"))
-            for v in t.topology.nodes:
+            for v in topo.nodes:  # in node order
                 s = states[v]
-                offsets[v] = wake[v] % t.q
-                local[v] = (s.global_phase - offsets[v]) % t.q
-            ids = sorted(local)
-            colors = dict(zip(ids, hardness_reduction(
-                np.array(ids), np.array([local[v] for v in ids]),
-                np.array([offsets[v] for v in ids]), t.q, t.topology).tolist()))
-            assert len(set(colors.values())) <= t.q
+                offsets.append(wake[v] % q)
+                local.append((s.global_phase - offsets[-1]) % q)
+            colors = hardness_reduction(
+                ColoringSnapshot(topo, q, np.array(local), t.snapshot.interval, t.snapshot.colored),
+                np.array(offsets))
+            assert len(set(colors.tolist())) <= q
             snapshots += 1
     gate(
         10,
@@ -368,9 +370,9 @@ def test_12b_dynamic_star_churn_recovery():
     post = min(hub_estimate[p] for p in range(churn_period + 1, churn_period + r + 2))
     estimate_dropped = post < pre_churn
 
-    report = validate_interval_coloring(res.snapshot, res.topology, eta=ETA, q=res.q)
+    report = validate_interval_coloring(res.snapshot, eta=ETA)
     hub_interval = by_node(res.snapshot)[0].interval
-    floor = ETA * res.q / (2 * 4 + 1)
+    floor = ETA * res.snapshot.tau / (2 * 4 + 1)
     gate(
         12,
         "star churn: degree estimate drops within r periods and hub recovers",

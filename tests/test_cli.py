@@ -347,6 +347,33 @@ def test_counts_below_one_exit_2(args, capsys):
     assert "all validators passed" not in captured.out
 
 
+_SEEDED = [
+    ["static", "--graph", "clique:4"],
+    ["dynamic", "--graph", "clique:4"],
+    ["oracle", "ballsbins", "--m", "5", "--n", "5"],
+    ["oracle", "lowerbound", "--k", "4", "--slots", "40", "--trials", "5"],
+]
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**63)])
+@pytest.mark.parametrize("args", _SEEDED, ids=lambda args: "-".join(args[:2]))
+def test_seeds_outside_63_bits_exit_2(args, seed, capsys):
+    # the streams keep an int's low 63 bits: -1 would run as 2**63 - 1 and
+    # 2**63 as 0
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*args, "--seed", seed])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"must be in [0, 2**63), got {seed}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("args", _SEEDED, ids=lambda args: "-".join(args[:2]))
+def test_seeds_at_the_ends_of_63_bits_parse(args):
+    for seed in (0, 2**63 - 1):
+        assert cli.build_parser().parse_args([*args, "--seed", str(seed)]).seed == seed
+
+
 def test_beepfirst_stagger_wakeup(capsys):
     code = run_cli(["static", "--protocol", "beepfirst", "--graph", "gnp:16:0.2",
                     "--wakeup", "stagger:1", "--seed", "5", "--trials", "2"])

@@ -7,6 +7,7 @@ import pytest
 from helpers import by_node, watch_boundaries
 
 from beepsim import rng
+from beepsim.analysis import ColoringSnapshot
 from beepsim.config import SimConfig
 from beepsim.errors import ConfigError
 from beepsim.jitterjump import JitterAndJump, PeriodArrays
@@ -79,7 +80,7 @@ def test_star_collapse_triggers_recolor_with_larger_interval():
     hub = by_node(res.final_snapshot)[0]
     assert hub.colored
     # post-churn the hub's only neighbor keeps a full buffer clear of it
-    assert hub.interval >= (1 / 16) * res.q / (2 * 1 + 1)
+    assert hub.interval >= (1 / 16) * res.final_snapshot.tau / (2 * 1 + 1)
 
 
 def test_restabilization_metric_counts_from_event():
@@ -112,8 +113,9 @@ def test_beep_bound_is_four_beeps_per_neighbor_at_either_boundary():
         hub = np.zeros(len(beeps_heard), dtype=np.int64)
         report = PeriodArrays(hub, hub - 1, hub - 1, hub - 1, np.array(beeps_heard, dtype=np.int64),
                               hub == 1, hub - 1, hub == 1)
-        checks.on_period_boundary(graph, hub, report, hub - 1, np.full(graph.n, -1),
-                                  np.zeros(graph.n, dtype=bool), hub + 1)
+        none = np.full(graph.n, -1)
+        after = ColoringSnapshot(graph, 256, none, none, np.zeros(graph.n, dtype=bool))
+        checks.on_period_boundary(after, hub, report, hub - 1, hub + 1)
 
     stretch(topo)  # wake: no report, degree 4 noted
     stretch(topo, 4 * 4 + 1)

@@ -448,6 +448,6 @@ def test_unaligned_trial_completes_at_billions_of_slots(dynamic):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert result.q == 3 * 10**9
+    assert result.snapshot.tau == 3 * 10**9
     assert result.periods_run >= 1
     assert peak < 2**20

@@ -16,6 +16,7 @@ from helpers import (
     beepfirst_states,
     boundary_checks_reference,
     capture_engines,
+    classify_good_bad_reference,
     label_for,
     node_states,
     protocol_states,
@@ -28,7 +29,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from beepsim import rng as rngmod
 from beepsim import runner
-from beepsim.analysis import BAD_COLORED, GOOD, classify_good_bad, phases_clash
+from beepsim.analysis import BAD_COLORED, GOOD, ColoringSnapshot, classify_good_bad, phases_clash
 from beepsim.config import SimConfig
 from beepsim.topology import DynamicEvent, Topology, random_regular
 
@@ -86,8 +87,7 @@ def test_array_good_set_matches_classifier_every_period(case):
         (engine,) = engines
         computed.append(set(engine.topology.arrays.nodes[is_good].tolist()))
         alive.append(set(engine.adj))
-        labels = classify_good_bad(runner.discrete_snapshot(runner._read(engine), engine.q),
-                                   engine.topology)
+        labels = classify_good_bad(runner._read(engine))
         assert computed[-1] == {v for v, label in labels.items() if label == GOOD}
         # the trace's per-node labels apply the same rule
         assert {v: label_for(engine, v) for v in engine.adj} == labels
@@ -103,7 +103,27 @@ def test_array_good_set_matches_classifier_every_period(case):
     assert result.monotonic_violations == shrank
     final_good = {v for v, label in result.final_labels.items() if label == GOOD}
     assert final_good == computed[-1]
-    assert result.final_labels == classify_good_bad(result.final_snapshot, result.topology)
+    assert result.final_labels == classify_good_bad(result.final_snapshot)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_good_set_matches_the_loop_beside_phaseless_neighbors(data):
+    # a node still without a phase holds -1, which sits next to phases 0
+    # and Q - 2 mod Q yet must clash with no neighbor
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    q = data.draw(st.sampled_from([1, 2, 3, 4, 8]))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    phase = data.draw(st.lists(st.integers(min_value=-1, max_value=q - 1),
+                               min_size=n, max_size=n))
+    colored = [p >= 0 and data.draw(st.booleans()) for p in phase]  # as both runners color
+    topo = Topology.from_edges(n, edges)
+    snapshot = ColoringSnapshot(topo, q, np.array(phase, dtype=np.int64), np.full(n, -1),
+                                np.array(colored, dtype=bool))
+    good = runner._good(snapshot)
+    assert topo.arrays.nodes[good].tolist() == \
+        [v for v, label in classify_good_bad_reference(snapshot).items() if label == GOOD]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -119,8 +139,7 @@ def test_engine_snapshot_reads_every_protocol_every_period(case):
     def checking_good(*args):
         # called once per period, after its last slot, on the arrays read then
         (engine,) = engines
-        assert node_states(runner.discrete_snapshot(runner._read(engine), engine.q)) == \
-            protocol_states(engine)
+        assert node_states(runner._read(engine)) == protocol_states(engine)
         checked.append(engine.slot)
         return good(*args)
 
@@ -228,13 +247,13 @@ def test_array_path_matches_per_node_engine(case):
     topo, cfg = case
     arrays = runner.run_jitterjump_trial(topo, cfg, seed_key=("same",), collect_rows=True)
     engine = run_on_engine(topo, cfg, seed_key=("same",), collect_rows=True)
-    assert arrays.topology.edges() == engine.topology.edges()
     for name in ("snapshot", "final_snapshot"):
         ours, theirs = getattr(arrays, name), getattr(engine, name)
+        assert ours.topology.edges() == theirs.topology.edges(), name
         assert repr(ours.tau) == repr(theirs.tau), name
         assert repr(node_states(ours)) == repr(node_states(theirs)), name
     for f in dataclasses.fields(runner.JitterJumpResult):
-        if f.name not in ("topology", "snapshot", "final_snapshot"):
+        if f.name not in ("snapshot", "final_snapshot"):
             # repr tells an int from a numpy integer
             assert repr(getattr(arrays, f.name)) == repr(getattr(engine, f.name)), f.name
 
@@ -349,13 +368,13 @@ def test_engine_lists_the_boundaries_its_wake_slots_give(case):
     taken = runner._reported
     stretches = []
 
-    def checking(engine, read):
+    def checking(engine, after):
         start = stretches[-1][1] if stretches else 0
-        nodes = read.topology.arrays.nodes.tolist()
+        nodes = after.topology.arrays.nodes.tolist()
         expected = reported_reference(engine, nodes, start, engine.slot)
         stretches.append((start, engine.slot))
         assert engine.reported == expected
-        return taken(engine, read)
+        return taken(engine, after)
 
     with boundary_config(wakeup, wake_slots, kappa=128.0, master_seed=seed,
                          max_periods=max_periods, dynamic=dynamic) as cfg, \

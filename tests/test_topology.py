@@ -367,8 +367,8 @@ def test_static_array_run_never_builds_the_adjacency_map(build):
     topo = build()
     with mock.patch.object(Topology, "adjacency", side_effect=AssertionError("map built")):
         result = run_jitterjump_trial(topo, SimConfig(master_seed=3), seed_key=("lazy",))
-    assert result.topology is topo  # the array path ran
-    assert not validate_interval_coloring(result.snapshot, topo).violations
+    assert result.snapshot.topology is topo  # the array path ran
+    assert not validate_interval_coloring(result.snapshot).violations
 
 
 def test_dynamic_run_leaves_its_input_topology_unchanged():
@@ -383,5 +383,6 @@ def test_dynamic_run_leaves_its_input_topology_unchanged():
     expected = topo.adjacency()
     for ev in evs:
         apply_event(expected, ev)
-    assert _answers(result.topology) == _answers(Topology.from_adjacency(expected))
-    assert result.topology.nodes == tuple(sorted(expected))
+    assert _answers(result.final_snapshot.topology) == \
+        _answers(Topology.from_adjacency(expected))
+    assert result.final_snapshot.topology.nodes == tuple(sorted(expected))
