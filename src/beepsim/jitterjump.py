@@ -50,11 +50,13 @@ def free_slots(heard, b: int, q: int, own_phase: int = -1) -> _FreeGaps | None:
     all Q are free.  Occupied slots are the heard beeps plus the node's own
     current phase (-1 when it holds none), so a node never jumps next to
     itself."""
-    markers = [*heard] if own_phase < 0 else [*heard, own_phase]
-    if not markers:
+    if own_phase >= 0:
+        heard = (*heard, own_phase)
+    elif not heard:
         return None
-    return _FreeGaps(np.zeros(len(markers), dtype=np.int64), np.array(markers, dtype=np.int64),
-                     np.array([b], dtype=np.int64), q)
+    marker = np.array(heard, dtype=np.int64)
+    return _FreeGaps(np.zeros(1, dtype=np.int64), np.zeros(len(marker), dtype=np.int64),
+                     marker, np.array([b], dtype=np.int64), q)
 
 
 def _nth_free(gaps: _FreeGaps | None, k: int) -> int:
@@ -197,44 +199,51 @@ class _FreeGaps:
     node's blocked runs: the one walk of the rule that a node jumps only
     to a slot whose guard window [p-b-2, p+b+1] holds no occupied slot.
 
-    ``owner`` and ``marker`` list the occupied slots of some nodes, at
-    least one each; ``b`` is indexed by node.  An occupied slot x blocks
-    the run [x-b-1, x+b+2] (wrap-aware) of 2b + 4 slots.  ``counts`` and
-    :meth:`nth` take those nodes in ascending order.  A node with m
-    markers has m + 1 gaps, in slot order: before each run (the first
-    begins where the last run's wrap past Q ends) and after the last one.
+    ``nodes`` lists some nodes in ascending order, ``owner`` and ``marker``
+    their occupied slots, at least one each, and ``b`` is indexed by node.
+    An occupied slot x blocks the 2b + 4 slots from (x-b-1) mod Q on,
+    wrapping past Q.  ``counts`` and :meth:`nth` take the nodes in order.
+
+    Gap layout: one gap before each run, the runs sorted by node and then
+    by start and each node's followed by an empty run at Q, so a node with
+    m markers has m + 1 gaps in slot order, the last its trailing gap
+    [end_last, Q).  A gap begins where the run before it ends (runs of one
+    width end in the order they start), a node's first gap where its last
+    run wraps past Q: max(end_last - Q, 0).  A gap that a run overran, or
+    a repeated marker's, has length 0.
+
+    Shift: the free slot of rank t, counted over all gaps, lies in the gap
+    j with before[j] <= t < before[j+1], ``before[j]`` being the free slots
+    ahead of gap j, at begin[j] + t - before[j]; ``_shift`` holds
+    begin - before, so :meth:`nth` is one search and one add.
     """
 
-    def __init__(self, owner: np.ndarray, marker: np.ndarray, b: np.ndarray, q: int):
-        # sorted by node, then by run start (a repeated marker adds an empty
-        # gap); runs of one width stop in the order they start
-        key = np.sort(owner * q + (marker - b[owner] - 1) % q)
-        owner, start = key // q, key % q
-        width = 2 * b[owner] + 4
-        first = np.diff(owner, prepend=-1) != 0
-        last = np.diff(owner, append=owner[-1] + 1) != 0
-        group = np.cumsum(first) - 1
-        tail = start[last]
-        prev_end = np.concatenate(([0], start[:-1] + width[:-1]))
-        at_run = np.arange(len(key)) + group  # the gap before each run
-        at_end = np.flatnonzero(last) + np.arange(len(tail)) + 1
-        begin = np.empty(len(key) + len(tail), dtype=np.int64)
-        end = np.empty_like(begin)
-        begin[at_run] = np.where(first, np.maximum(tail[group] + width - q, 0), prev_end)
-        end[at_run] = start
-        begin[at_end] = tail + width[last]
-        end[at_end] = q
-        self.begin = begin
-        self.length = np.maximum(end - begin, 0)
-        self.total = np.cumsum(self.length)
-        self._first = at_run[first]
-        self.counts = np.add.reduceat(self.length, self._first)
+    def __init__(self, nodes: np.ndarray, owner: np.ndarray, marker: np.ndarray, b: np.ndarray,
+                 q: int):
+        # a key of Q + 1 values per node sorts its empty run at Q last
+        key = np.concatenate((owner * (q + 1) + (marker - b[owner] - 1) % q, nodes * (q + 1) + q))
+        owner, start = np.divmod(np.sort(key), q + 1)
+        end = start + 2 * b[owner] + 4
+        n = len(start)
+        edge = np.ones(n + 1, dtype=bool)
+        np.not_equal(owner[1:], owner[:-1], out=edge[1:n])
+        # each node's first run, then n; so first[1:] - 2 is its last run,
+        # just before its empty one
+        first = np.flatnonzero(edge)
+        begin = np.empty(n, dtype=np.int64)
+        begin[1:] = end[:-1]
+        begin[first[:-1]] = np.maximum(end[first[1:] - 2] - q, 0)
+        before = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.maximum(start - begin, 0), out=before[1:])
+        self._total = before[1:]
+        self._shift = begin - before[:-1]
+        self._base = before[first[:-1]]
+        self.counts = before[first[1:]] - self._base
 
     def nth(self, r: np.ndarray) -> np.ndarray:
         """Each node's ``r[i]``-th free slot, counting from 0 (it has one)."""
-        target = self.total[self._first] - self.length[self._first] + r
-        gap = np.searchsorted(self.total, target, side="right")
-        return self.begin[gap] + target - (self.total[gap] - self.length[gap])
+        target = self._base + r
+        return self._shift[np.searchsorted(self._total, target, side="right")] + target
 
 
 class PeriodArrays(NamedTuple):
@@ -320,7 +329,7 @@ class StaticJitterJumpArrays:
             new_p = p.copy()
             if redraw.size:  # each node's markers: its heard phases and its own phase
                 mine = ~colored[owner]
-                gaps = _FreeGaps(np.concatenate((owner[mine], redraw)),
+                gaps = _FreeGaps(redraw, np.concatenate((owner[mine], redraw)),
                                  np.concatenate((phase[mine], p[redraw])), b, q)
                 free_count[redraw] = gaps.counts
                 if not gaps.counts.all():

@@ -88,7 +88,7 @@ def test_enumerate_limit_counts_occupancy_vectors(monkeypatch):
         bb_enumerate(7, 10)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=7))
 def test_exact_matches_enumeration(m, n):
     counts = bb_enumerate(m, n)
@@ -97,7 +97,7 @@ def test_exact_matches_enumeration(m, n):
     assert dist.pmf == {k: Fraction(c, total) for k, c in counts.items()}
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=40))
 def test_expected_occupancy_closed_form(m, n):
     # E[occupied] = n * (1 - (1 - 1/n)^m), an independent derivation.

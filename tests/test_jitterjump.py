@@ -57,6 +57,30 @@ def reference_free_slots(heard, b, q, own_phase=-1):
     return np.flatnonzero(~inside.any(axis=1)).tolist()
 
 
+def free_intervals_reference(markers, b, q):
+    """One node's free slots as the intervals [lo, hi) left when each
+    marker's blocked run [x-b-1, x+b+2], cut at Q into at most two pieces,
+    is taken from [0, Q): the same rule as ``free_slots_reference`` without
+    a Q-long list, so it serves any Q."""
+    width = 2 * b + 4
+    if width >= q:
+        return []
+    pieces = []
+    for x in set(markers):
+        start = (x - b - 1) % q
+        pieces.append((start, min(start + width, q)))
+        if start + width > q:
+            pieces.append((0, start + width - q))
+    free, reach = [], 0
+    for lo, hi in sorted(pieces):
+        if lo > reach:
+            free.append((reach, lo))
+        reach = max(reach, hi)
+    if reach < q:
+        free.append((reach, q))
+    return free
+
+
 def proto(q=64, eta=1.0 / 16.0, seed=1, dynamic=False, window=4):
     return JitterAndJump(q, eta, rng.seed_words(seed, 0, "protocol")[0], dynamic=dynamic,
                          window=window)
@@ -130,21 +154,38 @@ def free_slot_cases(draw, periods=st.one_of(SMALL_PERIODS, LARGE_PERIODS)):
     return q, sorted(set(heard)), b, own
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(free_slot_cases())
 def test_free_slots_matches_reference(case):
     q, heard, b, own = case
     expected = free_slots_reference(tuple(heard), b, q, own_phase=own)
     assert expected == reference_free_slots(tuple(heard), b, q, own_phase=own)
+    markers = heard if own < 0 else [*heard, own % q]
+    assert expected == [x for lo, hi in free_intervals_reference(markers, b, q)
+                        for x in range(lo, hi)]
     assert walked_free_slots(tuple(heard), b, q, own_phase=own) == (len(expected), expected)
+
+
+def ranked_edges(intervals):
+    """(rank, slot) of the first and last free slot of each interval."""
+    pairs, rank = [], 0
+    for lo, hi in intervals:
+        pairs += [(rank, lo), (rank + hi - lo - 1, hi - 1)]
+        rank += hi - lo
+    return pairs
 
 
 @st.composite
 def free_gap_cases(draw):
-    """One Q in 1..256 and, per node, a buffer and a list of occupied
-    slots; a node with none is not listed, and repeats are kept."""
-    q = draw(st.integers(min_value=1, max_value=256))
-    nodes = draw(st.integers(min_value=1, max_value=5))
+    """One Q and, per node (up to 64), a buffer and a list of occupied
+    slots; a node with none is not listed, and repeats are kept.  Q runs
+    up to the 8192 of a 128-degree star, plus some Q above 2**31 up to the
+    2**32 cap."""
+    q = draw(st.one_of(st.integers(min_value=1, max_value=256),
+                       st.integers(min_value=257, max_value=8192),
+                       st.integers(min_value=2**31 + 1, max_value=2**32)))
+    nodes = draw(st.one_of(st.integers(min_value=1, max_value=5),
+                           st.integers(min_value=6, max_value=64)))
     # narrow buffers leave free slots; wide ones reach 2b+4 >= Q
     buffers = st.one_of(st.integers(min_value=1, max_value=max(1, q // 16)),
                         st.integers(min_value=1, max_value=q))
@@ -152,14 +193,22 @@ def free_gap_cases(draw):
     markers = draw(st.lists(st.lists(st.integers(min_value=0, max_value=q - 1), max_size=6),
                             min_size=nodes, max_size=nodes)
                    .filter(lambda lists: any(lists)))
+    # one node may hear up to 300 beeps, spaced evenly from any slot: close
+    # enough for their runs to merge, repeat (step 0) and wrap past Q at any Q
+    crowded = draw(st.integers(min_value=-1, max_value=nodes - 1))  # -1: none
+    if crowded >= 0:
+        count = draw(st.integers(min_value=1, max_value=300))
+        first = draw(st.integers(min_value=0, max_value=q - 1))
+        step = draw(st.integers(min_value=0, max_value=max(1, q // count)))
+        markers[crowded] = [(first + i * step) % q for i in range(count)]
     return q, b, markers
 
 
 def free_gaps_of(b, markers, q, nodes):
     owner = [v for v in nodes for _ in markers[v]]
     marker = [x for v in nodes for x in markers[v]]
-    return _FreeGaps(np.array(owner, dtype=np.int64), np.array(marker, dtype=np.int64),
-                     np.array(b, dtype=np.int64), q)
+    return _FreeGaps(np.array(nodes, dtype=np.int64), np.array(owner, dtype=np.int64),
+                     np.array(marker, dtype=np.int64), np.array(b, dtype=np.int64), q)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -169,25 +218,36 @@ def free_gaps_of(b, markers, q, nodes):
 @example((32, [2, 1, 3], [[31], [], [0, 30]]))  # runs that wrap past Q; node 1 unlisted
 @example((1, [1], [[0]]))
 @example((256, [1, 9], [[255, 0, 128], [250]]))
+# count 0 from runs that tile Q, listed between nodes with free slots
+@example((40, [1, 3, 2], [[20], [0, 10, 20, 30], [5, 5]]))
+@example((64, [4], [[7, 1]]))  # the last run wraps past Q onto the first run
+@example((4096, [1, 30, 2], [[4095], [4095, 100], [4095]]))  # own phases at Q-1
+@example((2**32, [3, 2**28], [[2**32 - 1, 0], [2**32 - 1, 2**31]]))  # at the Q cap
 def test_free_gaps_match_reference_per_node(case):
     q, b, markers = case
     listed = [v for v in range(len(b)) if markers[v]]
-    expected = {v: free_slots_reference(markers[v], b[v], q) for v in listed}
+    expected = {v: free_intervals_reference(markers[v], b[v], q) for v in listed}
     counts = free_gaps_of(b, markers, q, listed).counts.tolist()
-    assert counts == [len(expected[v]) for v in listed]
+    assert counts == [sum(hi - lo for lo, hi in expected[v]) for v in listed]
     assert all(count == 0 for v, count in zip(listed, counts) if 2 * b[v] + 4 >= q)
-    # nth of the nodes that have a free slot: every rank of each in turn
-    drawn = [v for v in listed if expected[v]]
+    # nth of the nodes that have a free slot, rank by rank
+    drawn = [v for v, count in zip(listed, counts) if count]
+    if q <= 256:  # the intervals against the list oracle, and its every rank
+        slots = {v: free_slots_reference(markers[v], b[v], q) for v in listed}
+        assert all([x for lo, hi in expected[v] for x in range(lo, hi)] == slots[v]
+                   for v in listed)
+        ranked = [list(enumerate(slots[v])) for v in drawn]
+    else:  # the first and last rank of each free interval
+        ranked = [ranked_edges(expected[v]) for v in drawn]
     if not drawn:
         return
     gaps = free_gaps_of(b, markers, q, drawn)
-    last = np.array([len(expected[v]) - 1 for v in drawn])
-    for k in range(last.max() + 1):
-        rank = np.minimum(k, last)
-        assert gaps.nth(rank).tolist() == [expected[v][r] for v, r in zip(drawn, rank)]
+    for k in range(max(map(len, ranked))):
+        rank, slot = zip(*(pairs[min(k, len(pairs) - 1)] for pairs in ranked))
+        assert gaps.nth(np.array(rank)).tolist() == list(slot)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(free_slot_cases(SMALL_PERIODS))
 def test_broadcast_reference_matches_in_range(case):
     q, heard, b, own = case
@@ -214,7 +274,7 @@ def window_cases(draw):
     return q, tuple(heard), a, b, draw(phases)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(window_cases())
 def test_window_checks_match_literal_references(case):
     q, heard, a, b, phase = case

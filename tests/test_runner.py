@@ -68,9 +68,12 @@ def trial_cases(draw):
     return Topology.from_edges(n, edges), wakeup, dynamic, events, seed
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(trial_cases())
 @example((Topology.from_edges(2, [(0, 1)]), "stagger:68", False, [], 39400))  # the set shrinks
+# node 0 colored at phase 0, then at Q - 2, while node 1 has no phase yet (-1)
+@example((Topology.from_edges(2, [(0, 1)]), "stagger:400", False, [], 69))
+@example((Topology.from_edges(2, [(0, 1)]), "stagger:400", False, [], 144))
 def test_array_good_set_matches_classifier_every_period(case):
     topo, wakeup, dynamic, candidates, seed = case
     events = valid_events(topo, candidates)
@@ -209,7 +212,7 @@ def protocol_seed_words(run, topology, cfg):
 
 
 @pytest.mark.parametrize("run", [runner.run_jitterjump_trial, runner.run_beepfirst_trial])
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(topology_edits())
 def test_topology_edit_leaves_untouched_nodes_draws_unchanged(run, case):
     before, after, touched, seed = case
