@@ -19,22 +19,26 @@ from __future__ import annotations
 
 from .continuous import CONTINUOUS_PERIOD, Beep, Cycle, Listen, Rebase
 from .errors import ProtocolViolation
-from .phases import PhaseSet, lift_onto
+from .phases import PhaseSet
 
 
 def _last_blocking_beep(s: PhaseSet, p: float, b: float, t_period: float):
     """Largest heard phase inside the buffer window around candidate ``p``.
 
-    Phases are lifted onto the forward scan coordinate anchored at p - b.
-    The window is open at its left end: a beep exactly b before p is the
-    boundary the scan itself produces via p = b + last, not a blocker
-    (randomized buffers make real coincidences measure-zero, but floats
-    reproduce the endpoint exactly).
+    Phases are lifted onto the forward scan coordinate anchored at p - b,
+    each to the one value ``anchor + ((x - anchor) % T)`` in
+    [anchor, anchor + T).  The window is open at its left end: a beep
+    exactly b before p is the boundary the scan itself produces via
+    p = b + last, not a blocker (randomized buffers make real coincidences
+    measure-zero, but floats reproduce the endpoint exactly).
     """
     anchor = p - b
-    lifted = [lift_onto(anchor, x, t_period) for x in s.range_query(p - b, p + b)]
-    blocking = [x for x in lifted if x > anchor]
-    return max(blocking) if blocking else None
+    last = None
+    for x in s.range_query(anchor, p + b).phases:
+        x = anchor + ((x - anchor) % t_period)
+        if x > anchor and (last is None or x > last):
+            last = x
+    return last
 
 
 def _first_fit(s: PhaseSet, b: float, t_period: float):
@@ -58,7 +62,8 @@ def _first_fit(s: PhaseSet, b: float, t_period: float):
             raise ProtocolViolation("first-fit scan failed to settle within one period")
         extra = yield Listen(p - prev)
         total += p - prev
-        s = s.union(extra)
+        if extra:  # s is already reduced, so a union with nothing is s
+            s = s.union(extra)
 
 
 class BeepFirst:
@@ -86,8 +91,10 @@ class BeepFirst:
         yield Listen(self.eps_v)  # randomized start offset; result discarded
         yield Rebase()
 
+        # the engine resumes a listen with its phases reduced, distinct and
+        # ascending, which is already a PhaseSet's member tuple
         heard = yield Listen(t_period)
-        s = PhaseSet.from_iterable(heard, t_period)
+        s = PhaseSet(heard, t_period)
         p, self.search_listening = yield from _first_fit(s, self.b, t_period)
         self.p = p
 

@@ -5,8 +5,13 @@ every neighbor whose active listen window contains its time.  Windows are
 closed at the start and open at the end, so back-to-back listens partition
 time with no double delivery.  Protocols are generators that yield
 :class:`Listen`, :class:`Beep`, :class:`Rebase` and :class:`Cycle`
-commands; a listen resumes with the tuple of local phases heard, a beep
-resumes with the current global time.  ``Cycle(first, second)`` is
+commands, plain slotted records built with positional arguments; a beep
+resumes with the current global time, and a listen resumes with the local
+phases heard in its window.  That tuple is the contract ``BeepFirst``
+wraps as a :class:`~beepsim.phases.PhaseSet` without reducing it again:
+its phases are reduced into [0, T) (each is ``(t - origin) % T`` for a
+beep time t at or after the node's origin), distinct and ascending; a
+window that heard nothing gives ``()``.  ``Cycle(first, second)`` is
 terminal: from then on the engine itself runs "listen ``first``, listen
 ``second``, beep" forever and never resumes the protocol, so a settled
 node costs one heap event per period.  The two listens form one window
@@ -19,7 +24,8 @@ Determinism: pending work lives in one heap keyed by (time, kind rank,
 node) with wake < resume < beep, which both fixes the processing order
 and realizes the window semantics (a listen that starts at time t sees a
 beep emitted at exactly t).  A node has at most one pending event, so
-the key never ties.
+the key never ties.  A beep whose key is below every pending one is
+played at once instead of being pushed, since it would be the next pop.
 
 Fast-forward: once every node cycles, no protocol is resumed again, so
 what is left of a run is fixed.  ``run_until`` then stops popping the
@@ -42,7 +48,6 @@ them in ``tie_collisions``.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -57,27 +62,40 @@ _RANK_RESUME = 1
 _RANK_BEEP = 2
 
 
-@dataclass(frozen=True)
-class Listen:
-    duration: float
+class _Command:
+    # slotted, not dataclasses: a protocol builds one per yield
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(repr(getattr(self, name)) for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class Beep:
-    pass
+class Listen(_Command):
+    __slots__ = ("duration",)
+
+    def __init__(self, duration: float):
+        self.duration = duration
 
 
-@dataclass(frozen=True)
-class Rebase:
+class Beep(_Command):
+    __slots__ = ()
+
+
+class Rebase(_Command):
     """Declare the current instant as the node's period origin."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Cycle:
+
+class Cycle(_Command):
     """Forever: listen ``first``, listen ``second``, beep.  Terminal."""
 
-    first: float
-    second: float
+    __slots__ = ("first", "second")
+
+    def __init__(self, first: float, second: float):
+        self.first = first
+        self.second = second
 
 
 class _Node:
@@ -85,12 +103,14 @@ class _Node:
     # event, and beeps are emitted in time order, so a window that has
     # ended hears nothing more: there is no separate "listening" flag.
     # The current window's beeps are heard_log[win_idx:]; a cycling node
-    # is never resumed, so its win_idx is not kept up to date.
-    __slots__ = ("gen", "origin", "win_start", "win_end", "win_idx", "heard_log",
+    # is never resumed, so its win_idx is not kept up to date.  ``send``
+    # resumes the node's protocol generator, the only use the engine
+    # makes of it.
+    __slots__ = ("send", "origin", "win_start", "win_end", "win_idx", "heard_log",
                  "last_beep", "cycle")
 
-    def __init__(self, gen, wake: float):
-        self.gen = gen
+    def __init__(self, send, wake: float):
+        self.send = send
         self.origin = wake
         self.win_start = 0.0
         self.win_end = 0.0
@@ -120,19 +140,17 @@ class ContinuousEngine:
         self.now = 0.0
         self.tie_collisions = 0
         self._last_emit: float | None = None
-        self.protocols: dict[int, object] = {}
-        self._nodes: dict[int, _Node] = {}
-        self._heap: list[tuple[float, int, int]] = []
         self._ids = view.nodes
         ids = view.nodes.tolist()
-        for v in ids:
-            wake = float(wakeup.get(v, 0.0))
-            if wake < 0:
-                raise ConfigError("wake times must be nonnegative")
-            proto = protocol_factory(v)
-            self.protocols[v] = proto
-            self._nodes[v] = _Node(proto.run(), wake)
-            self._heap.append((wake, _RANK_WAKE, v))
+        wakes = [float(wakeup.get(v, 0.0)) for v in ids]
+        if any(wake < 0 for wake in wakes):
+            raise ConfigError("wake times must be nonnegative")
+        protocols = [protocol_factory(v) for v in ids]
+        self.protocols: dict[int, object] = dict(zip(ids, protocols))
+        self._order = order = [_Node(proto.run().send, wake)  # by node index
+                               for proto, wake in zip(protocols, wakes)]
+        self._nodes: dict[int, _Node] = dict(zip(ids, order))
+        self._heap: list[tuple[float, int, int]] = list(zip(wakes, [_RANK_WAKE] * len(ids), ids))
         heapq.heapify(self._heap)
         self._cycling = 0
         # neighbor lists by node index: those of node i are
@@ -142,7 +160,6 @@ class ContinuousEngine:
         self._starts = np.concatenate(([0], np.cumsum(np.bincount(ends, minlength=len(ids)))))
         # Held here, not on _Node: records pointing at each other would
         # make every engine cyclic garbage.
-        self._order = order = list(self._nodes.values())  # by node index
         near = [order[i] for i in self._adj.tolist()]
         bounds = self._starts.tolist()
         self._nbrs = {v: near[bounds[i]:bounds[i + 1]] for i, v in enumerate(ids)}
@@ -152,42 +169,50 @@ class ContinuousEngine:
 
     # -- protocol driving --------------------------------------------------
 
-    def _open(self, node: _Node, v: int, end: float, rank: int) -> None:
-        """Open the window [now, end) and schedule ``node``'s event at its end."""
-        node.win_start = self.now
-        node.win_end = end
-        node.win_idx = len(node.heard_log)
-        heapq.heappush(self._heap, (end, rank, v))
-
     def _advance(self, node: _Node, v: int, value) -> None:
-        send = node.gen.send
+        """Resume ``node``'s protocol with ``value`` and carry out its commands
+        until one takes time: open a listen window and schedule its end, or
+        schedule a beep at the current instant."""
+        now = self.now
         while True:
             try:
-                cmd = send(value)
+                cmd = node.send(value)
             except StopIteration:
                 return
             kind = type(cmd)
             if kind is Listen:
                 if cmd.duration < 0:
                     raise ConfigError("listen duration must be nonnegative")
-                self._open(node, v, self.now + cmd.duration, _RANK_RESUME)
-                return
+                end = now + cmd.duration
+                node.win_idx = len(node.heard_log)
+                rank = _RANK_RESUME
+                break
             if kind is Beep:
-                heapq.heappush(self._heap, (self.now, _RANK_BEEP, v))
-                return
+                key = (now, _RANK_BEEP, v)
+                if self._heap and self._heap[0] < key:
+                    heapq.heappush(self._heap, key)
+                    return
+                # no other event comes before the beep's own: play it now
+                self.emit_beep(v, now)
+                value = now
+                continue
             if kind is Cycle:
                 if cmd.first < 0 or cmd.second < 0:
                     raise ConfigError("listen duration must be nonnegative")
-                end = _cycle_end(self.now, cmd.first, cmd.second)
+                end = _cycle_end(now, cmd.first, cmd.second)
                 node.cycle = (cmd.first, cmd.second)
                 self._cycling += 1
-                self._open(node, v, end, _RANK_BEEP)
-                return
+                rank = _RANK_BEEP
+                break
             if kind is Rebase:
-                node.origin = self.now
+                node.origin = now
                 value = None
                 continue
             raise ConfigError(f"protocol yielded unknown command {cmd!r}")
+        # open the window [now, end); the node's next event is at its end
+        node.win_start = now
+        node.win_end = end
+        heapq.heappush(self._heap, (end, rank, v))
 
     def emit_beep(self, v: int, t: float) -> None:
         """Deliver an instantaneous beep from ``v`` to all listening neighbors."""
@@ -220,21 +245,24 @@ class ContinuousEngine:
             time, rank, v = pop(heap)
             self.now = time
             node = nodes[v]
-            if rank == _RANK_BEEP:
+            if rank == _RANK_RESUME:
+                log = node.heard_log
+                start = node.win_idx
+                if start == len(log):
+                    advance(node, v, ())
+                else:
+                    origin = node.origin
+                    advance(node, v, tuple(sorted({(t - origin) % tau for t in log[start:]})))
+            elif rank == _RANK_BEEP:
                 emit(v, time)
                 if node.cycle is None:
                     advance(node, v, time)
                 else:
+                    # the window runs from this beep to the next
                     first, second = node.cycle
-                    self._open(node, v, _cycle_end(time, first, second), _RANK_BEEP)
-            elif rank == _RANK_RESUME:
-                log = node.heard_log
-                if node.win_idx == len(log):
-                    advance(node, v, ())
-                else:
-                    origin = node.origin
-                    heard = {(t - origin) % tau for t in log[node.win_idx:]}
-                    advance(node, v, tuple(sorted(heard)))
+                    node.win_start = time
+                    node.win_end = end = _cycle_end(time, first, second)
+                    heapq.heappush(heap, (end, _RANK_BEEP, v))
             else:
                 advance(node, v, None)
         self.now = max(self.now, t_end)

@@ -10,32 +10,32 @@ the arc 8, 9, 0, 1, 2.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 
 
-def lift_onto(anchor, phase, tau):
-    """Unroll ``phase`` onto the real line so it lands in [anchor, anchor+tau).
-
-    Used when scanning forward from ``anchor`` around the circle: the lifted
-    value preserves scan order and may be negative if ``anchor`` is.
-    """
-    return anchor + ((phase - anchor) % tau)
-
-
-@dataclass(frozen=True)
 class PhaseSet:
-    """Immutable ordered set of phases heard within one period."""
+    """Immutable ordered set of phases heard within one period.
 
-    phases: tuple
-    period: float | int
+    ``phases`` is a tuple of distinct members, ascending and reduced mod
+    ``period``.  The constructor takes it as it is; :meth:`from_iterable`
+    and :meth:`union` reduce, deduplicate and sort what they are given.
+    """
+
+    __slots__ = ("phases", "period")
+
+    def __init__(self, phases: tuple, period: float | int):
+        self.phases = phases
+        self.period = period
+
+    def __repr__(self) -> str:
+        return f"PhaseSet({self.phases!r}, {self.period!r})"
 
     @classmethod
     def from_iterable(cls, values: Iterable, period) -> "PhaseSet":
         if period <= 0:
             raise ValueError("period must be positive")
-        reduced = sorted({v % period for v in values})
-        return cls(tuple(reduced), period)
+        return cls(tuple(sorted({v % period for v in values})), period)
 
     def __iter__(self) -> Iterator:
         return iter(self.phases)
@@ -58,4 +58,4 @@ class PhaseSet:
         return PhaseSet(kept, tau)
 
     def union(self, values: Iterable) -> "PhaseSet":
-        return PhaseSet.from_iterable(list(self.phases) + list(values), self.period)
+        return PhaseSet.from_iterable(chain(self.phases, values), self.period)

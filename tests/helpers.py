@@ -114,6 +114,25 @@ def wrap_distance(a, b, tau):
     return min(d, tau - d)
 
 
+def lift_onto(anchor, phase, tau):
+    """Unroll ``phase`` onto the real line so it lands in [anchor, anchor+tau).
+
+    Used when scanning forward from ``anchor`` around the circle: the lifted
+    value preserves scan order and may be negative if ``anchor`` is.
+    """
+    return anchor + ((phase - anchor) % tau)
+
+
+def last_blocking_beep_reference(s, p, b, tau):
+    """Every phase of ``s`` in the closed range [p - b, p + b], lifted onto
+    the scan anchored at p - b, and the largest of those past the anchor:
+    the oracle for ``beepfirst._last_blocking_beep``."""
+    anchor = p - b
+    lifted = [lift_onto(anchor, x, tau) for x in s if in_range(x, anchor, p + b, tau)]
+    blocking = [x for x in lifted if x > anchor]
+    return max(blocking) if blocking else None
+
+
 def max_neighborhood_degree(topology, v):
     """Largest degree within the closed 1-neighborhood of ``v``, one
     neighbor at a time: the oracle for ``TopologyArrays.dmax``."""

@@ -9,15 +9,16 @@ from helpers import (
     by_node,
     capture_engines,
     first_clear_phase,
+    last_blocking_beep_reference,
     max_neighborhood_degree,
     node_states,
     record_beeps,
     wrap_distance,
 )
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from beepsim import continuous, rng, runner
-from beepsim.beepfirst import BeepFirst
+from beepsim.beepfirst import BeepFirst, _last_blocking_beep
 from beepsim.config import SimConfig
 from beepsim.phases import PhaseSet
 from beepsim.runner import run_beepfirst_trial
@@ -85,6 +86,23 @@ def test_first_clear_phase_wrapping_beep_near_period_end():
     s = PhaseSet.from_iterable((0.95,), 1.0)
     phase, _ = first_clear_phase(s, 0.1, 1.0)
     assert phase == pytest.approx(0.05)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@example(((0.3,), 0.5, 0.2))  # the beep exactly b before p does not block
+@example(((0.7,), 0.5, 0.2))  # one exactly b after p does
+@example(((0.05, 0.95), 0.02, 0.1))  # the window wraps below 0
+@example(((0.05, 0.95), 0.98, 0.1))  # and above the period
+@example(((0.1, 0.2, 0.6), 0.4, 0.5))  # the window is the whole period
+@given(st.tuples(
+    st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), max_size=12),
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    st.floats(min_value=1e-6, max_value=0.5),
+))
+def test_last_blocking_beep_matches_reference(case):
+    heard, p, b = case
+    s = PhaseSet.from_iterable(heard, 1.0)
+    assert _last_blocking_beep(s, p, b, 1.0) == last_blocking_beep_reference(s, p, b, 1.0)
 
 
 def test_isolated_node_settles_at_zero():

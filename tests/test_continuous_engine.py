@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from beepsim.continuous import CONTINUOUS_PERIOD, Beep, ContinuousEngine, Cycle, Listen, Rebase
 from beepsim.errors import ConfigError
+from beepsim.phases import PhaseSet
 from beepsim.topology import Topology
 
 
@@ -322,3 +323,39 @@ def test_fast_forward_starts_amid_coincident_beeps():
     # node 2's beep at 0.5 came after node 0 settled, and node 0 missed it
     assert cyc._stretches[0][0][0] == 0.5
     assert 0.5 not in cyc.heard_log(0)
+
+
+def test_negative_wake_time_is_rejected():
+    topo = Topology.from_edges(2, [(0, 1)])
+    with pytest.raises(ConfigError, match="wake times must be nonnegative"):
+        build(topo, {}, wake={0: 0.0, 1: -0.5})
+
+
+@st.composite
+def listening_graphs(draw):
+    """A small graph whose nodes listen, beep and rebase at non-dyadic
+    times, so that beep phases carry float rounding and may repeat."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [e for e in pairs if draw(st.booleans())]
+    times = st.one_of(st.floats(min_value=0.0, max_value=1.5), st.sampled_from([0.1, 0.3, 0.7]))
+    command = st.one_of(times.map(Listen), st.just(Beep()), st.just(Rebase()))
+    scripts = {v: draw(st.lists(command, max_size=10)) for v in range(n)}
+    wake = {v: draw(times) for v in range(n)}
+    return Topology.from_edges(n, edges), scripts, wake
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(listening_graphs())
+def test_listen_resumes_with_reduced_distinct_ascending_phases(case):
+    # the contract BeepFirst relies on when it wraps a listen's result as a
+    # PhaseSet without reducing it again
+    topo, scripts, wake = case
+    engine, protos = build(topo, scripts, wake)
+    engine.run_until(6.0)
+    for proto in protos.values():
+        for heard in proto.results:
+            assert isinstance(heard, tuple)
+            assert all(0.0 <= x < CONTINUOUS_PERIOD for x in heard)
+            assert all(x < y for x, y in zip(heard, heard[1:]))
+            assert heard == PhaseSet.from_iterable(heard, CONTINUOUS_PERIOD).phases

@@ -2,10 +2,10 @@
 
 import math
 
-from helpers import in_range, wrap_distance
+from helpers import in_range, lift_onto, wrap_distance
 from hypothesis import example, given, settings, strategies as st
 
-from beepsim.phases import PhaseSet, lift_onto
+from beepsim.phases import PhaseSet
 
 
 def make(values, tau=10):
@@ -40,6 +40,47 @@ def test_endpoints_are_inclusive():
 def test_negative_and_oversized_endpoints_reduce():
     s = make({1, 5, 9})
     assert tuple(s.range_query(-2, 12)) == (1, 9)  # [8, 2] after reduction
+
+
+def test_from_iterable_reduces_dedups_and_sorts():
+    assert make([12, -3, 7, 2, 22, 7]).phases == (2, 7)
+    assert make([9.5, -0.5, 19.5, 0.0]).phases == (0.0, 9.5)
+    assert make([]).phases == ()
+
+
+def test_from_iterable_reduces_tiny_negative_by_python_modulo():
+    # Python's float % rounds -1e-20 mod 1.0 up to 1.0, the period itself;
+    # what is pinned is that the input goes through that reduction
+    s = PhaseSet.from_iterable([-1e-20, 0.25], 1.0)
+    assert s.phases == (0.25, (-1e-20) % 1.0)
+    assert -1e-20 not in s.phases
+
+
+def test_union_reduces_dedups_and_sorts():
+    s = make({1, 5})
+    assert s.union([15, -5, 1, 21, 13]).phases == (1, 3, 5)
+    assert s.union([]).phases == (1, 5)
+    assert s.union(()).period == 10
+    t = PhaseSet.from_iterable([0.5], 1.0).union([-1e-20, 1.5, -0.5, 0.75])
+    assert t.phases == (0.5, 0.75, (-1e-20) % 1.0)
+    # union reduces the members again, so one equal to the period becomes 0.0
+    assert PhaseSet.from_iterable([-1e-20], 1.0).union([]).phases == (0.0,)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.lists(st.floats(min_value=-30.0, max_value=30.0, allow_subnormal=True), max_size=12),
+    st.lists(st.floats(min_value=-30.0, max_value=30.0, allow_subnormal=True), max_size=12),
+    st.sampled_from([1.0, 0.7, 10.0]),
+)
+def test_union_is_from_iterable_of_both(first, second, tau):
+    s = PhaseSet.from_iterable(first, tau)
+    assert s.phases == tuple(sorted({v % tau for v in first}))
+    # the members are reduced again: a member equal to the period (see
+    # above) becomes 0.0
+    expected = tuple(sorted({v % tau for v in s.phases + tuple(second)}))
+    assert s.union(second).phases == expected
+    assert s.union(iter(second)).phases == expected
 
 
 def test_wrap_distance():
