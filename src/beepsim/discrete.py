@@ -1,12 +1,12 @@
 """Slot-synchronous network engine.
 
 Global time advances in slots, but only slots where something can happen
-are stepped: a slot with no local period boundary, no queued beep and no
-pending topology event is silent.  The engine keeps a min-heap of the
-slots that hold a boundary or a queued beep (a slot is pushed when it
-gains its first one; an entry whose slot has been stepped or emptied is
-dropped when it reaches the top), so ``run_slots`` jumps from one busy
-slot to the next without looking at the silent ones between them.
+are stepped: a slot with no local period boundary and no queued beep is
+silent.  The engine keeps a min-heap of the slots that hold a boundary or
+a queued beep (a slot is pushed when it gains its first one; an entry
+whose slot has been stepped or emptied is dropped when it reaches the
+top), so ``run_slots`` jumps from one busy slot to the next without
+looking at the silent ones between them.
 
 Within a slot every awake node either beeps or listens; a listening
 node hears something exactly when at least one graph neighbor beeps in
@@ -22,9 +22,11 @@ boundary).  A node's heard phases are kept as the ascending global slots
 it heard in its current local period: a boundary at slot s turns slot t
 into phase t - (s - Q), with no set and no sort.
 
-Dynamic topology events are applied at global period boundaries, those
-of one period in the order given.  All bookkeeping is resolved in a fixed
-order so identical configurations produce bit-identical runs.
+The engine never decides when the topology changes: ``apply`` applies one
+event at the current slot, and the runner's period loop calls it at each
+global period boundary kQ, before stepping that slot.  All bookkeeping
+is resolved in a fixed order so identical configurations produce
+bit-identical runs.
 
 The engine calls nothing back at a boundary: a node's protocol state
 changes only at its own boundaries, one in any Q consecutive slots, so a
@@ -43,7 +45,7 @@ period.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -78,7 +80,6 @@ class DiscreteEngine:
         q: int,
         protocol_factory: Callable[[int], object],
         wake_slots: dict[int, int],
-        events: Iterable[DynamicEvent] = (),
     ):
         if q < 1:
             raise ConfigError("Q must be positive")
@@ -96,8 +97,6 @@ class DiscreteEngine:
         self._boundaries: dict[int, list[int]] = {}
         self._beeps: dict[int, list[int]] = {}
         self._due: list[int] = []  # heap over the keys of _boundaries and _beeps
-        self._events = sorted(events, key=lambda e: e.at_period)  # stable: file order
-        self._event_idx = 0
         for v in self.adj:
             self._admit(v, wake_slots.get(v, 0))
 
@@ -160,18 +159,10 @@ class DiscreteEngine:
 
     # -- dynamics --------------------------------------------------------
 
-    def apply_dynamic_events(self, period: int) -> None:
-        """Apply all queued events scheduled for the given global period."""
-        while self._event_idx < len(self._events):
-            ev = self._events[self._event_idx]
-            if ev.at_period > period:
-                break
-            if ev.at_period < period:
-                raise ConfigError(f"event {ev} scheduled before the current period")
-            self._apply(ev)
-            self._event_idx += 1
-
-    def _apply(self, ev: DynamicEvent) -> None:
+    def apply(self, ev: DynamicEvent) -> None:
+        """Apply one topology event at the current slot, before it is
+        stepped: a node it adds wakes in this slot, and a node it removes
+        takes its queued beeps and boundary with it."""
         kind, adj = ev.kind, self.adj
         self._topology = None
         if kind == "add_node":
@@ -205,12 +196,10 @@ class DiscreteEngine:
     def step_slot(self) -> SlotOutcome:
         """Advance the world by one slot and deliver beeps."""
         s, q = self.slot, self.q
-        if s % q == 0:
-            self.apply_dynamic_events(s // q)
         heard, scheduled, wake_slot = self._heard, self._scheduled, self.wake_slot
 
         # every node met here is alive: _retire takes a removed node out of
-        # its boundary and beep lists, and _apply out of the map
+        # its boundary and beep lists, and apply out of the map
         due = self._boundaries.pop(s, None)
         if due:
             due.sort()
@@ -269,10 +258,7 @@ class DiscreteEngine:
 
     def next_busy_slot(self, end: int) -> int:
         """The first slot from the current one on that is not silent, or
-        ``end`` if every slot before ``end`` is silent.
-
-        While topology events remain, every global period boundary counts
-        as busy, since it may apply them."""
+        ``end`` if every slot before ``end`` is silent."""
         s, heap = self.slot, self._due
         boundaries, beeps = self._boundaries, self._beeps
         while heap:
@@ -282,8 +268,6 @@ class DiscreteEngine:
             heappop(heap)  # stepped already, or emptied by _retire
         else:
             t = end
-        if self._event_idx < len(self._events):
-            t = min(t, -(-s // self.q) * self.q)
         return min(t, end)
 
     def run_slots(self, count: int) -> None:

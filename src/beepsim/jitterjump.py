@@ -72,18 +72,20 @@ def _no_free_slots(q: int, b: int, n_heard: int) -> ProtocolViolation:
 
 
 class PeriodReport(NamedTuple):
-    """Observation record for one completed local period; -1 stands where
+    """Observation record of completed local periods: ints for one node,
+    or arrays indexed alike for many, where ``period`` may be one int that
+    all share and ``reset`` one ``False`` when none reset.  -1 stands where
     a node holds no value: in ``phase``, ``jitter`` and ``interval`` before
     its first phase draw, and in ``free_count`` where it drew no slot."""
 
-    period: int
-    phase: int
-    jitter: int
-    interval: int
-    beeps_heard: int
-    colored: bool
-    free_count: int
-    reset: bool = False
+    period: int | np.ndarray
+    phase: int | np.ndarray
+    jitter: int | np.ndarray
+    interval: int | np.ndarray
+    beeps_heard: int | np.ndarray
+    colored: bool | np.ndarray
+    free_count: int | np.ndarray
+    reset: bool | np.ndarray = False
 
 
 class JitterAndJump:
@@ -246,21 +248,6 @@ class _FreeGaps:
         return self._shift[np.searchsorted(self._total, target, side="right")] + target
 
 
-class PeriodArrays(NamedTuple):
-    """:class:`PeriodReport` of many nodes as arrays indexed alike, -1
-    standing for no value as there; ``period`` is one int when all share
-    it."""
-
-    period: int | np.ndarray
-    phase: np.ndarray
-    jitter: np.ndarray
-    interval: np.ndarray
-    beeps_heard: np.ndarray
-    colored: np.ndarray
-    free_count: np.ndarray
-    reset: np.ndarray
-
-
 class StaticJitterJumpArrays:
     """The static :class:`JitterAndJump` of a whole network whose nodes all
     woke at slot 0, stepped together: node ``i`` draws from row ``i`` of
@@ -271,7 +258,8 @@ class StaticJitterJumpArrays:
     edge once, as node indices.
 
     ``p``, ``jitter`` and ``interval`` hold -1 until the first period that
-    sets them, as :class:`JitterAndJump`'s do; a static node never resets.
+    sets them, as :class:`JitterAndJump`'s do; a static node never resets,
+    so its reports keep ``reset`` at ``False``.
     """
 
     def __init__(self, q: int, eta: float, words: np.ndarray, src: np.ndarray,
@@ -282,12 +270,11 @@ class StaticJitterJumpArrays:
         self._draws = ArrayDraws(words)
         self._edges = np.concatenate((src, dst)), np.concatenate((dst, src))
         self._all = np.arange(n)
-        self._no_reset = np.zeros(n, dtype=bool)
         self.colored = np.zeros(n, dtype=bool)
         self.p = self.jitter = self.interval = np.full(n, -1, dtype=np.int64)
         self.d_tilde = np.ones(n, dtype=np.int64)
         self.period = 0
-        self.last_report: PeriodArrays | None = None
+        self.last_report: PeriodReport | None = None
 
     def step(self) -> np.ndarray:
         """Deliver the period that just ended, digest it and return each
@@ -338,8 +325,8 @@ class StaticJitterJumpArrays:
                 new_p[redraw] = gaps.nth(self._draws.below(redraw, gaps.counts))
         jitter = self._draws.below(self._all, np.full(n, 2))
 
-        self.last_report = PeriodArrays(self.period, p, self.jitter, self.interval, n_heard,
-                                        colored, free_count, self._no_reset)
+        self.last_report = PeriodReport(self.period, p, self.jitter, self.interval, n_heard,
+                                        colored, free_count)
         self.p, self.jitter = new_p, jitter
         self.period += 1
         # modular, as JitterAndJump's: no beep leaves the period's window

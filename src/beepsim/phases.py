@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class PhaseSet:
@@ -36,9 +36,6 @@ class PhaseSet:
         if period <= 0:
             raise ValueError("period must be positive")
         return cls(tuple(sorted({v % period for v in values})), period)
-
-    def __iter__(self) -> Iterator:
-        return iter(self.phases)
 
     def range_query(self, a, b) -> "PhaseSet":
         """Subset of phases in the wrap-aware closed range [a, b].

@@ -12,7 +12,9 @@ slot 0 and through the engine otherwise, steps each period with the same
 draws, hands the boundaries it ran (the engine lists them) to one array
 pass, :meth:`_BoundaryChecks.on_period_boundary`, and returns the
 period's :class:`ColoringSnapshot`; the loop builds the good set, the
-final labels and the result from those snapshots alone.  A beep-first
+final labels and the result from those snapshots alone.  The engine
+stepper's loop alone decides when a topology event applies: those of
+period k at slot kQ, before that slot is stepped.  A beep-first
 trial draws every node's start offset from its protocol stream in one
 array pass.
 """
@@ -20,6 +22,7 @@ array pass.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +34,7 @@ from .config import SimConfig
 from .continuous import CONTINUOUS_PERIOD, ContinuousEngine
 from .discrete import DiscreteEngine
 from .errors import ConfigError, ProtocolViolation
-from .jitterjump import JitterAndJump, PeriodArrays, PeriodReport, StaticJitterJumpArrays
+from .jitterjump import JitterAndJump, PeriodReport, StaticJitterJumpArrays
 from .topology import DynamicEvent, Topology, TopologyArrays, build_wakeup
 from .trace import TraceRow
 
@@ -85,7 +88,7 @@ def _reported(engine: DiscreteEngine, after: ColoringSnapshot) -> tuple:
     columns = np.array([(*protocols[v].last_report, protocols[v].d_tilde, wake[v]) for v in ids],
                        dtype=np.int64).reshape(-1, len(PeriodReport._fields) + 2).T
     period, phase, jitter, interval, heard, colored, free_count, reset, d_tilde, woke = columns
-    report = PeriodArrays(period, phase, jitter, interval, heard, colored.astype(bool),
+    report = PeriodReport(period, phase, jitter, interval, heard, colored.astype(bool),
                           free_count, reset.astype(bool))
     before = np.where(period > 0, (phase + woke) % engine.q, -1)
     order = np.searchsorted(after.topology.arrays.nodes, ids)
@@ -111,7 +114,7 @@ class _BoundaryChecks:
         self._last: TopologyArrays | None = None  # the graph of the previous stretch
 
     def on_period_boundary(self, after: ColoringSnapshot, order: np.ndarray,
-                           report: PeriodArrays, before: np.ndarray, d_tilde: np.ndarray) -> None:
+                           report: PeriodReport, before: np.ndarray, d_tilde: np.ndarray) -> None:
         """Check the boundaries at which the nodes ``order`` reported in one
         stretch, which leaves the nodes as ``after`` holds them.
 
@@ -284,7 +287,7 @@ class _EngineSteps:
 
     Each period runs to its last slot but one, when every node has passed
     its boundary of the period's stretch of Q slots, for the boundary
-    checks; then its last slot, which applies the next period's events,
+    checks; then the next period's events apply and its last slot runs,
     for the read."""
 
     def __init__(self, topology, cfg, q, seed_key, checks, wake, events):
@@ -304,14 +307,23 @@ class _EngineSteps:
             return JitterAndJump(q, cfg.eta, row, dynamic=cfg.dynamic, window=window)
 
         self.checks = checks
-        self.engine = DiscreteEngine(topology, q, factory, wake, events=events)
-        self.engine.run_slots(1)  # wake processing and the events of period 0 at slot 0
+        self.engine = DiscreteEngine(topology, q, factory, wake)
+        self._events = deque(sorted(events, key=lambda e: e.at_period))  # stable: file order
+        self._boundary(0)  # the events of period 0, then wake processing at slot 0
+
+    def _boundary(self, k: int) -> None:
+        """Apply the events of period ``k``, in file order, and step slot
+        kQ."""
+        events = self._events
+        while events and events[0].at_period == k:
+            self.engine.apply(events.popleft())
+        self.engine.run_slots(1)
 
     def step(self) -> ColoringSnapshot:
-        engine, q = self.engine, self.engine.q
-        engine.run_slots(q - 1)
+        engine = self.engine
+        engine.run_slots(engine.q - 1)
         self.checks.on_period_boundary(*_reported(engine, _read(engine)))
-        engine.run_slots(1)  # slot kQ applies the events of period k
+        self._boundary(engine.slot // engine.q)
         return _read(engine)
 
     def finish(self, last: ColoringSnapshot) -> None:

@@ -34,7 +34,7 @@ class TopologyArrays(NamedTuple):
     """A topology as read-only int64 arrays, for whole-graph passes.
 
     ``src``/``dst`` index ``nodes``; ``u``/``v`` are the same edges as ids,
-    u < v, in :meth:`Topology.edges` order.  ``dmax`` is the largest degree
+    u < v, in ascending (u, v) order.  ``dmax`` is the largest degree
     in each node's closed neighborhood.
     """
 
@@ -111,7 +111,7 @@ class Topology:
         nodes = ids[order]
         src = np.searchsorted(nodes, tails[one_way])
         dst = np.searchsorted(nodes, heads[one_way])
-        by_edge = np.lexsort((dst, src))  # (u, v) order, as edges() lists them
+        by_edge = np.lexsort((dst, src))  # ascending (u, v) order
         return cls(_view(nodes, src[by_edge], dst[by_edge], deg[order]))
 
     def adjacency(self) -> dict[int, set[int]]:
@@ -143,9 +143,6 @@ class Topology:
     def delta(self) -> int:
         degree = self.arrays.degree
         return int(degree.max()) if len(degree) else 0
-
-    def edges(self) -> list[tuple[int, int]]:
-        return list(zip(self.arrays.u.tolist(), self.arrays.v.tolist()))
 
 
 # -- generators ------------------------------------------------------------

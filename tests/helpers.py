@@ -4,14 +4,20 @@
 ``sys.path`` and test modules import this one as ``helpers``.
 """
 
-from collections import defaultdict
+import importlib
+import importlib.util
+import pkgutil
+from collections import defaultdict, deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 
+import beepsim
 from beepsim import rng as rngmod
 from beepsim import runner
 from beepsim.analysis import BAD_COLORED, BAD_UNCOLORED, GOOD, ColoringSnapshot, IntervalReport
@@ -33,8 +39,32 @@ from beepsim.topology import (
 )
 from beepsim.trace import TraceRow
 
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+
+def load_spans():
+    """A fresh copy of the benchmark's tracer module, ``bench/spans.py``."""
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def beepsim_modules():
+    """Every beepsim module by its short name, as ``spans.install`` takes them."""
+    return SimpleNamespace(**{m.name: importlib.import_module(f"beepsim.{m.name}")
+                              for m in pkgutil.iter_modules(beepsim.__path__)})
+
+
 # a Topology never changes, so one map per graph serves every reference below
 adjacency_of = lru_cache(maxsize=16)(Topology.adjacency)
+
+
+def edge_list(topology):
+    """The edges of ``topology`` as (u, v) pairs, u < v, in its arrays'
+    ascending order."""
+    view = topology.arrays
+    return list(zip(view.u.tolist(), view.v.tolist()))
 
 
 @dataclass(frozen=True)
@@ -128,7 +158,7 @@ def last_blocking_beep_reference(s, p, b, tau):
     the scan anchored at p - b, and the largest of those past the anchor:
     the oracle for ``beepfirst._last_blocking_beep``."""
     anchor = p - b
-    lifted = [lift_onto(anchor, x, tau) for x in s if in_range(x, anchor, p + b, tau)]
+    lifted = [lift_onto(anchor, x, tau) for x in s.phases if in_range(x, anchor, p + b, tau)]
     blocking = [x for x in lifted if x > anchor]
     return max(blocking) if blocking else None
 
@@ -151,7 +181,7 @@ def validate_interval_coloring_reference(snapshot, eta=None):
     topology, tau = snapshot.topology, snapshot.tau
     violations = []
     pairs = 0
-    for u, v in topology.edges():
+    for u, v in edge_list(topology):
         su, sv = states[u], states[v]
         if su.global_phase is None or sv.global_phase is None:
             continue
@@ -178,7 +208,7 @@ def symmetric_window_violations_reference(snapshot):
     states = by_node(snapshot)
     tau = snapshot.tau
     bad = []
-    for u, v in snapshot.topology.edges():
+    for u, v in edge_list(snapshot.topology):
         su, sv = states[u], states[v]
         if su.global_phase is None or sv.global_phase is None:
             continue
@@ -214,7 +244,7 @@ def classify_good_bad_reference(snapshot):
 def hardness_reduction_reference(local_phases, offsets, q, topology):
     """One edge at a time: the oracle for ``analysis.hardness_reduction``."""
     colors = {v: (local_phases[v] + offsets[v]) % q for v in local_phases}
-    for u, v in topology.edges():
+    for u, v in edge_list(topology):
         if u in colors and v in colors and colors[u] == colors[v]:
             raise InternalInconsistencyError(
                 f"adjacent nodes {u} and {v} share color {colors[u]}"
@@ -226,7 +256,7 @@ def neighbor_phase_ties_reference(snapshot):
     """One edge at a time: the oracle for ``analysis.neighbor_phase_ties``."""
     states = by_node(snapshot)
     ties = 0
-    for u, v in snapshot.topology.edges():
+    for u, v in edge_list(snapshot.topology):
         su, sv = states[u], states[v]
         if su.global_phase is not None and su.global_phase == sv.global_phase:
             ties += 1
@@ -621,9 +651,6 @@ class ReferenceEngine(DiscreteEngine):
 
     def step_slot(self) -> SlotOutcome:
         s = self.slot
-        if s % self.q == 0:
-            self.apply_dynamic_events(s // self.q)
-
         for v in sorted(self._boundaries.pop(s, ())):
             if v not in self.adj:
                 continue
@@ -663,13 +690,43 @@ class ReferenceEngine(DiscreteEngine):
     def run_slots(self, count):
         s, end = self.slot, self.slot + count
         while s < end:
-            if s in self._boundaries or s in self._beeps or (
-                s % self.q == 0 and self._event_idx < len(self._events)
-            ):
+            if s in self._boundaries or s in self._beeps:
                 self.slot = s
                 self.step_slot()
             s += 1
         self.slot = s
+
+
+class WithEvents:
+    """``engine`` driven slot by slot with topology events applied as the
+    runner's period loop applies them: those of period k at slot kQ, in
+    the order given, before that slot is stepped.  Every other attribute
+    is the engine's."""
+
+    def __init__(self, engine, events):
+        self.engine = engine
+        self._events = deque(sorted(events, key=lambda e: e.at_period))
+
+    def __getattr__(self, name):
+        return getattr(self.engine, name)
+
+    def _apply_due(self):
+        engine, events = self.engine, self._events
+        while events and events[0].at_period * engine.q == engine.slot:
+            engine.apply(events.popleft())
+
+    def step_slot(self):
+        self._apply_due()
+        return self.engine.step_slot()
+
+    def run_slots(self, count):
+        """``engine.run_slots(count)``, stopping at each global period
+        boundary to apply its events."""
+        engine = self.engine
+        end = engine.slot + count
+        while engine.slot < end:
+            self._apply_due()
+            engine.run_slots(min(end, (engine.slot // engine.q + 1) * engine.q) - engine.slot)
 
 
 def reported_reference(engine, nodes, start, end):
@@ -772,8 +829,8 @@ def boundary_checks_reference(topology, cfg, seed_key, events, periods):
                              dynamic=cfg.dynamic, window=window)
 
     checks = BoundaryChecks(cfg.eta, q, topology, cfg.dynamic, collect_rows=True)
-    engine = ReferenceEngine(topology, q, factory, wake, events=events, observer=checks)
-    engine.run_slots(1 + periods * q)
+    engine = ReferenceEngine(topology, q, factory, wake, observer=checks)
+    WithEvents(engine, events).run_slots(1 + periods * q)
     return checks, checks.resets
 
 

@@ -8,6 +8,7 @@ from helpers import (
     LoopBeepFirst,
     by_node,
     capture_engines,
+    edge_list,
     first_clear_phase,
     last_blocking_beep_reference,
     max_neighborhood_degree,
@@ -78,7 +79,7 @@ def test_first_clear_phase_scans_past_cluster():
     # settles exactly one buffer past the last cluster member it can see;
     # every heard beep ends up at least a buffer away (up to float dust)
     assert phase == pytest.approx(0.42 + b)
-    assert all(min((phase - x) % 1.0, (x - phase) % 1.0) >= b - 1e-12 for x in s)
+    assert all(min((phase - x) % 1.0, (x - phase) % 1.0) >= b - 1e-12 for x in s.phases)
 
 
 def test_first_clear_phase_wrapping_beep_near_period_end():
@@ -160,7 +161,7 @@ def test_intervals_never_contain_neighbor_phase():
     result = run_beepfirst_trial(topo, cfg, seed_key=("lemma",))
     assert result.all_stable
     states = by_node(result.snapshot)
-    for u, v in topo.edges():
+    for u, v in edge_list(topo):
         du = wrap_distance(states[u].global_phase, states[v].global_phase, 1.0)
         assert du > states[v].interval
         assert du > states[u].interval

@@ -1,27 +1,9 @@
 """The benchmark's tracer still finds every name it wraps, and the layers
 it wraps are still called."""
 
-import importlib
-import importlib.util
-import pkgutil
 from pathlib import Path
-from types import SimpleNamespace
 
-import beepsim
-
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-
-
-def load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def beepsim_modules():
-    return SimpleNamespace(**{m.name: importlib.import_module(f"beepsim.{m.name}")
-                              for m in pkgutil.iter_modules(beepsim.__path__)})
+from helpers import beepsim_modules, load_spans
 
 
 def test_spans_install_wraps_and_restore_puts_back():

@@ -5,7 +5,7 @@ sums and phases compare exactly.
 """
 
 import pytest
-from helpers import record_beeps
+from helpers import edge_list, record_beeps
 from hypothesis import given, settings, strategies as st
 
 from beepsim.continuous import CONTINUOUS_PERIOD, Beep, ContinuousEngine, Cycle, Listen, Rebase
@@ -265,7 +265,7 @@ def cycle_or_loop_engine(topo, nodes, loop, idle=False):
     """The engine running ``nodes``; with ``idle``, one more node without
     edges listens forever, so the engine never fast-forwards."""
     if idle:
-        topo = Topology.from_edges(topo.n + 1, topo.edges())
+        topo = Topology.from_edges(topo.n + 1, edge_list(topo))
 
     def factory(v):
         if v == len(nodes):

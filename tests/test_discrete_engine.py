@@ -1,7 +1,7 @@
 """Slot-synchronous engine: delivery rules, clocks, churn, determinism."""
 
 import pytest
-from helpers import ReferenceEngine, valid_events
+from helpers import ReferenceEngine, WithEvents, valid_events
 from hypothesis import given, settings, strategies as st
 
 from beepsim import rng as rngmod
@@ -34,7 +34,7 @@ def make_engine(topology, q=8, offsets=None, wake=None, events=()):
         protos[v] = ScriptedProtocol(offsets.get(v, ()))
         return protos[v]
 
-    engine = DiscreteEngine(topology, q, factory, wake, events=events)
+    engine = WithEvents(DiscreteEngine(topology, q, factory, wake), events)
     return engine, protos
 
 
@@ -233,7 +233,7 @@ def logged(engine_cls, topo, q, wake, events):
         proto.on_period_end = on_period_end
         return proto
 
-    engine = engine_cls(topo, q, factory, wake, events=events)
+    engine = WithEvents(engine_cls(topo, q, factory, wake), events)
     return engine, rows
 
 

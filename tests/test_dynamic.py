@@ -10,7 +10,7 @@ from beepsim import rng
 from beepsim.analysis import ColoringSnapshot
 from beepsim.config import SimConfig
 from beepsim.errors import ConfigError
-from beepsim.jitterjump import JitterAndJump, PeriodArrays
+from beepsim.jitterjump import JitterAndJump, PeriodReport
 from beepsim.runner import _BoundaryChecks, run_jitterjump_trial
 from beepsim.topology import DynamicEvent, Topology, clique, star
 
@@ -111,7 +111,7 @@ def test_beep_bound_is_four_beeps_per_neighbor_at_either_boundary():
     def stretch(graph, *beeps_heard):
         # the hub, node 0, reports the beeps it heard, if any are given
         hub = np.zeros(len(beeps_heard), dtype=np.int64)
-        report = PeriodArrays(hub, hub - 1, hub - 1, hub - 1, np.array(beeps_heard, dtype=np.int64),
+        report = PeriodReport(hub, hub - 1, hub - 1, hub - 1, np.array(beeps_heard, dtype=np.int64),
                               hub == 1, hub - 1, hub == 1)
         none = np.full(graph.n, -1)
         after = ColoringSnapshot(graph, 256, none, none, np.zeros(graph.n, dtype=bool))

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from helpers import twin_coupling_reference
+from helpers import edge_list, twin_coupling_reference
 from hypothesis import example, given, settings, strategies as st
 
 from beepsim import lowerbound
@@ -23,7 +23,7 @@ Q = SimConfig().resolve_q(build_lowerbound_graph(2).delta)  # 192 for every k
 def test_graph_shape():
     g = build_lowerbound_graph(2)
     assert g.n == 8
-    assert len(g.edges()) == 12
+    assert len(edge_list(g)) == 12
 
 
 def test_shared_randomness_twins_never_diverge():

@@ -5,7 +5,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import apply_event, gnp_reference, max_neighborhood_degree, random_regular_reference
+from helpers import (
+    WithEvents,
+    apply_event,
+    edge_list,
+    gnp_reference,
+    max_neighborhood_degree,
+    random_regular_reference,
+)
 from hypothesis import given, settings, strategies as st
 
 from beepsim import rng
@@ -64,8 +71,8 @@ def _assert_arrays_match(t, adj):
     ids = sorted(adj)
     view = t.arrays
     assert view.nodes.tolist() == ids == list(t.nodes) and t.n == len(ids)
-    assert t.edges() == sorted((u, v) for u in ids for v in adj[u] if u < v)
-    assert list(zip(view.u.tolist(), view.v.tolist())) == t.edges()
+    assert edge_list(t) == sorted((u, v) for u in ids for v in adj[u] if u < v)
+    assert list(zip(view.u.tolist(), view.v.tolist())) == edge_list(t)
     assert (view.nodes[view.src] == view.u).all() and (view.nodes[view.dst] == view.v).all()
     assert view.degree.tolist() == [len(adj[v]) for v in ids] == [t.degree(v) for v in ids]
     assert t.delta == max(map(len, adj.values()), default=0)
@@ -101,8 +108,9 @@ QUIET = SimpleNamespace(on_period_end=lambda heard: ())
 
 
 def _engine(t, q=8, events=()):
-    """A :class:`DiscreteEngine` of silent nodes on ``t``, all awake at slot 0."""
-    return DiscreteEngine(t, q, lambda v: QUIET, {v: 0 for v in t.nodes}, events=events)
+    """A :class:`DiscreteEngine` of silent nodes on ``t``, all awake at slot
+    0, with ``events`` applied at their period boundaries."""
+    return WithEvents(DiscreteEngine(t, q, lambda v: QUIET, {v: 0 for v in t.nodes}), events)
 
 
 def test_every_mutation_drops_the_arrays():
@@ -132,7 +140,7 @@ def test_every_mutation_drops_the_arrays():
 def test_gnp_bounds_and_determinism():
     g1 = gnp(30, 0.2, rng.stream(7, "topology"))
     g2 = gnp(30, 0.2, rng.stream(7, "topology"))
-    assert g1.edges() == g2.edges()
+    assert edge_list(g1) == edge_list(g2)
     assert g1.n == 30
 
 
@@ -146,7 +154,7 @@ def test_random_regular_is_regular():
 def same_graph(fast, slow):
     """Equal nodes and edges, in the same order."""
     assert fast.nodes == slow.nodes
-    assert fast.edges() == slow.edges()
+    assert edge_list(fast) == edge_list(slow)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -184,7 +192,7 @@ def test_star_and_clique():
 def test_cycle_of_blocks_counts():
     g = cycle_of_blocks(2)
     assert g.n == 8
-    assert len(g.edges()) == 12
+    assert len(edge_list(g)) == 12
 
 
 def test_cycle_of_blocks_twins_share_closed_neighborhood():
@@ -206,14 +214,14 @@ def test_cycle_of_blocks_is_three_regular():
 
 def test_edge_list_round_trip():
     g = cycle_of_blocks(3)
-    text = "".join(f"{u} {v}\n" for u, v in g.edges())
+    text = "".join(f"{u} {v}\n" for u, v in edge_list(g))
     back = parse_edge_list(text)
-    assert back.edges() == g.edges()
+    assert edge_list(back) == edge_list(g)
 
 
 def test_edge_list_comments_and_errors():
     g = parse_edge_list("# comment\n0 1\n\n1 2  # trailing\n")
-    assert g.edges() == [(0, 1), (1, 2)]
+    assert edge_list(g) == [(0, 1), (1, 2)]
     with pytest.raises(ConfigError):
         parse_edge_list("0 1 2\n")
     with pytest.raises(ConfigError):
@@ -222,7 +230,7 @@ def test_edge_list_comments_and_errors():
 
 def test_parse_graph_spec():
     g = parse_graph_spec("clique:4", rng.stream(1))
-    assert len(g.edges()) == 6
+    assert len(edge_list(g)) == 6
     with pytest.raises(ConfigError):
         parse_graph_spec("mystery:4", rng.stream(1))
     with pytest.raises(ConfigError, match="unknown graph generator"):
@@ -288,7 +296,7 @@ def test_random_wakeup_equals_one_scalar_draw_per_node(period):
 def _answers(t):
     """Everything a topology answers, and its adjacency map with each
     node's neighbours in iteration order."""
-    return (t.n, t.nodes, t.delta, [t.degree(v) for v in t.nodes], t.edges(),
+    return (t.n, t.nodes, t.delta, [t.degree(v) for v in t.nodes], edge_list(t),
             [(arr.dtype, arr.flags.writeable, arr.tolist()) for arr in t.arrays],
             [(v, list(nbrs)) for v, nbrs in t.adjacency().items()])
 
